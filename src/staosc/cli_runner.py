@@ -62,7 +62,6 @@ CONFIG_SCHEMA = {
         "experiment": {"enum": list(EXPERIMENTS)},
         "seed": {"type": "integer", "minimum": 0},
         "output_dir": {"type": "string"},
-        "threads": {"type": "integer", "minimum": 1},
         "physical": {
             "type": "object",
             "additionalProperties": False,
@@ -98,7 +97,6 @@ CONFIG_SCHEMA = {
                     "items": {"type": "number", "exclusiveMinimum": 1},
                     "minItems": 1,
                 },
-                "tolerance": {"type": "number", "exclusiveMinimum": 0},
             },
         },
     },
@@ -183,7 +181,6 @@ def resolve_config(config: dict) -> dict:
         "schema_version": SCHEMA_VERSION,
         "experiment": experiment,
         "seed": int(config.get("seed", 12345)),
-        "threads": int(config.get("threads", 1)),
         "physical": dict(_DEFAULTS[experiment]["physical"]),
         "numeric": dict(_DEFAULTS[experiment]["numeric"]),
     }
@@ -701,11 +698,6 @@ def main(argv=None) -> int:
     p_run.add_argument("config", help="path to a JSON configuration")
     p_run.add_argument("--seed", type=int, help="override the config seed")
     p_run.add_argument("--out-dir", help="override the output directory")
-    p_run.add_argument(
-        "--threads",
-        type=int,
-        help="parallelism hint; results are identical at any setting",
-    )
 
     p_verify = sub.add_parser("verify", help="run the invariant battery")
     p_verify.add_argument("--seed", type=int, default=12345)
@@ -737,8 +729,6 @@ def main(argv=None) -> int:
         return 1
     if args.seed is not None:
         config["seed"] = args.seed
-    if args.threads is not None:
-        config["threads"] = args.threads
     try:
         summary = run_experiment(config, args.out_dir)
     except ConfigError as exc:

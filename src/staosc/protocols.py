@@ -14,10 +14,19 @@ cosine,
 with a = omega_f/omega_i, which has omega_dot(0) = omega_dot(tau) = 0 by
 construction.  Arbitrary tabulated schedules are supported through a
 monotone C^1 interpolant and are checked, not trusted.
+
+:func:`omega_at` and :func:`omega_dot_at` take a scalar time or an array.
+ODE right-hand sides call them once per step with a float t; for the
+analytic schedules that float is evaluated with ``math``, with the same
+formula and operation order as the numpy array path, so both give
+bit-identical results.  Every call, scalar or array, checks that t is
+finite and within [0, tau] up to a 1e-9 tau slack, and clips it to
+[0, tau].
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -115,55 +124,70 @@ def protocol_from_table(samples) -> FrequencyProtocol:
 
 
 def _clip_time(protocol: FrequencyProtocol, t):
-    """Validate t against [0, tau], absorbing solver-sized overshoot."""
-    t = np.asarray(t, dtype=float)
+    """Validate t against [0, tau], absorbing solver-sized overshoot.
+
+    Returns the clipped time(s) and the module that evaluates the schedule
+    formulas on them: ``math`` for a float t (numpy float64 included) of an
+    analytic schedule, ``np`` with t as a float array otherwise.
+    """
     slack = 1e-9 * protocol.tau
+    # NaN and +-inf fail this comparison and reach the array checks below,
+    # which raise; the error messages therefore have one source.
+    if (
+        protocol.kind != TABLE
+        and isinstance(t, float)
+        and -slack <= t <= protocol.tau + slack
+    ):
+        return float(min(max(t, 0.0), protocol.tau)), math
+    t = np.asarray(t, dtype=float)
     if not np.all(np.isfinite(t)):
         raise ValueError("time values must be finite")
     if np.any(t < -slack) or np.any(t > protocol.tau + slack):
         raise ValueError(
             f"time {t!r} outside protocol domain [0, {protocol.tau}]"
         )
-    return np.clip(t, 0.0, protocol.tau)
+    return np.clip(t, 0.0, protocol.tau), np
 
 
 def omega_at(protocol: FrequencyProtocol, t):
     """Instantaneous frequency omega(t); accepts scalars or arrays."""
-    t = _clip_time(protocol, t)
+    t, xp = _clip_time(protocol, t)
     if protocol.kind == CONSTANT:
-        out = np.full_like(t, protocol.omega_i)
+        out = (
+            float(protocol.omega_i) if xp is math else np.full_like(t, protocol.omega_i)
+        )
     elif protocol.kind == COSINE_RAMP:
         a2 = (protocol.omega_f / protocol.omega_i) ** 2
-        phase = np.pi * t / protocol.tau
+        phase = xp.pi * t / protocol.tau
         omega_sq = protocol.omega_i**2 * (
-            0.5 * (a2 + 1.0) - 0.5 * (a2 - 1.0) * np.cos(phase)
+            0.5 * (a2 + 1.0) - 0.5 * (a2 - 1.0) * xp.cos(phase)
         )
-        out = np.sqrt(omega_sq)
+        out = xp.sqrt(omega_sq)
     else:
         out = protocol._table_interp(t)
-    return out if out.ndim else float(out)
+    return out if xp is math or out.ndim else float(out)
 
 
 def omega_dot_at(protocol: FrequencyProtocol, t):
     """Slope d omega/dt at time t; accepts scalars or arrays."""
-    t = _clip_time(protocol, t)
+    t, xp = _clip_time(protocol, t)
     if protocol.kind == CONSTANT:
-        out = np.zeros_like(t)
+        out = 0.0 if xp is math else np.zeros_like(t)
     elif protocol.kind == COSINE_RAMP:
         a2 = (protocol.omega_f / protocol.omega_i) ** 2
-        phase = np.pi * t / protocol.tau
+        phase = xp.pi * t / protocol.tau
         # d(omega^2)/dt = omega_i^2 (a^2-1)/2 * sin(phase) * pi/tau
         domega_sq = (
             protocol.omega_i**2
             * 0.5
             * (a2 - 1.0)
-            * np.sin(phase)
-            * (np.pi / protocol.tau)
+            * xp.sin(phase)
+            * (xp.pi / protocol.tau)
         )
         out = domega_sq / (2.0 * omega_at(protocol, t))
     else:
         out = protocol._table_interp_deriv(t)
-    return out if out.ndim else float(out)
+    return out if xp is math or out.ndim else float(out)
 
 
 @dataclass

@@ -179,11 +179,11 @@ def _propagate_columns(
         raise IntegrationError(f"Schrodinger propagation failed: {sol.message}")
     psi_tau = sol.y[:, -1].reshape(N, cols)
 
-    norms = np.linalg.norm(psi_tau, axis=0)
-    if np.any(np.abs(norms - np.linalg.norm(psi0, axis=0)) > 1e-9):
+    drift = np.abs(np.linalg.norm(psi_tau, axis=0) - np.linalg.norm(psi0, axis=0))
+    if np.any(drift > 1e-9):
         raise IntegrationError(
-            f"propagation norm drift {np.max(np.abs(norms - 1.0)):.3e} beyond 1e-9; "
-            "tighten tol"
+            "propagation norm drift max|norm(psi_tau) - norm(psi_0)| = "
+            f"{np.max(drift):.3e} beyond 1e-9; tighten tol"
         )
     tail = int(math.ceil(N * (1.0 - _LEAK_FRACTION)))
     leak = float(np.max(np.sum(np.abs(psi_tau[tail:]) ** 2, axis=0)))

@@ -39,6 +39,14 @@ def test_validate_config_rejects_unknown_fields():
     with pytest.raises(ConfigError) as err:
         validate_config(_config("classical-work-dist", typo_field=1))
     assert "typo_field" in str(err.value)
+    # keys that were accepted but never read are rejected by name
+    with pytest.raises(ConfigError) as err:
+        validate_config(_config("classical-work-dist", threads=2))
+    assert "'threads' was unexpected" in str(err.value)
+    with pytest.raises(ConfigError) as err:
+        validate_config(_config("classical-work-dist", numeric={"tolerance": 1e-6}))
+    assert "$.numeric" in str(err.value)
+    assert "'tolerance' was unexpected" in str(err.value)
 
 
 def test_validate_config_reports_json_paths():

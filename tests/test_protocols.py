@@ -52,13 +52,39 @@ def test_omega_monotone_increasing_for_upward_ramp():
 
 
 def test_domain_error_outside_interval():
-    proto = cosine_ramp(WI, WF, 1.0)
-    with pytest.raises(ValueError):
-        omega_at(proto, -0.1)
-    with pytest.raises(ValueError):
-        omega_at(proto, 1.1)
-    with pytest.raises(ValueError):
-        omega_dot_at(proto, 2.0)
+    for proto in (cosine_ramp(WI, WF, 1.0), constant_protocol(WI, 1.0)):
+        for fn in (omega_at, omega_dot_at):
+            for t in (-0.1, 1.1, 2.0, 1.0 + 2e-9, np.float64(-2e-9)):
+                with pytest.raises(ValueError, match="outside protocol domain"):
+                    fn(proto, t)
+            for t in (math.nan, math.inf, -math.inf, np.float64("nan")):
+                with pytest.raises(ValueError, match="must be finite"):
+                    fn(proto, t)
+
+
+def test_scalar_path_matches_array_path_exactly():
+    # A float t is evaluated with math, an array with numpy: the two must
+    # agree bit for bit, overshoot inside the 1e-9 tau slack included.
+    rng = np.random.default_rng(7)
+    for proto in (
+        cosine_ramp(WI, WF, 1e-4),
+        cosine_ramp(WF, WI, 0.37),
+        constant_protocol(WI, 5.0),
+    ):
+        slack = 1e-9 * proto.tau
+        ts = np.concatenate(
+            [
+                rng.uniform(0.0, proto.tau, 2000),
+                [0.0, proto.tau, -slack, -0.5 * slack, proto.tau + 0.5 * slack,
+                 proto.tau + slack],
+            ]
+        )
+        for fn in (omega_at, omega_dot_at):
+            for t, expected in zip(ts, fn(proto, ts)):
+                for scalar in (float(t), np.float64(t)):
+                    value = fn(proto, scalar)
+                    assert type(value) is float
+                    assert value == expected, (proto.kind, fn.__name__, scalar)
 
 
 def test_constant_protocol():

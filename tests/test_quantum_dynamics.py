@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from staosc.classical_analytics import basic_solutions, quadratic_form, moments_from_form
-from staosc.errors import TruncationLeakageError
+from staosc.errors import IntegrationError, TruncationLeakageError
 from staosc.protocols import constant_protocol, cosine_ramp, omega_at, omega_dot_at
 from staosc.quantum_dynamics import (
     FockBasisConfig,
@@ -172,6 +172,18 @@ def test_propagation_preserves_norm():
     final = propagate(QuantumState(amp), cosine_ramp(WI, WF, 0.02), cfg=cfg)
     assert np.linalg.norm(final.amplitudes) == pytest.approx(1.0, abs=1e-9)
 
+
+
+def test_norm_drift_gate_reports_checked_quantity():
+    # a loose solver tolerance drifts the norm well past the 1e-9 gate
+    cfg = FockBasisConfig(dimension=32, omega_ref=WI)
+    with pytest.raises(IntegrationError) as info:
+        transition_matrix(cosine_ramp(WI, 2.0 * WI, 1e-2), cfg=cfg, n_max=4, tol=1e-3)
+    message = str(info.value)
+    assert "max|norm(psi_tau) - norm(psi_0)| = " in message
+    assert "beyond 1e-9" in message
+    drift = float(message.split("= ")[1].split()[0])
+    assert 1e-9 < drift < 1e-3
 
 def test_leaky_state_rejected():
     amp = np.zeros(16, dtype=complex)
