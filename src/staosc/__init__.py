@@ -81,6 +81,7 @@ from .work_statistics import (
     SummaryStats,
     WorkSampleSet,
     classical_work_ensemble,
+    classical_work_ensembles,
     delta_f_classical,
     dissipated_work,
     estimator_dispersion,

@@ -29,6 +29,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 from scipy.integrate import solve_ivp
 
 from .errors import IntegrationError
@@ -38,9 +39,6 @@ from .protocols import FrequencyProtocol, omega_at
 #: degenerate and the sudden-limit density is used instead.
 DEGENERACY_SWITCH = 1e-9
 
-#: Power-series / asymptotic crossover for the Bessel evaluation.
-_BESSEL_CUTOFF = 18.0
-
 _WRONSKIAN_TOL = 1e-9
 
 
@@ -48,62 +46,24 @@ _WRONSKIAN_TOL = 1e-9
 # Modified Bessel function I0
 # ---------------------------------------------------------------------------
 
-def _i0_series(x: np.ndarray) -> np.ndarray:
-    """Ascending series sum_k (x^2/4)^k / (k!)^2; all terms positive."""
-    t = 0.25 * x * x
-    term = np.ones_like(x)
-    total = np.ones_like(x)
-    for k in range(1, 64):
-        term = term * t / (k * k)
-        total = total + term
-        if np.all(term <= 1e-17 * total):
-            break
-    return total
-
-
-def _i0_asymptotic_scaled(x: np.ndarray) -> np.ndarray:
-    """Large-argument expansion of exp(-x) I0(x) ~ (2 pi x)^(-1/2) sum."""
-    total = np.ones_like(x)
-    term = np.ones_like(x)
-    for k in range(1, 26):
-        term = term * (2 * k - 1) ** 2 / (8.0 * k * x)
-        total = total + term
-    return total / np.sqrt(2.0 * np.pi * x)
-
-
 def bessel_i0(x):
     """Modified Bessel function of the first kind, order zero.
 
-    Accurate to ~1e-12 relative over x >= 0; overflows to inf past
-    x ~ 709 together with exp(x).
+    Thin wrapper over :func:`scipy.special.i0`; a scalar input gives a
+    float.  Overflows to inf past x ~ 713 together with exp(x).
     """
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(np.abs(x))
-    out = np.empty_like(x)
-    small = x <= _BESSEL_CUTOFF
-    if np.any(small):
-        out[small] = _i0_series(x[small])
-    if np.any(~small):
-        xl = x[~small]
-        with np.errstate(over="ignore"):
-            out[~small] = _i0_asymptotic_scaled(xl) * np.exp(xl)
-    return float(out[0]) if scalar else out
+    out = special.i0(np.asarray(x, dtype=float))
+    return float(out) if out.ndim == 0 else out
 
 
 def bessel_i0_scaled(x):
-    """exp(-|x|) * I0(x): bounded on the whole axis, safe for large x."""
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    x = np.atleast_1d(np.abs(x))
-    out = np.empty_like(x)
-    small = x <= _BESSEL_CUTOFF
-    if np.any(small):
-        xs = x[small]
-        out[small] = _i0_series(xs) * np.exp(-xs)
-    if np.any(~small):
-        out[~small] = _i0_asymptotic_scaled(x[~small])
-    return float(out[0]) if scalar else out
+    """exp(-|x|) * I0(x): bounded on the whole axis, safe for large x.
+
+    Thin wrapper over :func:`scipy.special.i0e`; a scalar input gives a
+    float.
+    """
+    out = special.i0e(np.asarray(x, dtype=float))
+    return float(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------

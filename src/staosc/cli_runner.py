@@ -254,10 +254,9 @@ def _run_classical_work_dist(resolved: dict, out_dir: Path, meta: dict):
     beta, wi, wf = phys["beta"], phys["omega_i"], phys["omega_f"]
     seed = resolved["seed"]
 
-    sets = {}
-    for label, control in (("sta", True), ("bare", False)):
-        spec = cd.EnsembleSpec(beta=beta, count=num["samples"], seed=seed)
-        sets[label] = ws.classical_work_ensemble(protocol, spec, params, control)
+    spec = cd.EnsembleSpec(beta=beta, count=num["samples"], seed=seed)
+    by_control = ws.classical_work_ensembles(protocol, spec, params)
+    sets = {"sta": by_control[True], "bare": by_control[False]}
 
     form = ca.quadratic_form(ca.basic_solutions(protocol), beta, wi, wf)
     densities = {
@@ -318,9 +317,10 @@ def _run_jarzynski_trace(resolved: dict, out_dir: Path, meta: dict):
 
     outputs, checks, derived = [], [], {"target": target, "delta_f": delta_f}
     finals = {}
+    spec = cd.EnsembleSpec(beta=beta, count=num["samples"], seed=seed)
+    sets = ws.classical_work_ensembles(protocol, spec, params)
     for label, control in (("sta", True), ("bare", False)):
-        spec = cd.EnsembleSpec(beta=beta, count=num["samples"], seed=seed)
-        samples = ws.classical_work_ensemble(protocol, spec, params, control)
+        samples = sets.pop(control)  # keep no 1e6-sample set alive into the replicates
         trace = ws.jarzynski(samples, beta, delta_f)
         counts = _trace_grid(num["samples"], num["trace_points"])
         path = out_dir / f"jarzynski_{label}.csv"
@@ -347,13 +347,14 @@ def _run_jarzynski_trace(resolved: dict, out_dir: Path, meta: dict):
     for r in range(reps):
         rep_seed = seed + 1 + r
         spec = cd.EnsembleSpec(beta=beta, count=per_rep, seed=rep_seed)
-        v = {}
-        for label, control in (("sta", True), ("bare", False)):
-            s = ws.classical_work_ensemble(protocol, spec, params, control)
-            v[label] = ws.estimator_dispersion(s, beta, per_rep // batch)
-        var_sta.append(v["sta"])
-        var_bare.append(v["bare"])
-        wins += v["sta"] < v["bare"]
+        # unbound, so this replicate's samples are freed before the next draw
+        v = {
+            control: ws.estimator_dispersion(s, beta, per_rep // batch)
+            for control, s in ws.classical_work_ensembles(protocol, spec, params).items()
+        }
+        var_sta.append(v[True])
+        var_bare.append(v[False])
+        wins += v[True] < v[False]
     derived["dispersion"] = {
         "replicates": reps,
         "batch_size": batch,
@@ -574,8 +575,7 @@ def _verify_checks(seed: int) -> list:
     delta_f = ws.delta_f_classical(beta, wi, wf)
     spec = cd.EnsembleSpec(beta, 20_000, seed + 7)
     ok_jz, detail = True, []
-    for control in (True, False):
-        s = ws.classical_work_ensemble(fast, spec, params, control)
+    for s in ws.classical_work_ensembles(fast, spec, params).values():
         tr = ws.jarzynski(s, beta, delta_f)
         ew = np.exp(-beta * s.samples)
         se = float(np.std(ew, ddof=1) / math.sqrt(ew.size))

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.interpolate import PchipInterpolator
 
 from .classical_dynamics import (
@@ -65,6 +64,46 @@ class WorkSampleSet:
         object.__setattr__(self, "samples", samples)
 
 
+def classical_work_ensembles(
+    protocol: FrequencyProtocol,
+    spec: EnsembleSpec,
+    params: OscillatorParams = OscillatorParams(),
+    tol: float = 1e-12,
+    controls: tuple[bool, ...] = (True, False),
+) -> dict[bool, WorkSampleSet]:
+    """Sample one Gibbs ensemble and run it through each ramp in ``controls``.
+
+    Returns ``{with_control: WorkSampleSet}``, by default
+    ``{True: controlled, False: bare}``.  Every ramp sees the same initial
+    states, which is what a controlled-versus-bare comparison needs; each
+    set is bit-identical to a separate :func:`classical_work_ensemble` call
+    with the same spec.  Each ramp's final states are dropped before the
+    next ramp is propagated.
+    """
+    initial = sample_gibbs(spec, protocol.omega_i, params)
+    sets = {}
+    for with_control in controls:
+        works = ensemble_work(
+            initial,
+            propagate_ensemble(initial, protocol, with_control, params, tol),
+            protocol,
+            params,
+        )
+        prov = SampleProvenance(
+            kind=protocol.kind,
+            omega_i=protocol.omega_i,
+            omega_f=protocol.omega_f,
+            tau=protocol.tau,
+            with_control=with_control,
+            beta=spec.beta,
+            mass=params.m,
+            count=spec.count,
+            seed=spec.seed,
+        )
+        sets[with_control] = WorkSampleSet(samples=works, provenance=prov)
+    return sets
+
+
 def classical_work_ensemble(
     protocol: FrequencyProtocol,
     spec: EnsembleSpec,
@@ -72,22 +111,9 @@ def classical_work_ensemble(
     with_control: bool = False,
     tol: float = 1e-12,
 ) -> WorkSampleSet:
-    """Sample a Gibbs ensemble, run the ramp, and collect endpoint work."""
-    initial = sample_gibbs(spec, protocol.omega_i, params)
-    final = propagate_ensemble(initial, protocol, with_control, params, tol)
-    works = ensemble_work(initial, final, protocol, params)
-    prov = SampleProvenance(
-        kind=protocol.kind,
-        omega_i=protocol.omega_i,
-        omega_f=protocol.omega_f,
-        tau=protocol.tau,
-        with_control=with_control,
-        beta=spec.beta,
-        mass=params.m,
-        count=spec.count,
-        seed=spec.seed,
-    )
-    return WorkSampleSet(samples=works, provenance=prov)
+    """Sample a Gibbs ensemble, run one ramp, and collect endpoint work."""
+    sets = classical_work_ensembles(protocol, spec, params, tol, (with_control,))
+    return sets[with_control]
 
 
 @dataclass(frozen=True)
@@ -208,28 +234,69 @@ def dissipated_work(data, beta: float, delta_f: float) -> float:
     return mean - delta_f
 
 
+#: 16-point Gauss-Legendre nodes and weights on [-1, 1]; one rule
+#: integrates every panel of the CDF grid.
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
+
+#: The first grid panel [0, h] is split at h/2, h/4, ..., h/2**60.  A bare
+#: ramp whose work form has mu_minus << mu_plus has a feature at
+#: u ~ sqrt(mu_minus) (7e-4 for the default tau*omega_i = 1e-3 ramp, against
+#: h ~ 1.6e-2); one rule across the whole first panel misses it by up to
+#: ~1e-5 in the CDF, the graded panel resolves it to rounding.
+_FIRST_PANEL_HALVINGS = 60
+
+_ARRAY_DENSITY = (
+    "density must accept a numpy array of works and return an array of the "
+    "same shape"
+)
+
+
+def _density_values(density, w: np.ndarray) -> np.ndarray:
+    """Evaluate a vectorized density once on the whole node array."""
+    try:
+        values = np.asarray(density(w), dtype=float)
+    except TypeError as err:  # e.g. math.exp applied to an array
+        raise ValueError(f"{_ARRAY_DENSITY}: {err}") from err
+    if values.shape != w.shape:
+        raise ValueError(
+            f"{_ARRAY_DENSITY}: got shape {values.shape} for input shape {w.shape}"
+        )
+    return values
+
+
 def _cdf_on_grid(density, w_max: float, nodes: int = 513):
     """Cumulative distribution of a density on [0, w_max].
 
     Integration runs in u = sqrt(W), which turns the inverse-square-root
     endpoint divergence of the sudden law into a bounded integrand;
-    smooth densities are unaffected.  Returns (w_grid, cdf_values).
+    smooth densities are unaffected.  Each panel of the uniform u grid gets
+    a 16-point Gauss-Legendre rule, the first panel is graded geometrically
+    toward u = 0, and the density is called once on all quadrature nodes.
+    Against adaptive quadrature the CDF agrees to 1e-12 at every grid node
+    (to rounding for the package's work densities).  Returns
+    (w_grid, cdf_values).
     """
     u_grid = np.linspace(0.0, math.sqrt(w_max), nodes)
-
-    def integrand(u):
-        return 2.0 * u * float(density(u * u))
+    first = u_grid[1] * np.exp2(-np.arange(_FIRST_PANEL_HALVINGS, -1, -1.0))
+    lo = np.concatenate(([0.0], first[:-1], u_grid[1:-1]))
+    hi = np.concatenate((first, u_grid[2:]))
+    center, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+    u = center[:, None] + half[:, None] * _GL_X
+    panels = half * ((2.0 * u * _density_values(density, u * u)) @ _GL_W)
 
     pieces = np.zeros(nodes)
-    for i in range(1, nodes):
-        val, _ = quad(integrand, u_grid[i - 1], u_grid[i], limit=200)
-        pieces[i] = val
+    pieces[1] = panels[: first.size].sum()
+    pieces[2:] = panels[first.size:]
     cdf = np.cumsum(pieces)
     return u_grid**2, np.minimum(cdf, 1.0)
 
 
 def integrate_density(density, w_max: float) -> float:
-    """Total mass of a work density on [0, w_max] (normalization check)."""
+    """Total mass of a work density on [0, w_max] (normalization check).
+
+    The density must be vectorized: it is called once on a numpy array of
+    works and must return an array of the same shape.
+    """
     _, cdf = _cdf_on_grid(density, w_max)
     return float(cdf[-1])
 
@@ -237,10 +304,12 @@ def integrate_density(density, w_max: float) -> float:
 def ks_distance(samples: WorkSampleSet, density, w_max: float | None = None) -> float:
     """Kolmogorov-Smirnov distance between samples and an analytic density.
 
-    The analytic CDF is built by piecewise adaptive quadrature (in
-    sqrt-work coordinates, so densities divergent at W = 0 integrate
-    cleanly) and interpolated monotonically.  The density is assumed to be
-    supported on W >= 0.
+    The analytic CDF is built on a 513-node grid in sqrt-work coordinates
+    (so densities divergent at W = 0 integrate cleanly) by fixed-node
+    Gauss-Legendre panels, the first graded toward W = 0, and interpolated
+    monotonically.  The density is assumed to be supported on W >= 0, and
+    must be vectorized: it is called once on a numpy array of works and
+    must return an array of the same shape.
     """
     w = np.sort(samples.samples)
     if w_max is None:

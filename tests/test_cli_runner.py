@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+import staosc.work_statistics as work_statistics
 from staosc.cli_runner import (
     EXPERIMENTS,
     SCHEMA_VERSION,
@@ -25,6 +26,19 @@ def _config(experiment, **overrides):
     cfg = {"schema_version": SCHEMA_VERSION, "experiment": experiment}
     cfg.update(overrides)
     return cfg
+
+
+def _count_gibbs_draws(monkeypatch) -> list:
+    """Record the seed of every Gibbs draw the sample-set estimators make."""
+    seeds = []
+    sample_gibbs = work_statistics.sample_gibbs
+
+    def counted(spec, *args, **kwargs):
+        seeds.append(spec.seed)
+        return sample_gibbs(spec, *args, **kwargs)
+
+    monkeypatch.setattr(work_statistics, "sample_gibbs", counted)
+    return seeds
 
 
 # ---------------------------------------------------------------------------
@@ -148,12 +162,14 @@ def test_emit_grid_density_and_atoms(tmp_path):
 # experiments end to end (small sizes)
 # ---------------------------------------------------------------------------
 
-def test_classical_work_dist_experiment(tmp_path):
+def test_classical_work_dist_experiment(tmp_path, monkeypatch):
+    draws = _count_gibbs_draws(monkeypatch)
     summary = run_experiment(
         _config("classical-work-dist", numeric={"samples": 20_000}),
         out_dir=tmp_path,
     )
     assert summary["experiment"] == "classical-work-dist"
+    assert len(draws) == 1  # controlled and bare share one ensemble
     for name in (
         "classical_work_sta_hist.csv",
         "classical_work_sta_density.csv",
@@ -174,7 +190,8 @@ def test_classical_work_dist_experiment(tmp_path):
     )
 
 
-def test_jarzynski_trace_experiment(tmp_path):
+def test_jarzynski_trace_experiment(tmp_path, monkeypatch):
+    draws = _count_gibbs_draws(monkeypatch)
     summary = run_experiment(
         _config(
             "jarzynski-trace",
@@ -188,6 +205,8 @@ def test_jarzynski_trace_experiment(tmp_path):
         out_dir=tmp_path,
     )
     assert summary["all_checks_passed"]
+    # one draw per seed: the main trace plus five replicates
+    assert len(draws) == len(set(draws)) == 6
     assert (tmp_path / "jarzynski_sta.csv").exists()
     assert (tmp_path / "jarzynski_bare.csv").exists()
     disp = summary["derived"]["dispersion"]

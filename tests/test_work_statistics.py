@@ -3,7 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
+import staosc.work_statistics as work_statistics
 from staosc.classical_analytics import (
     basic_solutions,
     pdf_adiabatic,
@@ -18,7 +20,9 @@ from staosc.work_statistics import (
     BinnedDensity,
     WorkSampleSet,
     SampleProvenance,
+    _cdf_on_grid,
     classical_work_ensemble,
+    classical_work_ensembles,
     default_bin_count,
     delta_f_classical,
     dissipated_work,
@@ -60,6 +64,28 @@ def test_classical_work_ensemble_shapes_and_provenance():
     json.dumps(d)  # serializable
     assert d["omega_i"] == WI
     assert d["omega_f"] == pytest.approx(WF)
+
+
+def test_classical_work_ensembles_one_draw_matches_two(monkeypatch):
+    draws = []
+    sample_gibbs = work_statistics.sample_gibbs
+
+    def counted(spec, *args, **kwargs):
+        draws.append(spec)
+        return sample_gibbs(spec, *args, **kwargs)
+
+    monkeypatch.setattr(work_statistics, "sample_gibbs", counted)
+    spec = EnsembleSpec(beta=BETA, count=4096, seed=19)
+    both = classical_work_ensembles(FAST, spec)
+    assert draws == [spec]
+    assert set(both) == {True, False}
+    for with_control, ws in both.items():
+        alone = classical_work_ensemble(FAST, spec, with_control=with_control)
+        assert np.array_equal(ws.samples, alone.samples)
+        assert ws.provenance == alone.provenance
+        assert ws.provenance.with_control is with_control
+    assert draws == [spec] * 3
+    assert not np.array_equal(both[True].samples, both[False].samples)
 
 
 def test_work_sample_set_validation():
@@ -213,6 +239,46 @@ def test_integrate_density_normalizations():
     assert integrate_density(lambda w: pdf_sudden(w, BETA, WI, WF), 1500.0) == pytest.approx(
         1.0, abs=1e-6
     )
+
+
+def _quad_cdf(density, w_max, nodes=513):
+    """Adaptive-quadrature oracle on the same u = sqrt(W) grid."""
+    u_grid = np.linspace(0.0, math.sqrt(w_max), nodes)
+    pieces = [0.0]
+    for a, b in zip(u_grid[:-1], u_grid[1:]):
+        val, _ = quad(lambda u: 2.0 * u * density(u * u), a, b,
+                      epsabs=1e-15, epsrel=1e-13, limit=200)
+        pieces.append(val)
+    return np.minimum(np.cumsum(pieces), 1.0)
+
+
+@pytest.mark.parametrize("w_max", [66.0, 220.0])
+def test_cdf_matches_adaptive_quadrature(w_max):
+    densities = [
+        lambda w: pdf_adiabatic(w, BETA, WI, WF),
+        lambda w: pdf_sudden(w, BETA, WI, WF),
+    ]
+    for tau_omega in (1e-4, 3e-4, 1e-3, 1e-2, 0.05, 0.3, 1.0, 5.0):
+        ramp = cosine_ramp(WI, WF, tau_omega / WI)
+        form = quadratic_form(basic_solutions(ramp), BETA, WI, WF)
+        densities.append(lambda w, form=form: pdf_nonadiabatic(w, form))
+    for density in densities:
+        grid, cdf = _cdf_on_grid(density, w_max)
+        assert grid[-1] == pytest.approx(w_max, rel=1e-14)
+        assert np.max(np.abs(cdf - _quad_cdf(density, w_max))) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "density",
+    [lambda w: 0.25 * math.exp(-w / 4.0), lambda w: 0.25],
+    ids=["math-exp", "constant"],
+)
+def test_density_must_accept_arrays(density):
+    ws = _samples(256, seed=67)
+    with pytest.raises(ValueError, match="must accept a numpy array"):
+        ks_distance(ws, density)
+    with pytest.raises(ValueError, match="must accept a numpy array"):
+        integrate_density(density, 40.0)
 
 
 def test_ks_distance_small_for_matching_density():
