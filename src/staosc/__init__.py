@@ -9,8 +9,8 @@ transitionless.  It provides
 * classical trajectory/ensemble dynamics (:mod:`staosc.classical_dynamics`),
 * closed-form work statistics for the classical sweep
   (:mod:`staosc.classical_analytics`),
-* Fock-space propagation and two-point work measurements
-  (:mod:`staosc.quantum_dynamics`),
+* closed-form and Fock-space transition probabilities and two-point work
+  measurements (:mod:`staosc.quantum_dynamics`),
 * estimators over work samples (:mod:`staosc.work_statistics`),
 * a four-stroke engine model built on the sweeps (:mod:`staosc.otto_engine`),
 * a batch experiment driver (:mod:`staosc.cli_runner`).
@@ -67,6 +67,7 @@ from .quantum_dynamics import (
     adiabaticity_parameter,
     delta_f_quantum,
     eigenbasis,
+    fock_transition_matrix,
     h0_matrix,
     hc_matrix,
     pdf_quantum_adiabatic,

@@ -586,10 +586,23 @@ def _verify_checks(seed: int) -> list:
     )
 
     cfg = qd.FockBasisConfig(dimension=128, omega_ref=wi, hbar=1.0)
-    tm = qd.transition_matrix(fast, with_control=True, cfg=cfg, n_max=8)
+    tm = qd.fock_transition_matrix(fast, with_control=True, cfg=cfg, n_max=8)
     ident = float(np.max(np.abs(tm.probs[:, :8] - np.eye(8))))
     checks.append(
         _check("quantum_transitionless", ident < 1e-6, f"max |P - I| = {ident:.2e}")
+    )
+
+    closed = qd.transition_matrix(fast, False, cfg, 8)
+    fock = qd.fock_transition_matrix(fast, False, cfg, 8)
+    m = min(closed.m_max, fock.m_max)
+    dev = float(np.max(np.abs(closed.probs[:, :m] - fock.probs[:, :m])))
+    checks.append(
+        _check(
+            "quantum_closed_form_vs_fock",
+            dev < 1e-9,
+            f"max |P_closed - P_fock| = {dev:.2e}, threshold 1e-9, "
+            f"margin {1e-9 - dev:.2e}",
+        )
     )
 
     dfq = qd.delta_f_quantum(beta, wi, wf, 1.0)

@@ -1,8 +1,19 @@
-"""Fock-space propagation and two-point work measurement for the ramp.
+"""Transition probabilities and two-point work measurement for the ramp.
 
-All operators are represented in the number basis of a fixed reference
-oscillator (frequency omega_ref, usually omega_i).  In that ladder basis
-the instantaneous Hamiltonian
+Production transition matrices come in closed form
+(:func:`transition_matrix`).  The controlled ramp is transitionless,
+P(n -> m) = delta_nm.  For the bare ramp of a harmonic oscillator P(n -> m)
+depends only on the adiabaticity factor Q* of the classical basic
+solutions (Husimi, Prog. Theor. Phys. 9, 381 (1953); Deffner & Lutz,
+PRE 77, 021128 (2008)): it is the squared number-basis element of a
+squeeze operator with cosh 2r = Q*, built by a stable recurrence.
+
+:func:`fock_transition_matrix` is the integrated reference that tests and
+``staosc verify`` compare the closed form against.  It propagates the
+Schrodinger equation in a truncated number basis.  All operators are
+represented in the number basis of a fixed reference oscillator
+(frequency omega_ref, usually omega_i).  In that ladder basis the
+instantaneous Hamiltonian
 
     H0(t) = p^2/(2m) + m omega(t)^2 q^2 / 2
 
@@ -39,7 +50,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .classical_analytics import BasicSolutions
+from .classical_analytics import BasicSolutions, basic_solutions
 from .errors import IntegrationError, TruncationLeakageError
 from .protocols import FrequencyProtocol, omega_at, omega_dot_at
 
@@ -243,18 +254,10 @@ class TransitionMatrix:
         return self.probs.sum(axis=1)
 
 
-def transition_matrix(
-    protocol: FrequencyProtocol,
-    with_control: bool = False,
-    cfg: FockBasisConfig | None = None,
-    n_max: int = 32,
-    tol: float = 1e-10,
-) -> TransitionMatrix:
-    """Propagate the lowest n_max initial eigenstates and project at tau.
-
-    n_max is capped at a quarter of the basis dimension so the propagated
-    states stay far from the truncation edge.
-    """
+def _basis_for(
+    protocol: FrequencyProtocol, cfg: FockBasisConfig | None, n_max: int
+) -> FockBasisConfig:
+    """Default basis for the protocol; n_max must lie in [1, dimension/4]."""
     if cfg is None:
         cfg = FockBasisConfig(omega_ref=protocol.omega_i)
     if n_max < 1:
@@ -264,14 +267,20 @@ def transition_matrix(
             f"n_max = {n_max} exceeds dimension/4 = {cfg.dimension // 4}; "
             "enlarge the basis"
         )
-    _, v_i = eigenbasis(protocol.omega_i, cfg)
-    _, v_f = eigenbasis(protocol.omega_f, cfg)
-    psi_tau = _propagate_columns(v_i[:, :n_max] + 0j, protocol, with_control, cfg, tol)
-    # full (final level m, initial level n) probability table
-    amplitudes = v_f.conj().T @ psi_tau
-    p_full = (np.abs(amplitudes) ** 2).T  # (n, m)
+    return cfg
 
-    m_max = max(16, n_max)
+
+def _trimmed(
+    p_full: np.ndarray,
+    protocol: FrequencyProtocol,
+    with_control: bool,
+    cfg: FockBasisConfig,
+) -> TransitionMatrix:
+    """Keep the fewest final levels (doubling from 16) that complete every row.
+
+    ``p_full`` holds P(n -> m) for all cfg.dimension final levels.
+    """
+    m_max = max(16, p_full.shape[0])
     while True:
         deficits = 1.0 - p_full[:, :m_max].sum(axis=1)
         if np.all(deficits <= _ROW_SUM_TOL):
@@ -291,6 +300,84 @@ def transition_matrix(
         hbar=cfg.hbar,
         protocol=protocol,
     )
+
+
+def _squeeze_probabilities(q_star: float, n_max: int, m_count: int) -> np.ndarray:
+    """|<m|S(r)|n>|^2 of the squeeze operator with cosh 2r = q_star, as (n, m).
+
+    With t = tanh r and s = sech r the amplitudes c[m, n] obey
+    c[0, 0] = sqrt(s), c[0, n] = t sqrt((n-1)/n) c[0, n-2] and
+    sqrt(m) c[m, n] = -t sqrt(m-1) c[m-2, n] + s sqrt(n) c[m-1, n-1].
+    The homogeneous part of the m recurrence decays (|t| < 1), so the
+    forward sweep is stable.
+    """
+    t = math.sqrt((q_star - 1.0) / (q_star + 1.0))
+    s = math.sqrt(2.0 / (q_star + 1.0))
+    c = np.zeros((m_count, n_max))
+    c[0, 0] = math.sqrt(s)
+    for n in range(2, n_max, 2):
+        c[0, n] = t * math.sqrt((n - 1) / n) * c[0, n - 2]
+    s_root_n = s * np.sqrt(np.arange(1, n_max, dtype=float))
+    for m in range(1, m_count):
+        row = c[m]
+        row[1:] = s_root_n * c[m - 1, :-1]
+        if m >= 2:
+            row -= (t * math.sqrt(m - 1)) * c[m - 2]
+        row /= math.sqrt(m)
+    return (c * c).T
+
+
+def transition_matrix(
+    protocol: FrequencyProtocol,
+    with_control: bool = False,
+    cfg: FockBasisConfig | None = None,
+    n_max: int = 32,
+) -> TransitionMatrix:
+    """Exact transition probabilities of the lowest n_max initial levels.
+
+    P = I for the controlled ramp; for the bare ramp, the squeeze-operator
+    probabilities with cosh 2r = Q*, Q* coming from the classical basic
+    solutions (whose Wronskian gate applies).  Q* below 1 - 1e-9 raises
+    IntegrationError; smaller round-off is clamped to 1.  cfg.dimension
+    caps the final levels and n_max <= cfg.dimension / 4, as for
+    :func:`fock_transition_matrix`, the integrated reference.
+    """
+    cfg = _basis_for(protocol, cfg, n_max)
+    if with_control:
+        p_full = np.eye(n_max, cfg.dimension)
+    else:
+        q_star = adiabaticity_parameter(
+            basic_solutions(protocol), protocol.omega_i, protocol.omega_f
+        )
+        if q_star < 1.0 - 1e-9:
+            raise IntegrationError(
+                f"adiabaticity factor Q* = {q_star!r} is below 1 beyond 1e-9"
+            )
+        p_full = _squeeze_probabilities(max(q_star, 1.0), n_max, cfg.dimension)
+    return _trimmed(p_full, protocol, with_control, cfg)
+
+
+def fock_transition_matrix(
+    protocol: FrequencyProtocol,
+    with_control: bool = False,
+    cfg: FockBasisConfig | None = None,
+    n_max: int = 32,
+    tol: float = 1e-10,
+) -> TransitionMatrix:
+    """Propagate the lowest n_max initial eigenstates and project at tau.
+
+    The integrated reference for :func:`transition_matrix`, with all the
+    propagation gates (norm drift, top-of-basis leakage, row sums).  n_max
+    is capped at a quarter of the basis dimension so the propagated states
+    stay far from the truncation edge.
+    """
+    cfg = _basis_for(protocol, cfg, n_max)
+    _, v_i = eigenbasis(protocol.omega_i, cfg)
+    _, v_f = eigenbasis(protocol.omega_f, cfg)
+    psi_tau = _propagate_columns(v_i[:, :n_max] + 0j, protocol, with_control, cfg, tol)
+    # full (final level m, initial level n) probability table
+    amplitudes = v_f.conj().T @ psi_tau
+    return _trimmed((np.abs(amplitudes) ** 2).T, protocol, with_control, cfg)
 
 
 @dataclass(frozen=True)
@@ -334,25 +421,25 @@ class QuantumWorkAtoms:
 
 
 def _merge_atoms(works: np.ndarray, probs: np.ndarray, scale: float):
-    """Sort atoms and coalesce values closer than 1e-9 relative."""
+    """Sort atoms and coalesce values closer than 1e-9 relative.
+
+    A group starts wherever the gap to the previous sorted atom exceeds
+    1e-9 max(|w|, |w_prev|, 1e-6 scale).  A merged atom sits at the
+    probability-weighted position of its group, which keeps it unbiased;
+    a lone atom keeps its exact value.
+    """
     order = np.argsort(works)
     works = works[order]
     probs = probs[order]
-    tol = 1e-9
-    merged_w = [works[0]]
-    merged_p = [probs[0]]
-    for w, p in zip(works[1:], probs[1:]):
-        ref = max(abs(w), abs(merged_w[-1]), scale * 1e-6)
-        if w - merged_w[-1] <= tol * ref:
-            # probability-weighted position keeps merged atoms unbiased
-            total = merged_p[-1] + p
-            if total > 0.0:
-                merged_w[-1] = (merged_w[-1] * merged_p[-1] + w * p) / total
-            merged_p[-1] = total
-        else:
-            merged_w.append(w)
-            merged_p.append(p)
-    return np.array(merged_w), np.array(merged_p)
+    ref = np.maximum(np.maximum(np.abs(works[1:]), np.abs(works[:-1])), scale * 1e-6)
+    starts = np.flatnonzero(np.concatenate(([True], np.diff(works) > 1e-9 * ref)))
+    merged_p = np.add.reduceat(probs, starts)
+    merged_w = works[starts]
+    sizes = np.diff(np.append(starts, works.size))
+    pooled = (sizes > 1) & (merged_p > 0.0)
+    moments = np.add.reduceat(works * probs, starts)
+    merged_w[pooled] = moments[pooled] / merged_p[pooled]
+    return merged_w, merged_p
 
 
 def quantum_work_atoms(

@@ -43,12 +43,13 @@ from staosc.protocols import cosine_ramp, omega_at
 from staosc.quantum_dynamics import (
     FockBasisConfig,
     delta_f_quantum,
+    fock_transition_matrix,
     pdf_quantum_adiabatic,
     quantum_work_atoms,
     transition_matrix,
 )
 from staosc.work_statistics import (
-    classical_work_ensemble,
+    classical_work_ensembles,
     delta_f_classical,
     estimator_dispersion,
     integrate_density,
@@ -75,8 +76,8 @@ def _verdict(n: int, title: str, ok: bool, detail: str) -> None:
 
 def test_criterion_1_classical_work_distributions():
     spec = EnsembleSpec(beta=BETA, count=100_000, seed=101)
-    sta = classical_work_ensemble(RAMP, spec, with_control=True)
-    bare = classical_work_ensemble(RAMP, spec, with_control=False)
+    sets = classical_work_ensembles(RAMP, spec)
+    sta, bare = sets[True], sets[False]
 
     target_mean_sta = (WF - WI) / (WI * BETA)  # 3.6603: exponential mean = std
     ks_sta = ks_distance(sta, lambda w: pdf_adiabatic(w, BETA, WI, WF))
@@ -120,19 +121,23 @@ def test_criterion_2_jarzynski_convergence_and_dispersion():
     assert target == pytest.approx(1.0 / math.sqrt(3.0), rel=1e-12)
 
     spec = EnsembleSpec(beta=BETA, count=1_000_000, seed=202)
-    finals = {}
-    for label, control in (("sta", True), ("bare", False)):
-        samples = classical_work_ensemble(RAMP, spec, with_control=control)
-        finals[label] = jarzynski(samples, BETA, delta_f).final
+    sets = classical_work_ensembles(RAMP, spec)
+    finals = {
+        label: jarzynski(sets[control], BETA, delta_f).final
+        for label, control in (("sta", True), ("bare", False))
+    }
 
     replicates, batch = 20, 10_000
     wins = 0
     for r in range(replicates):
         rep = EnsembleSpec(beta=BETA, count=1_000_000, seed=300 + r)
-        disp = {}
-        for label, control in (("sta", True), ("bare", False)):
-            s = classical_work_ensemble(RAMP, rep, with_control=control)
-            disp[label] = estimator_dispersion(s, BETA, batch_count=s.samples.size // batch)
+        sets = classical_work_ensembles(RAMP, rep)
+        disp = {
+            label: estimator_dispersion(
+                sets[control], BETA, batch_count=sets[control].samples.size // batch
+            )
+            for label, control in (("sta", True), ("bare", False))
+        }
         wins += disp["sta"] < disp["bare"]
 
     ok = (
@@ -359,7 +364,7 @@ def test_criterion_7_property_battery():
     results["action_invariance"] = worst_action < 1e-7
 
     # controlled quantum evolution produces the identity transition matrix
-    tm = transition_matrix(
+    tm = fock_transition_matrix(
         RAMP, with_control=True, n_max=16,
         cfg=FockBasisConfig(dimension=256, omega_ref=WI),
     )

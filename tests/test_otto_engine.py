@@ -20,6 +20,7 @@ from staosc.otto_engine import (
     thermal_energy,
 )
 from staosc.protocols import cosine_ramp
+from staosc.quantum_dynamics import FockBasisConfig, fock_transition_matrix
 
 WI = 10.0
 WF = 10.0 * math.sqrt(3.0)
@@ -97,12 +98,29 @@ def test_bare_fast_stroke_approaches_sudden():
     assert bare == pytest.approx(sudden, rel=1e-4)
 
 
+def _q_star_from_fock_propagation(proto, hbar):
+    """Q* read off a propagated transition matrix.
+
+    The mean final level obeys <m + 1/2> = Q* (n + 1/2) for every initial
+    level n, so each row's slope gives Q*; the first rows must agree.
+    """
+    cfg = FockBasisConfig(dimension=256, omega_ref=proto.omega_i, hbar=hbar)
+    rows = 4
+    tm = fock_transition_matrix(proto, with_control=False, cfg=cfg, n_max=rows)
+    slopes = (tm.probs @ (np.arange(tm.m_max) + 0.5)) / (np.arange(rows) + 0.5)
+    assert np.max(slopes) - np.min(slopes) <= 1e-4 * np.mean(slopes)
+    return float(np.mean(slopes))
+
+
 def test_bare_quantum_matches_classical_q_star():
     proto = cosine_ramp(WI, WF, 0.02)
     classical = stroke_energy_factor(StrokeKind.bare(proto), WI, WF, CLASSICAL)
     quantum = stroke_energy_factor(StrokeKind.bare(proto), WI, WF, QUANTUM, hbar=1.0)
     # Q* of a quadratic Hamiltonian is the same object in both regimes
     assert quantum == pytest.approx(classical, rel=1e-4)
+    propagated = _q_star_from_fock_propagation(proto, hbar=1.0) * WF / WI
+    assert quantum == pytest.approx(propagated, rel=1e-4)
+    assert classical == pytest.approx(propagated, rel=1e-4)
 
 
 def test_bare_stroke_endpoint_mismatch_rejected():

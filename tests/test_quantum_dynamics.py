@@ -3,7 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from staosc.classical_analytics import basic_solutions, quadratic_form, moments_from_form
+from staosc import quantum_dynamics
+from staosc.classical_analytics import (
+    BasicSolutions,
+    basic_solutions,
+    moments_from_form,
+    quadratic_form,
+)
 from staosc.errors import IntegrationError, TruncationLeakageError
 from staosc.protocols import constant_protocol, cosine_ramp, omega_at, omega_dot_at
 from staosc.quantum_dynamics import (
@@ -12,7 +18,9 @@ from staosc.quantum_dynamics import (
     QuantumWorkAtoms,
     adiabaticity_parameter,
     delta_f_quantum,
+    _merge_atoms,
     eigenbasis,
+    fock_transition_matrix,
     h0_matrix,
     hc_matrix,
     pdf_quantum_adiabatic,
@@ -178,7 +186,9 @@ def test_norm_drift_gate_reports_checked_quantity():
     # a loose solver tolerance drifts the norm well past the 1e-9 gate
     cfg = FockBasisConfig(dimension=32, omega_ref=WI)
     with pytest.raises(IntegrationError) as info:
-        transition_matrix(cosine_ramp(WI, 2.0 * WI, 1e-2), cfg=cfg, n_max=4, tol=1e-3)
+        fock_transition_matrix(
+            cosine_ramp(WI, 2.0 * WI, 1e-2), cfg=cfg, n_max=4, tol=1e-3
+        )
     message = str(info.value)
     assert "max|norm(psi_tau) - norm(psi_0)| = " in message
     assert "beyond 1e-9" in message
@@ -212,13 +222,49 @@ def test_transition_matrix_rows_sum_to_one():
 
 
 def test_transition_matrix_control_is_identity():
-    tm = transition_matrix(
+    tm = fock_transition_matrix(
         FAST, with_control=True, n_max=12,
         cfg=FockBasisConfig(dimension=256, omega_ref=WI),
     )
     eye = np.zeros((tm.n_max, tm.m_max))
     eye[:, : tm.n_max] = np.eye(tm.n_max)[:, : tm.m_max]
     assert np.allclose(tm.probs, eye[:, : tm.m_max], atol=1e-6)
+
+
+@pytest.mark.parametrize(
+    "ratio, dimension", [(math.sqrt(3.0), 128), (0.5, 128), (4.0, 512)]
+)
+def test_closed_form_matches_fock_propagation(ratio, dimension):
+    # at omega_f = 4 omega_i a 256-level reference basis is itself off by ~2e-8
+    worst = 0.0
+    for hbar in (1.0, 1.0 / (2.0 * math.pi)):
+        cfg = FockBasisConfig(dimension=dimension, omega_ref=WI, hbar=hbar)
+        for tau_omega_i in (1e-4, 1e-2, 0.1, 0.5):
+            proto = cosine_ramp(WI, ratio * WI, tau_omega_i / WI)
+            closed = transition_matrix(proto, cfg=cfg, n_max=8)
+            fock = fock_transition_matrix(proto, cfg=cfg, n_max=8)
+            assert closed.probs.shape == fock.probs.shape
+            worst = max(worst, float(np.max(np.abs(closed.probs - fock.probs))))
+    assert worst <= 1e-9
+
+
+def test_closed_form_control_is_exact_identity():
+    tm = transition_matrix(FAST, with_control=True, n_max=24, cfg=SMALL)
+    assert np.array_equal(tm.probs, np.eye(24, tm.m_max))
+
+
+def test_closed_form_rejects_q_star_below_one(monkeypatch):
+    # Q* >= 1 for every Wronskian-1 flow; a contracting one must not pass
+    squeezed = BasicSolutions(C_tau=0.9, Cdot_tau=0.0, S_tau=0.0, Sdot_tau=0.9)
+    monkeypatch.setattr(quantum_dynamics, "basic_solutions", lambda proto: squeezed)
+    with pytest.raises(IntegrationError, match="below 1"):
+        transition_matrix(constant_protocol(WI, 0.1), cfg=SMALL, n_max=8)
+    # round-off below 1 is clamped to the identity
+    shave = math.sqrt(1.0 - 5e-10)
+    near = BasicSolutions(C_tau=shave, Cdot_tau=0.0, S_tau=0.0, Sdot_tau=shave)
+    monkeypatch.setattr(quantum_dynamics, "basic_solutions", lambda proto: near)
+    tm = transition_matrix(constant_protocol(WI, 0.1), cfg=SMALL, n_max=8)
+    assert np.array_equal(tm.probs, np.eye(8, tm.m_max))
 
 
 def test_transition_matrix_parity_selection():
@@ -322,6 +368,53 @@ def test_work_atoms_bare_statistics():
     assert atoms.negative_probability() == pytest.approx(8.05e-4, rel=0.05)
 
 
+def _merge_atoms_loop(works, probs, scale):
+    """Sequential merge, the reference for _merge_atoms, plus group sizes."""
+    order = np.argsort(works)
+    works = works[order]
+    probs = probs[order]
+    merged_w = [works[0]]
+    merged_p = [probs[0]]
+    sizes = [1]
+    for w, p in zip(works[1:], probs[1:]):
+        ref = max(abs(w), abs(merged_w[-1]), scale * 1e-6)
+        if w - merged_w[-1] <= 1e-9 * ref:
+            total = merged_p[-1] + p
+            if total > 0.0:
+                merged_w[-1] = (merged_w[-1] * merged_p[-1] + w * p) / total
+            merged_p[-1] = total
+            sizes[-1] += 1
+        else:
+            merged_w.append(w)
+            merged_p.append(p)
+            sizes.append(1)
+    return np.array(merged_w), np.array(merged_p), np.array(sizes)
+
+
+@pytest.mark.parametrize("ratio", [math.sqrt(3.0), 2.0, 0.5])
+def test_merge_atoms_matches_sequential_merge(ratio):
+    # ratios 2 and 1/2 put many (n, m) pairs on exactly the same work value
+    wf = ratio * WI
+    for with_control in (False, True):
+        tm = transition_matrix(
+            cosine_ramp(WI, wf, 0.05 / WI), with_control, SMALL, n_max=24
+        )
+        n = np.arange(tm.n_max, dtype=float)[:, None]
+        m = np.arange(tm.m_max, dtype=float)[None, :]
+        works = (wf * (m + 0.5) - WI * (n + 0.5)).ravel()
+        weights = math.exp(-BETA * WI) ** n
+        probs = (weights / weights.sum() * tm.probs).ravel()
+        want_w, want_p, sizes = _merge_atoms_loop(works, probs, wf)
+        got_w, got_p = _merge_atoms(works, probs, wf)
+        assert got_w.shape == want_w.shape
+        lone = sizes == 1
+        assert np.array_equal(got_w[lone], want_w[lone])
+        assert np.array_equal(got_p[lone], want_p[lone])
+        assert np.allclose(got_w, want_w, rtol=1e-12, atol=0.0)
+        assert np.allclose(got_p, want_p, rtol=1e-12, atol=0.0)
+        assert np.any(sizes > 1) == (ratio != math.sqrt(3.0))
+
+
 def test_work_atoms_validation():
     with pytest.raises(ValueError):
         QuantumWorkAtoms(works=np.array([1.0, 0.5]), probs=np.array([0.5, 0.5]))
@@ -390,7 +483,7 @@ def test_quantum_classical_mean_work_correspondence():
     # high-temperature quantum mean work approaches the classical formula
     hbar = 0.1
     cfg = FockBasisConfig(dimension=512, omega_ref=WI, hbar=hbar)
-    tm = transition_matrix(FAST, n_max=128, cfg=cfg, tol=1e-9)
+    tm = fock_transition_matrix(FAST, n_max=128, cfg=cfg, tol=1e-9)
     atoms = quantum_work_atoms(tm, BETA)
     form = quadratic_form(basic_solutions(FAST), BETA, WI, WF)
     mean_cl, std_cl = moments_from_form(form)
