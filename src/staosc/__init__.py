@@ -28,6 +28,7 @@ from .protocols import (
     omega_at,
     omega_dot_at,
     protocol_from_table,
+    total_phase,
     validate,
 )
 from .classical_dynamics import (

@@ -30,10 +30,13 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
-from scipy.integrate import solve_ivp
 
+# Unused: perfbench/layers.py counts solver calls through module.solve_ivp
+from scipy.integrate import solve_ivp  # noqa: F401
+
+from .classical_dynamics import fundamental_matrix
 from .errors import IntegrationError
-from .protocols import FrequencyProtocol, omega_at
+from .protocols import FrequencyProtocol
 
 #: Below mu_minus/mu_plus = this ratio the Bessel form is numerically
 #: degenerate and the sudden-limit density is used instead.
@@ -86,34 +89,19 @@ class BasicSolutions:
 
 
 def basic_solutions(protocol: FrequencyProtocol, tol: float = 1e-12) -> BasicSolutions:
-    """Integrate C and S across the ramp and return their endpoint data.
+    """Endpoint data of C and S, read off the bare fundamental matrix.
 
-    The Wronskian C S' - C' S = 1 is checked at t = tau and a failure
-    beyond 1e-9 raises IntegrationError rather than returning silently
-    inaccurate coefficients.
+    At unit mass (p, q) = (x', x): the column of Phi started from (0, 1) is
+    (C', C), the one started from (1, 0) is (S', S).  The Wronskian
+    C S' - C' S = 1 is checked at t = tau and a failure beyond 1e-9 raises
+    IntegrationError rather than returning silently inaccurate coefficients.
     """
-
-    def rhs(t, y):
-        w2 = omega_at(protocol, t) ** 2
-        return (y[1], -w2 * y[0], y[3], -w2 * y[2])
-
-    wi = protocol.omega_i
-    atol = tol * np.array([1.0, wi, 1.0 / wi, 1.0])
-    sol = solve_ivp(
-        rhs,
-        (0.0, protocol.tau),
-        (1.0, 0.0, 0.0, 1.0),
-        method="DOP853",
-        rtol=tol,
-        atol=atol,
-    )
-    if not sol.success:
-        raise IntegrationError(f"basic-solution integration failed: {sol.message}")
+    phi = fundamental_matrix(protocol, with_control=False, tol=tol)
     basic = BasicSolutions(
-        C_tau=float(sol.y[0, -1]),
-        Cdot_tau=float(sol.y[1, -1]),
-        S_tau=float(sol.y[2, -1]),
-        Sdot_tau=float(sol.y[3, -1]),
+        C_tau=float(phi[1, 1]),
+        Cdot_tau=float(phi[0, 1]),
+        S_tau=float(phi[1, 0]),
+        Sdot_tau=float(phi[0, 0]),
     )
     if abs(basic.wronskian - 1.0) > _WRONSKIAN_TOL:
         raise IntegrationError(

@@ -12,10 +12,10 @@ W = H0(tau) - H0(0), which is the integral of the explicit time derivative
 m omega omega_dot q**2 along the path (the control term contributes nothing
 at the endpoints because omega_dot vanishes there).
 
-Both flows are linear in (p, q), so an ensemble can be pushed through a
-ramp by integrating the 2x2 fundamental matrix once and applying it to
-every member; :func:`propagate_ensemble` does exactly that and agrees with
-per-trajectory :func:`integrate` to solver accuracy.
+Both flows are linear in (p, q) and share one vector field and one DOP853
+solve.  :func:`propagate_ensemble` applies the ramp's 2x2
+:func:`fundamental_matrix` (integrated if bare, closed form if controlled)
+to every member and agrees with per-trajectory :func:`integrate`.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import IntegrationError
-from .protocols import FrequencyProtocol, omega_at, omega_dot_at
+from .protocols import FrequencyProtocol, omega_at, omega_dot_at, total_phase
 
 _TWO_PI = 2.0 * math.pi
 
@@ -128,6 +128,44 @@ def control_value(state: PhaseState, protocol: FrequencyProtocol, t: float) -> f
     return -(wd / (2.0 * w)) * state.p * state.q
 
 
+def _field(t, y, protocol, with_control, m):
+    """Phase-space velocity of one point (p, q) or two stacked as (p1, p2, q1, q2).
+
+    Bare flow: q_dot = p/m, p_dot = -m omega**2 q.  The control adds the
+    divergence-free shear (+g p, -g q) with g = omega_dot/(2 omega).
+    Unrolled over Python floats, since a solve evaluates it thousands of
+    times and numpy row operations take over twice as long at this size.
+    """
+    w = omega_at(protocol, t)
+    k = -m * w * w
+    g = omega_dot_at(protocol, t) / (2.0 * w) if with_control else 0.0
+    if len(y) == 2:
+        p, q = y.tolist()
+        return [k * q + g * p, p / m - g * q]
+    p1, p2, q1, q2 = y.tolist()
+    return [k * q1 + g * p1, k * q2 + g * p2, p1 / m - g * q1, p2 / m - g * q2]
+
+
+def _flow(y0, protocol, with_control, m, tol):
+    """Stacked points y0 carried to t = tau by one DOP853 solve of :func:`_field`.
+
+    Each point's absolute tolerance is tol times its momentum scale
+    max(|p|, m omega_i |q|) in p, and that scale over m omega_i in q.
+    """
+    ps, qs = np.split(np.abs(y0), 2)
+    mw = m * protocol.omega_i
+    scale = np.maximum(np.maximum(ps, mw * qs), 1e-30)
+    atol = tol * np.concatenate([scale, scale / mw])
+    sol = solve_ivp(_field, (0.0, protocol.tau), y0, method="DOP853", rtol=tol,
+                    atol=atol, args=(protocol, with_control, m))
+    if not sol.success:
+        raise IntegrationError(
+            f"phase-space integration failed: {sol.message} "
+            f"(kind={protocol.kind}, tau={protocol.tau}, with_control={with_control})"
+        )
+    return sol.y[:, -1]
+
+
 def derivative(
     state: PhaseState,
     t: float,
@@ -135,31 +173,8 @@ def derivative(
     with_control: bool = False,
     params: OscillatorParams = OscillatorParams(),
 ):
-    """Phase-space velocity (p_dot, q_dot) at time t.
-
-    Bare flow: q_dot = p/m, p_dot = -m omega**2 q.  The control adds the
-    divergence-free shear (+g p, -g q) with g = omega_dot/(2 omega).
-    """
-    w = omega_at(protocol, t)
-    p_dot = -params.m * w**2 * state.q
-    q_dot = state.p / params.m
-    if with_control:
-        g = omega_dot_at(protocol, t) / (2.0 * w)
-        p_dot += g * state.p
-        q_dot -= g * state.q
-    return (p_dot, q_dot)
-
-
-def _rhs(t, y, protocol, with_control, m):
-    w = omega_at(protocol, t)
-    p, q = y
-    p_dot = -m * w * w * q
-    q_dot = p / m
-    if with_control:
-        g = omega_dot_at(protocol, t) / (2.0 * w)
-        p_dot += g * p
-        q_dot -= g * q
-    return (p_dot, q_dot)
+    """Phase-space velocity (p_dot, q_dot) at time t."""
+    return tuple(_field(t, np.array((state.p, state.q)), protocol, with_control, params.m))
 
 
 def integrate(
@@ -170,23 +185,8 @@ def integrate(
     tol: float = 1e-10,
 ) -> PhaseState:
     """Propagate one state through the full ramp, t: 0 -> tau."""
-    p_scale = max(abs(initial.p), params.m * protocol.omega_i * abs(initial.q), 1e-30)
-    atol = np.array([tol * p_scale, tol * p_scale / (params.m * protocol.omega_i)])
-    sol = solve_ivp(
-        _rhs,
-        (0.0, protocol.tau),
-        (initial.p, initial.q),
-        method="DOP853",
-        rtol=tol,
-        atol=atol,
-        args=(protocol, with_control, params.m),
-    )
-    if not sol.success:
-        raise IntegrationError(
-            f"trajectory integration failed: {sol.message} "
-            f"(kind={protocol.kind}, tau={protocol.tau}, with_control={with_control})"
-        )
-    return PhaseState(p=float(sol.y[0, -1]), q=float(sol.y[1, -1]))
+    p, q = _flow((initial.p, initial.q), protocol, with_control, params.m, tol)
+    return PhaseState(p=float(p), q=float(q))
 
 
 def fundamental_matrix(
@@ -197,30 +197,21 @@ def fundamental_matrix(
 ) -> np.ndarray:
     """2x2 matrix Phi mapping (p, q) at t=0 to (p, q) at t=tau.
 
-    Both flows are linear, so Phi characterizes the whole ramp.  Its
-    determinant is 1 (both flows are divergence-free); this is checked and
-    enforced as an accuracy gate.
+    Both flows are linear, so Phi characterizes the whole ramp.  The bare
+    Phi is integrated to relative tolerance ``tol``.  The controlled one is
+    exact, A(omega_f)^-1 R A(omega_i) with A(omega) = diag(1/sqrt(m omega),
+    sqrt(m omega)) and R the rotation by :func:`staosc.protocols.total_phase`.
+    det Phi = 1 (both flows are divergence-free) is enforced as a gate.
     """
-
-    def rhs(t, y):
-        w = omega_at(protocol, t)
-        mat = y.reshape(2, 2)
-        out = np.empty_like(mat)
-        out[0] = -params.m * w * w * mat[1]
-        out[1] = mat[0] / params.m
-        if with_control:
-            g = omega_dot_at(protocol, t) / (2.0 * w)
-            out[0] += g * mat[0]
-            out[1] -= g * mat[1]
-        return out.ravel()
-
-    mw = params.m * protocol.omega_i
-    y0 = np.eye(2).ravel()
-    atol = (np.array([[1.0, mw], [1.0 / mw, 1.0]]) * tol).ravel()
-    sol = solve_ivp(rhs, (0.0, protocol.tau), y0, method="DOP853", rtol=tol, atol=atol)
-    if not sol.success:
-        raise IntegrationError(f"fundamental-matrix integration failed: {sol.message}")
-    phi = sol.y[:, -1].reshape(2, 2)
+    if with_control:
+        phase = total_phase(protocol)
+        c, s = math.cos(phase), math.sin(phase)
+        r = math.sqrt(protocol.omega_f / protocol.omega_i)
+        mw = params.m * math.sqrt(protocol.omega_i * protocol.omega_f)
+        phi = np.array([[c * r, -s * mw], [s / mw, c / r]])
+    else:
+        # rows (p, q), columns the points started from (1, 0) and (0, 1)
+        phi = _flow(np.eye(2).ravel(), protocol, False, params.m, tol).reshape(2, 2)
     det = phi[0, 0] * phi[1, 1] - phi[0, 1] * phi[1, 0]
     if abs(det - 1.0) > 1e-8:
         raise IntegrationError(
@@ -257,18 +248,17 @@ def propagate_ensemble(
     protocol: FrequencyProtocol,
     with_control: bool = False,
     params: OscillatorParams = OscillatorParams(),
-    tol: float = 1e-12,
 ) -> np.ndarray:
     """Push an (n, 2) array of (p, q) points through the ramp.
 
     Equivalent to calling :func:`integrate` on every row, but exploits the
-    linearity of the flow: one fundamental-matrix solve serves the whole
+    linearity of the flow: one fundamental matrix serves the whole
     ensemble.
     """
     states = np.asarray(states, dtype=float)
     if states.ndim != 2 or states.shape[1] != 2:
         raise ValueError("states must be an (n, 2) array of (p, q) rows")
-    phi = fundamental_matrix(protocol, with_control, params, tol)
+    phi = fundamental_matrix(protocol, with_control, params)
     return states @ phi.T
 
 

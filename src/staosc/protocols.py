@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from scipy import special
 from scipy.interpolate import PchipInterpolator
 
 COSINE_RAMP = "cosine-ramp"
@@ -188,6 +189,21 @@ def omega_dot_at(protocol: FrequencyProtocol, t):
     else:
         out = protocol._table_interp_deriv(t)
     return out if xp is math or out.ndim else float(out)
+
+
+def total_phase(protocol: FrequencyProtocol) -> float:
+    """The integral of omega(t) over [0, tau], in closed form.
+
+    Cosine ramp: (2 tau omega_f / pi) E(k), E the complete elliptic integral
+    of the second kind, k = 1 - omega_i**2/omega_f**2 (negative when omega
+    decreases).  A table integrates its own interpolant exactly.
+    """
+    if protocol.kind == CONSTANT:
+        return protocol.omega_i * protocol.tau
+    if protocol.kind == COSINE_RAMP:
+        k = 1.0 - (protocol.omega_i / protocol.omega_f) ** 2
+        return 2.0 * protocol.tau * protocol.omega_f / math.pi * float(special.ellipe(k))
+    return float(protocol._table_interp.antiderivative()(protocol.tau))
 
 
 @dataclass

@@ -60,6 +60,8 @@ _LEAK_FRACTION = 0.1
 _LEAK_TOL = 1e-8
 #: Row-sum completeness target for transition matrices.
 _ROW_SUM_TOL = 1e-6
+#: Largest excess of a transition row sum over 1 accepted as round-off.
+_ROW_EXCESS_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -278,8 +280,12 @@ def _trimmed(
 ) -> TransitionMatrix:
     """Keep the fewest final levels (doubling from 16) that complete every row.
 
-    ``p_full`` holds P(n -> m) for all cfg.dimension final levels.
+    ``p_full`` holds P(n -> m) for all cfg.dimension final levels; a row
+    summing above 1 + 1e-9, as no probabilities can, raises IntegrationError.
     """
+    worst = p_full.sum(axis=1).max()
+    if worst > 1.0 + _ROW_EXCESS_TOL:
+        raise IntegrationError(f"a transition row sums to {worst:.12g} > 1")
     m_max = max(16, p_full.shape[0])
     while True:
         deficits = 1.0 - p_full[:, :m_max].sum(axis=1)

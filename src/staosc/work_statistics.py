@@ -68,7 +68,6 @@ def classical_work_ensembles(
     protocol: FrequencyProtocol,
     spec: EnsembleSpec,
     params: OscillatorParams = OscillatorParams(),
-    tol: float = 1e-12,
     controls: tuple[bool, ...] = (True, False),
 ) -> dict[bool, WorkSampleSet]:
     """Sample one Gibbs ensemble and run it through each ramp in ``controls``.
@@ -85,7 +84,7 @@ def classical_work_ensembles(
     for with_control in controls:
         works = ensemble_work(
             initial,
-            propagate_ensemble(initial, protocol, with_control, params, tol),
+            propagate_ensemble(initial, protocol, with_control, params),
             protocol,
             params,
         )
@@ -109,10 +108,9 @@ def classical_work_ensemble(
     spec: EnsembleSpec,
     params: OscillatorParams = OscillatorParams(),
     with_control: bool = False,
-    tol: float = 1e-12,
 ) -> WorkSampleSet:
     """Sample a Gibbs ensemble, run one ramp, and collect endpoint work."""
-    sets = classical_work_ensembles(protocol, spec, params, tol, (with_control,))
+    sets = classical_work_ensembles(protocol, spec, params, (with_control,))
     return sets[with_control]
 
 

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from staosc import classical_dynamics
 from staosc.classical_dynamics import (
     ActionAngle,
     EnsembleSpec,
@@ -19,7 +22,7 @@ from staosc.classical_dynamics import (
     to_action_angle,
     trajectory_work,
 )
-from staosc.protocols import constant_protocol, cosine_ramp
+from staosc.protocols import constant_protocol, cosine_ramp, omega_at, protocol_from_table
 
 WI = 10.0
 WF = 10.0 * math.sqrt(3.0)
@@ -144,6 +147,59 @@ def test_ensemble_propagation_matches_per_state_integration():
             )
             assert row1[0] == pytest.approx(single.p, rel=1e-9, abs=1e-12)
             assert row1[1] == pytest.approx(single.q, rel=1e-9, abs=1e-12)
+
+
+def _closed_form_deviation(proto, m, tol=1e-12):
+    """max |closed-form Phi - integrated Phi| / max |integrated Phi|."""
+    params = OscillatorParams(m=m)
+    # columns: the controlled trajectories started from (p, q) = (1, 0), (0, 1)
+    cols = [
+        integrate(PhaseState(p, q), proto, with_control=True, params=params, tol=tol)
+        for p, q in ((1.0, 0.0), (0.0, 1.0))
+    ]
+    ref = np.array([[cols[0].p, cols[1].p], [cols[0].q, cols[1].q]])
+    closed = fundamental_matrix(proto, with_control=True, params=params)
+    return np.max(np.abs(closed - ref)) / np.max(np.abs(ref))
+
+
+def test_controlled_closed_form_matches_integration():
+    worst = 0.0
+    for ratio in (math.sqrt(3.0), 2.0, 0.5, 4.44):
+        for tau_omega_i in (1e-4, 1e-2, 1.0, 3.0, 20.0):
+            for m in (1.0, 2.3):
+                proto = cosine_ramp(WI, ratio * WI, tau_omega_i / WI)
+                worst = max(worst, _closed_form_deviation(proto, m))
+    # a tabulated ramp, tau omega_i = 3, through its own interpolant
+    t = np.linspace(0.0, 0.3, 9)
+    table = protocol_from_table(list(zip(t, omega_at(cosine_ramp(WI, 2.0 * WI, 0.3), t))))
+    worst = max(worst, _closed_form_deviation(table, 1.0))
+    assert worst < 1e-10
+
+
+def test_controlled_fundamental_matrix_runs_no_ode(monkeypatch):
+    def no_ode(*args, **kwargs):
+        raise AssertionError("the controlled fundamental matrix must not integrate")
+
+    monkeypatch.setattr(classical_dynamics, "solve_ivp", no_ode)
+    phi = fundamental_matrix(FAST, with_control=True)
+    assert phi[0, 0] * phi[1, 1] - phi[0, 1] * phi[1, 0] == pytest.approx(1.0, abs=1e-14)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    omega_i=st.floats(0.5, 50.0),
+    ratio=st.floats(0.25, 5.0),
+    log_tau_omega_i=st.floats(-4.0, math.log10(20.0)),
+    m=st.floats(0.2, 5.0),
+)
+def test_controlled_closed_form_matches_integration_property(
+    omega_i, ratio, log_tau_omega_i, m
+):
+    proto = cosine_ramp(omega_i, ratio * omega_i, 10.0**log_tau_omega_i / omega_i)
+    # at tol 1e-12 the integrated reference itself is off by up to ~2e-10
+    # over this box (tau omega_i ~ 17, omega_f/omega_i ~ 4.5); at 1e-13 the
+    # two routes agree to ~2e-11
+    assert _closed_form_deviation(proto, m, tol=1e-13) < 1e-10
 
 
 def test_sample_gibbs_statistics():

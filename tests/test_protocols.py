@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from staosc.protocols import (
     cosine_ramp,
@@ -9,6 +10,7 @@ from staosc.protocols import (
     omega_at,
     omega_dot_at,
     protocol_from_table,
+    total_phase,
     validate,
 )
 
@@ -132,6 +134,35 @@ def test_table_reproduces_cosine_ramp():
     assert validate(dense).passed
     rel_dense = np.abs(omega_at(dense, grid) - omega_at(src, grid)) / omega_at(src, grid)
     assert np.max(rel_dense) < 1e-6
+
+
+_TABLE_T = np.linspace(0.0, 0.3, 9)
+
+
+@pytest.mark.parametrize(
+    "proto",
+    [
+        cosine_ramp(WI, WF, 0.3),
+        cosine_ramp(2.0 * WI, WI, 0.3),
+        constant_protocol(WI, 0.3),
+        protocol_from_table(
+            list(zip(_TABLE_T, omega_at(cosine_ramp(WI, 2.0 * WI, 0.3), _TABLE_T)))
+        ),
+    ],
+    ids=["up", "down", "constant", "table"],
+)
+def test_total_phase_matches_quadrature(proto):
+    knots = [t for t, _ in proto.samples[1:-1]] if proto.samples else None
+    ref, _ = quad(
+        lambda t: omega_at(proto, t),
+        0.0,
+        proto.tau,
+        points=knots,
+        epsabs=0.0,
+        epsrel=1e-13,
+        limit=200,
+    )
+    assert total_phase(proto) == pytest.approx(ref, rel=1e-13, abs=0.0)
 
 
 def test_table_with_sloped_start_fails_validation():

@@ -267,6 +267,14 @@ def test_closed_form_rejects_q_star_below_one(monkeypatch):
     assert np.array_equal(tm.probs, np.eye(8, tm.m_max))
 
 
+def test_closed_form_rejects_row_sums_above_one():
+    # the squeeze recurrence loses accuracy at large n_max; here its rows
+    # sum to about 1256, which no set of probabilities can do
+    cfg = FockBasisConfig(dimension=800, omega_ref=WI)
+    with pytest.raises(IntegrationError, match=r"sums to 1256\.\d+ > 1"):
+        transition_matrix(FAST, cfg=cfg, n_max=200)
+
+
 def test_transition_matrix_parity_selection():
     tm = transition_matrix(FAST, n_max=8, cfg=FockBasisConfig(dimension=256, omega_ref=WI))
     for n in range(tm.n_max):
