@@ -13,6 +13,8 @@ transitionless.  It provides
   measurements (:mod:`staosc.quantum_dynamics`),
 * estimators over work samples (:mod:`staosc.work_statistics`),
 * a four-stroke engine model built on the sweeps (:mod:`staosc.otto_engine`),
+* the invariant battery shared by ``staosc verify`` and the tests
+  (:mod:`staosc.invariants`),
 * a batch experiment driver (:mod:`staosc.cli_runner`).
 """
 

@@ -88,15 +88,16 @@ class BasicSolutions:
         return self.C_tau * self.Sdot_tau - self.Cdot_tau * self.S_tau
 
 
-def basic_solutions(protocol: FrequencyProtocol, tol: float = 1e-12) -> BasicSolutions:
+def basic_solutions(protocol: FrequencyProtocol) -> BasicSolutions:
     """Endpoint data of C and S, read off the bare fundamental matrix.
 
     At unit mass (p, q) = (x', x): the column of Phi started from (0, 1) is
-    (C', C), the one started from (1, 0) is (S', S).  The Wronskian
+    (C', C), the one started from (1, 0) is (S', S); Phi is integrated at
+    the :func:`fundamental_matrix` default rtol 1e-12.  The Wronskian
     C S' - C' S = 1 is checked at t = tau and a failure beyond 1e-9 raises
     IntegrationError rather than returning silently inaccurate coefficients.
     """
-    phi = fundamental_matrix(protocol, with_control=False, tol=tol)
+    phi = fundamental_matrix(protocol, with_control=False)
     basic = BasicSolutions(
         C_tau=float(phi[1, 1]),
         Cdot_tau=float(phi[0, 1]),

@@ -11,8 +11,10 @@ Four canned experiments cover the headline results:
 * ``engine-curves``        — efficiency at maximum power versus bath
   temperature ratio for shortcut and sudden engines.
 
-``verify`` (an experiment kind and a subcommand) replays the package's
-invariant battery at reduced size and reports pass/fail per check.
+``verify`` (an experiment kind and a subcommand) runs the invariant battery
+of :mod:`staosc.invariants` at reduced size; its summary holds the checks.
+Every check is one record (name, value, threshold, passed, detail), and
+the command line prints each with its margin to the threshold.
 
 Every CSV carries a header comment with the experiment seed and a hash of
 the resolved configuration, and all numbers are written with 17
@@ -27,6 +29,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +40,8 @@ from . import classical_dynamics as cd
 from . import otto_engine as oe
 from . import quantum_dynamics as qd
 from . import work_statistics as ws
-from .protocols import cosine_ramp, validate
+from .invariants import Check, verify_battery
+from .protocols import cosine_ramp
 
 SCHEMA_VERSION = 1
 
@@ -74,7 +78,6 @@ CONFIG_SCHEMA = {
                 "mass": {"type": "number", "exclusiveMinimum": 0},
                 "hbar": {"type": "number", "exclusiveMinimum": 0},
                 "beta_1": {"type": "number", "exclusiveMinimum": 0},
-                "beta_2": {"type": "number", "exclusiveMinimum": 0},
                 "regime": {"enum": ["classical", "quantum"]},
             },
         },
@@ -235,10 +238,6 @@ def emit_grid(target, path: Path, meta: dict, grid=None, probability_floor=None)
         _write_csv(path, meta, ["work", "density"], [grid, target(grid)])
 
 
-def _check(name: str, passed: bool, detail: str) -> dict:
-    return {"name": name, "passed": bool(passed), "detail": detail}
-
-
 def _protocol_from(phys: dict):
     return cosine_ramp(phys["omega_i"], phys["omega_f"], phys["tau"])
 
@@ -292,9 +291,8 @@ def _run_classical_work_dist(resolved: dict, out_dir: Path, meta: dict):
         ks = ws.ks_distance(sets[label], densities[label], w_max=w_max * 1.2)
         derived[label] = {"mean": stats.mean, "std": stats.std, "ks_distance": ks}
         checks.append(
-            _check(
-                f"ks_{label}",
-                ks < 0.02,
+            Check.below(
+                f"ks_{label}", ks, 0.02,
                 f"KS distance {ks:.5f} vs closed form at {stats.count} samples",
             )
         )
@@ -316,7 +314,6 @@ def _run_jarzynski_trace(resolved: dict, out_dir: Path, meta: dict):
     target = math.exp(-beta * delta_f)
 
     outputs, checks, derived = [], [], {"target": target, "delta_f": delta_f}
-    finals = {}
     spec = cd.EnsembleSpec(beta=beta, count=num["samples"], seed=seed)
     sets = ws.classical_work_ensembles(protocol, spec, params)
     for label, control in (("sta", True), ("bare", False)):
@@ -328,12 +325,10 @@ def _run_jarzynski_trace(resolved: dict, out_dir: Path, meta: dict):
             path, meta, ["count", "estimate"], [counts, trace.running[counts - 1]]
         )
         outputs.append(path.name)
-        finals[label] = trace.final
         derived[label] = {"final": trace.final, "error": trace.final - target}
         checks.append(
-            _check(
-                f"jarzynski_{label}",
-                abs(trace.final - target) < 0.01,
+            Check.below(
+                f"jarzynski_{label}", abs(trace.final - target), 0.01,
                 f"final estimate {trace.final:.5f} vs target {target:.5f}",
             )
         )
@@ -362,10 +357,10 @@ def _run_jarzynski_trace(resolved: dict, out_dir: Path, meta: dict):
         "mean_batch_variance_sta": float(np.mean(var_sta)),
         "mean_batch_variance_bare": float(np.mean(var_bare)),
     }
+    needed = math.ceil(0.95 * reps)
     checks.append(
-        _check(
-            "dispersion_ordering",
-            wins >= math.ceil(0.95 * reps),
+        Check(
+            "dispersion_ordering", wins, needed, wins >= needed,
             f"controlled estimator beat bare in {wins}/{reps} replicates",
         )
     )
@@ -403,18 +398,16 @@ def _run_quantum_work_atoms(resolved: dict, out_dir: Path, meta: dict):
             "jarzynski": jz.final,
         }
         checks.append(
-            _check(
-                f"jarzynski_{label}",
-                abs(jz.final - jz.target) < 1e-6,
+            Check.below(
+                f"jarzynski_{label}", abs(jz.final - jz.target), 1e-6,
                 f"atom estimate {jz.final:.9f} vs target {jz.target:.9f}",
             )
         )
+    negative = atom_sets["sta"].negative_probability()
     checks.append(
-        _check(
-            "sta_no_negative_work",
-            atom_sets["sta"].negative_probability() <= 1e-12,
-            f"controlled negative-work mass "
-            f"{atom_sets['sta'].negative_probability():.3e}",
+        Check(
+            "sta_no_negative_work", negative, 1e-12, negative <= 1e-12,
+            f"controlled negative-work mass {negative:.3e}",
         )
     )
 
@@ -463,20 +456,18 @@ def _run_engine_curves(resolved: dict, out_dir: Path, meta: dict):
             gain = table.efficiencies[oe.STA] / table.efficiencies[oe.SUDDEN]
         derived["sta_over_sudden"] = [None if not np.isfinite(g) else g for g in gain]
         finite = gain[np.isfinite(gain)]
+        min_gain = float(np.min(finite)) if finite.size else math.nan
         checks.append(
-            _check(
-                "sta_gain",
-                finite.size > 0 and bool(np.all(finite > 1.0)),
-                f"min finite eta_sta/eta_sudden = "
-                f"{float(np.min(finite)) if finite.size else math.nan:.3f}",
+            Check(
+                "sta_gain", min_gain, 1.0, finite.size > 0 and min_gain > 1.0,
+                f"min finite eta_sta/eta_sudden = {min_gain:.3f}",
             )
         )
     else:
-        carnot = 1.0 - 1.0 / ratios
+        excess = float(np.max(closed_ad - (1.0 - 1.0 / ratios)))
         checks.append(
-            _check(
-                "carnot_bound",
-                bool(np.all(closed_ad <= carnot + 1e-12)),
+            Check(
+                "carnot_bound", excess, 1e-12, excess <= 1e-12,
                 "closed-form efficiencies stay below Carnot",
             )
         )
@@ -486,186 +477,12 @@ def _run_engine_curves(resolved: dict, out_dir: Path, meta: dict):
     return [path.name], checks, derived
 
 
-# ---------------------------------------------------------------------------
-# Verify battery
-# ---------------------------------------------------------------------------
-
-def _verify_checks(seed: int) -> list:
-    checks = []
-    beta, wi, wf = 0.2, 10.0, 10.0 * math.sqrt(3.0)
-    fast = cosine_ramp(wi, wf, 1e-4)
-    slow = cosine_ramp(wi, wf, 50.0)
-    params = cd.OscillatorParams()
-
-    report = validate(fast)
-    checks.append(
-        _check("protocol_validation", report.passed, "; ".join(report.errors) or "ok")
-    )
-
-    basic = ca.basic_solutions(fast)
-    checks.append(
-        _check(
-            "wronskian",
-            abs(basic.wronskian - 1.0) < 1e-9,
-            f"|W-1| = {abs(basic.wronskian - 1.0):.2e}",
-        )
-    )
-
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    states = cd.sample_gibbs(cd.EnsembleSpec(beta, 200, seed), wi, params)
-    worst = 0.0
-    for p, q in states:
-        s0 = cd.PhaseState(float(p), float(q))
-        s1 = cd.integrate(s0, fast, with_control=True, params=params, tol=1e-12)
-        i0 = cd.to_action_angle(s0, wi, params).I
-        i1 = cd.to_action_angle(s1, wf, params).I
-        if i0 > 0:
-            worst = max(worst, abs(i1 - i0) / i0)
-    checks.append(
-        _check("action_invariance", worst < 1e-7, f"max relative drift {worst:.2e}")
-    )
-
-    worst_rt = 0.0
-    for _ in range(100):
-        s = cd.PhaseState(float(rng.normal()), float(rng.normal()))
-        aa = cd.to_action_angle(s, wi, params)
-        back = cd.from_action_angle(aa, wi, params)
-        worst_rt = max(worst_rt, abs(back.p - s.p), abs(back.q - s.q))
-    checks.append(
-        _check("action_angle_roundtrip", worst_rt < 1e-12, f"max error {worst_rt:.2e}")
-    )
-
-    form = ca.quadratic_form(basic, beta, wi, wf)
-    worst_w = 0.0
-    for p, q in states[:20]:
-        s0 = cd.PhaseState(float(p), float(q))
-        s1 = cd.integrate(s0, fast, with_control=False, params=params, tol=1e-12)
-        w_traj = cd.trajectory_work(s0, s1, fast, params)
-        xp = math.sqrt(beta / 2.0) * s0.p
-        xq = math.sqrt(beta * wi**2 / 2.0) * s0.q
-        w_form = form.K * xp**2 + form.L * xq**2 + 2.0 * form.M * xp * xq
-        scale = max(abs(w_traj), 1e-12)
-        worst_w = max(worst_w, abs(w_traj - w_form) / scale)
-    checks.append(
-        _check(
-            "quadratic_form_route",
-            worst_w < 1e-6,
-            f"max relative mismatch {worst_w:.2e}",
-        )
-    )
-
-    for name, dens in (
-        ("norm_adiabatic", lambda w: ca.pdf_adiabatic(w, beta, wi, wf)),
-        ("norm_nonadiabatic", lambda w: ca.pdf_nonadiabatic(w, form)),
-        ("norm_sudden", lambda w: ca.pdf_sudden(w, beta, wi, wf)),
-    ):
-        mass = ws.integrate_density(dens, 60.0 * (wf - wi) / (wi * beta))
-        checks.append(_check(name, abs(mass - 1.0) < 1e-6, f"mass = {mass:.9f}"))
-
-    rate_sudden = beta * wi**2 / (wf**2 - wi**2)
-    rate_ad = beta * wi / (wf - wi)
-    checks.append(
-        _check(
-            "decay_rate_ordering",
-            rate_sudden < 0.5 * rate_ad,
-            f"{rate_sudden:.5f} < {0.5 * rate_ad:.5f}",
-        )
-    )
-
-    delta_f = ws.delta_f_classical(beta, wi, wf)
-    spec = cd.EnsembleSpec(beta, 20_000, seed + 7)
-    ok_jz, detail = True, []
-    for s in ws.classical_work_ensembles(fast, spec, params).values():
-        tr = ws.jarzynski(s, beta, delta_f)
-        ew = np.exp(-beta * s.samples)
-        se = float(np.std(ew, ddof=1) / math.sqrt(ew.size))
-        ok_jz &= abs(tr.final - tr.target) < 5.0 * se
-        detail.append(f"{tr.final:.4f}±{se:.4f}")
-    checks.append(
-        _check("jarzynski_classical", ok_jz, f"targets {detail} vs {math.exp(-beta*delta_f):.4f}")
-    )
-
-    cfg = qd.FockBasisConfig(dimension=128, omega_ref=wi, hbar=1.0)
-    tm = qd.fock_transition_matrix(fast, with_control=True, cfg=cfg, n_max=8)
-    ident = float(np.max(np.abs(tm.probs[:, :8] - np.eye(8))))
-    checks.append(
-        _check("quantum_transitionless", ident < 1e-6, f"max |P - I| = {ident:.2e}")
-    )
-
-    closed = qd.transition_matrix(fast, False, cfg, 8)
-    fock = qd.fock_transition_matrix(fast, False, cfg, 8)
-    m = min(closed.m_max, fock.m_max)
-    dev = float(np.max(np.abs(closed.probs[:, :m] - fock.probs[:, :m])))
-    checks.append(
-        _check(
-            "quantum_closed_form_vs_fock",
-            dev < 1e-9,
-            f"max |P_closed - P_fock| = {dev:.2e}, threshold 1e-9, "
-            f"margin {1e-9 - dev:.2e}",
-        )
-    )
-
-    dfq = qd.delta_f_quantum(beta, wi, wf, 1.0)
-    ok_q, detail_q = True, []
-    for control in (True, False):
-        tmq = qd.transition_matrix(fast, control, cfg, 16)
-        atoms = qd.quantum_work_atoms(tmq, beta)
-        jz = ws.jarzynski(atoms, beta, dfq)
-        ok_q &= abs(jz.final - jz.target) < 1e-6
-        detail_q.append(f"{jz.final:.8f}")
-    checks.append(
-        _check("jarzynski_quantum", ok_q, f"{detail_q} vs {math.exp(-beta*dfq):.8f}")
-    )
-
-    ok_engine = True
-    details_e = []
-    for ratio in (4.0, 16.0):
-        spec_c = oe.OttoCycleSpec(
-            beta_1=1.0, beta_2=1.0 / ratio, omega_i=wi, omega_f=None,
-            regime="classical",
-            stroke_1=oe.StrokeKind.sta(), stroke_3=oe.StrokeKind.sta(),
-        )
-        eta = oe.optimize_frequency(spec_c).cycle.efficiency
-        ok_engine &= abs(eta - oe.eta_adiabatic_max_power(ratio)) < 1e-3
-        carnot = 1.0 - 1.0 / ratio
-        ok_engine &= eta <= carnot + 1e-12
-        details_e.append(f"ratio {ratio}: eta {eta:.5f}")
-    checks.append(_check("engine_closed_forms", ok_engine, "; ".join(details_e)))
-
-    checks.append(
-        _check(
-            "adiabaticity_limits",
-            abs(
-                qd.adiabaticity_parameter(ca.basic_solutions(slow), wi, wf) - 1.0
-            )
-            < 1e-3,
-            "slow ramp reaches Q* = 1",
-        )
-    )
-    return checks
-
-
-def _run_verify(resolved: dict, out_dir: Path, meta: dict):
-    checks = _verify_checks(resolved["seed"])
-    path = out_dir / "verify_report.json"
-    with open(path, "w") as fh:
-        json.dump(
-            {
-                "checks": checks,
-                "all_checks_passed": all(c["passed"] for c in checks),
-            },
-            fh,
-            indent=2,
-        )
-    return [path.name], checks, {}
-
-
 _RUNNERS = {
     "classical-work-dist": _run_classical_work_dist,
     "jarzynski-trace": _run_jarzynski_trace,
     "quantum-work-atoms": _run_quantum_work_atoms,
     "engine-curves": _run_engine_curves,
-    "verify": _run_verify,
+    "verify": lambda resolved, out_dir, meta: ([], verify_battery(resolved["seed"]), {}),
 }
 
 
@@ -692,8 +509,8 @@ def run_experiment(config: dict, out_dir=None) -> dict:
         },
         "outputs": outputs,
         "derived": derived,
-        "checks": checks,
-        "all_checks_passed": all(c["passed"] for c in checks),
+        "checks": [asdict(c) for c in checks],
+        "all_checks_passed": all(c.passed for c in checks),
     }
     with open(out_dir / "summary.json", "w") as fh:
         json.dump(summary, fh, indent=2, default=float)
@@ -714,7 +531,7 @@ def main(argv=None) -> int:
 
     p_verify = sub.add_parser("verify", help="run the invariant battery")
     p_verify.add_argument("--seed", type=int, default=12345)
-    p_verify.add_argument("--out-dir", help="where to write verify_report.json")
+    p_verify.add_argument("--out-dir", help="where to write summary.json")
 
     sub.add_parser("schema", help="print the configuration JSON schema")
 
@@ -728,31 +545,29 @@ def main(argv=None) -> int:
     if args.command == "verify":
         config = {"schema_version": SCHEMA_VERSION, "experiment": "verify",
                   "seed": args.seed}
-        summary = run_experiment(config, args.out_dir)
-        for check in summary["checks"]:
-            state = "PASS" if check["passed"] else "FAIL"
-            print(f"{state} {check['name']}: {check['detail']}")
-        return 0 if summary["all_checks_passed"] else 1
-
-    try:
-        with open(args.config) as fh:
-            config = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"cannot read config: {exc}", file=sys.stderr)
-        return 1
-    if args.seed is not None:
-        config["seed"] = args.seed
+    else:
+        try:
+            with open(args.config) as fh:
+                config = json.load(fh)
+        except (OSError, json.JSONDecodeError) as exc:
+            print(f"cannot read config: {exc}", file=sys.stderr)
+            return 1
+        if args.seed is not None:
+            config["seed"] = args.seed
     try:
         summary = run_experiment(config, args.out_dir)
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    failed = [c for c in summary["checks"] if not c["passed"]]
     for check in summary["checks"]:
         state = "PASS" if check["passed"] else "FAIL"
-        print(f"{state} {check['name']}: {check['detail']}")
+        margin = abs(check["threshold"] - check["value"])
+        print(
+            f"{state} {check['name']}: {check['value']:.3e} vs threshold "
+            f"{check['threshold']:.3e}, margin {margin:.2e} ({check['detail']})"
+        )
     if summary["experiment"] == "verify":
-        return 0 if not failed else 1
+        return 0 if summary["all_checks_passed"] else 1
     return 0
 
 

@@ -366,8 +366,14 @@ def efficiency_curves(
 
     Classical curves come straight from the closed forms; quantum points
     run the optimizer cycle by cycle.  Stroke kinds apply to both strokes
-    of the cycle.
+    of the cycle and must be sta, quasistatic or sudden: a bare stroke
+    needs its own protocol.
     """
+    if regime not in (CLASSICAL, QUANTUM):
+        raise ValueError(f"regime must be 'classical' or 'quantum', got {regime!r}")
+    for kind in stroke_kinds:
+        if kind not in (STA, QUASISTATIC, SUDDEN):
+            raise ValueError(f"strokes must be sta, quasistatic or sudden, got {kind!r}")
     ratios = np.asarray(beta_ratios, dtype=float)
     if np.any(ratios <= 1.0):
         raise ValueError("every beta_1/beta_2 ratio must exceed 1")

@@ -62,6 +62,8 @@ _LEAK_TOL = 1e-8
 _ROW_SUM_TOL = 1e-6
 #: Largest excess of a transition row sum over 1 accepted as round-off.
 _ROW_EXCESS_TOL = 1e-9
+#: Largest relative error of a resolved final eigenvalue of the Fock basis.
+_EIGENVALUE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -375,15 +377,26 @@ def fock_transition_matrix(
     The integrated reference for :func:`transition_matrix`, with all the
     propagation gates (norm drift, top-of-basis leakage, row sums).  n_max
     is capped at a quarter of the basis dimension so the propagated states
-    stay far from the truncation edge.
+    stay far from the truncation edge.  The truncated basis must also
+    resolve every final level it projects onto: the m-th eigenvalue of
+    H0(omega_f) must equal hbar omega_f (m + 1/2) within 1e-9 relative for
+    every m < m_max, or TruncationLeakageError is raised.
     """
     cfg = _basis_for(protocol, cfg, n_max)
     _, v_i = eigenbasis(protocol.omega_i, cfg)
-    _, v_f = eigenbasis(protocol.omega_f, cfg)
+    e_f, v_f = eigenbasis(protocol.omega_f, cfg)
     psi_tau = _propagate_columns(v_i[:, :n_max] + 0j, protocol, with_control, cfg, tol)
     # full (final level m, initial level n) probability table
     amplitudes = v_f.conj().T @ psi_tau
-    return _trimmed((np.abs(amplitudes) ** 2).T, protocol, with_control, cfg)
+    tm = _trimmed((np.abs(amplitudes) ** 2).T, protocol, with_control, cfg)
+    exact = cfg.hbar * protocol.omega_f * (np.arange(tm.m_max) + 0.5)
+    worst = float(np.max(np.abs(e_f[: tm.m_max] - exact) / exact))
+    if worst > _EIGENVALUE_TOL:
+        raise TruncationLeakageError(
+            f"max relative eigenvalue error {worst:.3e} over m < m_max = {tm.m_max} exceeds "
+            f"{_EIGENVALUE_TOL:g} in the {cfg.dimension}-level basis; increase the dimension"
+        )
+    return tm
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ import pytest
 
 from conftest import record_acceptance
 
+from staosc import invariants
 from staosc.classical_analytics import (
     basic_solutions,
     pdf_adiabatic,
@@ -20,15 +21,7 @@ from staosc.classical_analytics import (
     pdf_sudden,
     quadratic_form,
 )
-from staosc.classical_dynamics import (
-    EnsembleSpec,
-    PhaseState,
-    integrate,
-    oscillator_energy,
-    sample_gibbs,
-    to_action_angle,
-    trajectory_work,
-)
+from staosc.classical_dynamics import EnsembleSpec, sample_gibbs
 from staosc.otto_engine import (
     CLASSICAL,
     QUANTUM,
@@ -36,14 +29,12 @@ from staosc.otto_engine import (
     StrokeKind,
     eta_adiabatic_max_power,
     eta_sudden_max_power,
-    evaluate_cycle,
     optimize_frequency,
 )
-from staosc.protocols import cosine_ramp, omega_at
+from staosc.protocols import cosine_ramp
 from staosc.quantum_dynamics import (
     FockBasisConfig,
     delta_f_quantum,
-    fock_transition_matrix,
     pdf_quantum_adiabatic,
     quantum_work_atoms,
     transition_matrix,
@@ -52,7 +43,6 @@ from staosc.work_statistics import (
     classical_work_ensembles,
     delta_f_classical,
     estimator_dispersion,
-    integrate_density,
     jarzynski,
     ks_distance,
     summary,
@@ -63,6 +53,7 @@ WI = 10.0
 WF = 10.0 * math.sqrt(3.0)
 TAU = 1e-3 / WI  # omega_i * tau = 0.001
 RAMP = cosine_ramp(WI, WF, TAU)
+HBAR = 1.0 / (2.0 * math.pi)
 
 
 def _verdict(n: int, title: str, ok: bool, detail: str) -> None:
@@ -257,31 +248,22 @@ def test_criterion_4_quantum_jarzynski():
 # ---------------------------------------------------------------------------
 
 def test_criterion_5_engine_closed_forms():
-    worst = 0.0
-    rows = []
-    for beta_ratio_2_over_1 in (0.04, 0.25, 0.5, 0.81):
-        ratio = 1.0 / beta_ratio_2_over_1  # beta_1/beta_2
-        for strokes, closed in (
-            (StrokeKind.sta(), eta_adiabatic_max_power(ratio)),
-            (StrokeKind.sudden(), eta_sudden_max_power(ratio)),
-        ):
-            spec = OttoCycleSpec(
-                beta_1=1.0, beta_2=beta_ratio_2_over_1, omega_i=WI, omega_f=None,
-                regime=CLASSICAL, stroke_1=strokes, stroke_3=strokes,
-            )
-            result = optimize_frequency(spec)
-            dev = abs(result.cycle.efficiency - closed)
-            worst = max(worst, dev)
-            rows.append(dev)
-
-    ok = worst < 1e-3
+    check = invariants.engine_closed_forms([
+        OttoCycleSpec(
+            beta_1=1.0, beta_2=beta_ratio_2_over_1, omega_i=WI, omega_f=None,
+            regime=CLASSICAL, stroke_1=strokes, stroke_3=strokes,
+        )
+        for beta_ratio_2_over_1 in (0.04, 0.25, 0.5, 0.81)
+        for strokes in (StrokeKind.sta(), StrokeKind.sudden())
+    ])
     _verdict(
         5,
         "engine closed forms",
-        ok,
-        f"max |optimizer - closed form| = {worst:.2e} over 4 bath ratios x 2 strokes",
+        check.passed,
+        f"max |optimizer - closed form| = {check.value:.2e} over 4 bath ratios x 2 strokes",
     )
-    assert worst < 1e-3
+    assert check.threshold == 1e-3
+    assert check.passed, check.detail
 
 
 # ---------------------------------------------------------------------------
@@ -289,14 +271,12 @@ def test_criterion_5_engine_closed_forms():
 # ---------------------------------------------------------------------------
 
 def test_criterion_6_quantum_engine_regimes():
-    hbar = 1.0 / (2.0 * math.pi)
-
     # deep quantum: controlled strokes dominate sudden ones by > 2x
     min_gain = math.inf
     for ratio in (2.0, 5.0, 10.0, 30.0, 100.0):
         common = dict(
             beta_1=10.0, beta_2=10.0 / ratio, omega_i=WI, omega_f=None,
-            regime=QUANTUM, hbar=hbar,
+            regime=QUANTUM, hbar=HBAR,
         )
         sta = optimize_frequency(OttoCycleSpec(**common))
         sud = optimize_frequency(
@@ -318,7 +298,7 @@ def test_criterion_6_quantum_engine_regimes():
         ):
             spec = OttoCycleSpec(
                 beta_1=0.01, beta_2=0.01 / ratio, omega_i=WI, omega_f=None,
-                regime=QUANTUM, hbar=hbar,
+                regime=QUANTUM, hbar=HBAR,
                 stroke_1=strokes, stroke_3=strokes,
             )
             result = optimize_frequency(spec)
@@ -341,94 +321,45 @@ def test_criterion_6_quantum_engine_regimes():
 # ---------------------------------------------------------------------------
 
 def test_criterion_7_property_battery():
-    results = {}
-
-    # Wronskian identity across ramp speeds
-    worst_wronskian = max(
-        abs(basic_solutions(cosine_ramp(WI, WF, tau)).wronskian - 1.0)
-        for tau in (1e-4, 1e-2, 1.0, 20.0)
-    )
-    results["wronskian"] = worst_wronskian < 1e-9
-
-    # controlled drive conserves the action on 1000 random trajectories
     proto = cosine_ramp(WI, WF, 0.04)
-    states = sample_gibbs(EnsembleSpec(beta=BETA, count=1000, seed=707), WI)
-    worst_action = 0.0
-    for p, q in states:
-        s0 = PhaseState(p=float(p), q=float(q))
-        s1 = integrate(s0, proto, with_control=True, tol=1e-12)
-        i0 = to_action_angle(s0, WI).I
-        i1 = to_action_angle(s1, WF).I
-        if i0 > 1e-12:
-            worst_action = max(worst_action, abs(i1 - i0) / i0)
-    results["action_invariance"] = worst_action < 1e-7
-
-    # controlled quantum evolution produces the identity transition matrix
-    tm = fock_transition_matrix(
-        RAMP, with_control=True, n_max=16,
-        cfg=FockBasisConfig(dimension=256, omega_ref=WI),
-    )
-    eye = np.eye(tm.n_max, tm.m_max)
-    worst_identity = float(np.max(np.abs(tm.probs - eye)))
-    results["transition_identity"] = worst_identity < 1e-6
-
-    # quadratic-form work equals trajectory work on 100 random states
     form = quadratic_form(basic_solutions(proto), BETA, WI, WF)
-    rng = np.random.default_rng(808)
-    worst_form = 0.0
-    for _ in range(100):
-        s0 = PhaseState(p=float(rng.normal(0, 3)), q=float(rng.normal(0, 0.4)))
-        s1 = integrate(s0, proto, with_control=False, tol=1e-12)
-        w_traj = trajectory_work(s0, s1, proto)
-        xp = math.sqrt(BETA / 2.0) * s0.p
-        xq = math.sqrt(BETA * WI**2 / 2.0) * s0.q
-        w_form = form.K * xp**2 + form.L * xq**2 + 2.0 * form.M * xp * xq
-        scale = max(abs(w_traj), 1e-9)
-        worst_form = max(worst_form, abs(w_form - w_traj) / scale)
-    results["quadratic_form_work"] = worst_form < 1e-6
-
-    # density normalizations
-    norm_devs = [
-        abs(integrate_density(lambda w: pdf_adiabatic(w, BETA, WI, WF), 300.0) - 1.0),
-        abs(integrate_density(lambda w: pdf_sudden(w, BETA, WI, WF), 1500.0) - 1.0),
-        abs(integrate_density(lambda w: pdf_nonadiabatic(w, form), 200.0) - 1.0),
+    gibbs = sample_gibbs(EnsembleSpec(beta=BETA, count=1000, seed=707), WI)
+    form_states = np.random.default_rng(808).normal((0.0, 0.0), (3.0, 0.4), size=(100, 2))
+    taus = (1e-4, 1e-2, 1.0, 20.0)
+    wronskian = invariants.wronskian([cosine_ramp(WI, WF, tau) for tau in taus])
+    action = invariants.action_drift(proto, gibbs)
+    identity = invariants.transitionless_deviation(
+        RAMP, FockBasisConfig(dimension=256, omega_ref=WI), n_max=16
+    )
+    work_form = invariants.form_work_mismatch(proto, form, form_states)
+    norms = [
+        invariants.density_mass("adiabatic", lambda w: pdf_adiabatic(w, BETA, WI, WF), 300.0),
+        invariants.density_mass("sudden", lambda w: pdf_sudden(w, BETA, WI, WF), 1500.0),
+        invariants.density_mass("nonadiabatic", lambda w: pdf_nonadiabatic(w, form), 200.0),
+        invariants.atom_mass(pdf_quantum_adiabatic(BETA, WI, WF, n_max=64)),
     ]
-    atoms = pdf_quantum_adiabatic(BETA, WI, WF, n_max=64)
-    norm_devs.append(abs(float(np.sum(atoms.probs)) + atoms.gibbs_tail - 1.0))
-    results["density_normalization"] = max(norm_devs) < 1e-6
-
-    # Carnot bound over random feasible cycles, both regimes
     rng = np.random.default_rng(909)
-    carnot_ok = True
+    specs = []
     for _ in range(50):
         beta_1 = float(rng.uniform(0.05, 5.0))
         ratio = float(rng.uniform(1.2, 40.0))
         w_ratio = float(rng.uniform(1.05, 8.0))
         strokes = [StrokeKind.sta(), StrokeKind.sudden()][int(rng.integers(2))]
         regime = [CLASSICAL, QUANTUM][int(rng.integers(2))]
-        cycle = evaluate_cycle(
-            OttoCycleSpec(
-                beta_1=beta_1, beta_2=beta_1 / ratio, omega_i=WI,
-                omega_f=WI * w_ratio, regime=regime,
-                stroke_1=strokes, stroke_3=strokes,
-                hbar=1.0 / (2.0 * math.pi),
-            )
-        )
-        if cycle.feasible and cycle.efficiency > (1.0 - 1.0 / ratio) + 1e-12:
-            carnot_ok = False
-    results["carnot_bound"] = carnot_ok
+        specs.append(OttoCycleSpec(beta_1, beta_1 / ratio, WI, WI * w_ratio, regime,
+                                   strokes, strokes, hbar=HBAR))
+    carnot = invariants.carnot_margin(specs)
+    checks = [wronskian, action, identity, work_form, *norms, carnot]
 
-    ok = all(results.values())
-    detail = (
-        f"wronskian {worst_wronskian:.1e}; action drift {worst_action:.1e} "
-        f"(1000 states); identity dev {worst_identity:.1e}; "
-        f"work-form dev {worst_form:.1e} (100 states); "
-        f"norm dev {max(norm_devs):.1e}; carnot {'held' if carnot_ok else 'VIOLATED'}"
+    _verdict(
+        7,
+        "property battery",
+        all(c.passed for c in checks),
+        f"wronskian {wronskian.value:.1e}; action drift {action.value:.1e} (1000 states); "
+        f"identity dev {identity.value:.1e}; work-form dev {work_form.value:.1e} "
+        f"(100 states); norm dev {max(c.value for c in norms):.1e}; "
+        f"carnot {'held' if carnot.passed else 'VIOLATED'}",
     )
-    _verdict(7, "property battery", ok, detail)
-    assert results["wronskian"], f"wronskian deviation {worst_wronskian:.2e}"
-    assert results["action_invariance"], f"action drift {worst_action:.2e}"
-    assert results["transition_identity"], f"identity deviation {worst_identity:.2e}"
-    assert results["quadratic_form_work"], f"work-form deviation {worst_form:.2e}"
-    assert results["density_normalization"], f"normalization dev {max(norm_devs):.2e}"
-    assert results["carnot_bound"]
+    assert [c.threshold for c in checks] == [1e-9, 1e-7, 1e-6, 1e-6] + [1e-6] * 4 + [1e-12]
+    for check in checks:
+        assert check.passed, f"{check.name}: {check.value:.2e}"

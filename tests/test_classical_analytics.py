@@ -16,14 +16,8 @@ from staosc.classical_analytics import (
     pdf_sudden,
     quadratic_form,
 )
-from staosc.classical_dynamics import (
-    EnsembleSpec,
-    PhaseState,
-    integrate,
-    trajectory_work,
-    sample_gibbs,
-)
-from staosc.errors import IntegrationError
+from staosc.classical_dynamics import EnsembleSpec
+from staosc.invariants import decay_rate_ordering, form_work_mismatch, wronskian
 from staosc.protocols import constant_protocol, cosine_ramp
 
 WI = 10.0
@@ -93,9 +87,9 @@ def test_basic_solutions_sudden_expansion():
 
 
 def test_basic_solutions_wronskian_many_speeds():
-    for tau in (1e-4, 1e-2, 0.3, 5.0):
-        basic = basic_solutions(cosine_ramp(WI, WF, tau))
-        assert abs(basic.wronskian - 1.0) < 1e-9
+    check = wronskian([cosine_ramp(WI, WF, tau) for tau in (1e-4, 1e-2, 0.3, 5.0)])
+    assert check.threshold == 1e-9
+    assert check.passed, check.value
 
 
 # ---------------------------------------------------------------------------
@@ -137,15 +131,10 @@ def test_mu_values_converge_with_ramp_time():
 def test_quadratic_form_matches_trajectory_work():
     # scaled coordinates: W = K p'^2 + L q'^2 + 2 M p' q'
     form = quadratic_form(basic_solutions(FAST), BETA, WI, WF)
-    rng = np.random.default_rng(21)
-    for _ in range(100):
-        s0 = PhaseState(p=float(rng.normal(0, 2)), q=float(rng.normal(0, 0.3)))
-        s1 = integrate(s0, FAST, with_control=False, tol=1e-12)
-        w_traj = trajectory_work(s0, s1, FAST)
-        xp = math.sqrt(BETA / 2.0) * s0.p
-        xq = math.sqrt(BETA * WI**2 / 2.0) * s0.q
-        w_form = form.K * xp**2 + form.L * xq**2 + 2.0 * form.M * xp * xq
-        assert w_form == pytest.approx(w_traj, rel=1e-6, abs=1e-9)
+    states = np.random.default_rng(21).normal((0.0, 0.0), (2.0, 0.3), size=(100, 2))
+    check = form_work_mismatch(FAST, form, states)
+    assert check.threshold == 1e-6
+    assert check.passed, check.value
 
 
 def test_moments_from_form_sudden_values():
@@ -246,10 +235,7 @@ def test_densities_reject_decreasing_frequencies():
 def test_decay_rate_inequality():
     # the sudden tail is always fatter: rate_sudden < rate_adiabatic / 2
     for wf_over_wi in (1.1, 1.7321, 3.0, 10.0):
-        wf = WI * wf_over_wi
-        r_sud = BETA * WI**2 / (wf**2 - WI**2)
-        r_ad = BETA * WI / (wf - WI)
-        assert r_sud < 0.5 * r_ad
+        assert decay_rate_ordering(BETA, WI, WI * wf_over_wi).passed
 
 
 def test_sudden_quadratic_form_from_real_fast_ramp():

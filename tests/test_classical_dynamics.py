@@ -22,6 +22,7 @@ from staosc.classical_dynamics import (
     to_action_angle,
     trajectory_work,
 )
+from staosc.invariants import action_drift
 from staosc.protocols import constant_protocol, cosine_ramp, omega_at, protocol_from_table
 
 WI = 10.0
@@ -102,16 +103,10 @@ def test_energy_conserved_at_constant_frequency():
 
 
 def test_controlled_ramp_preserves_action():
-    rng = np.random.default_rng(11)
-    worst = 0.0
-    for _ in range(50):
-        state = PhaseState(p=float(rng.normal(0, 2)), q=float(rng.normal(0, 0.5)))
-        final = integrate(state, FAST, with_control=True, tol=1e-12)
-        i0 = to_action_angle(state, WI).I
-        i1 = to_action_angle(final, WF).I
-        if i0 > 0:
-            worst = max(worst, abs(i1 - i0) / i0)
-    assert worst < 1e-7
+    states = np.random.default_rng(11).normal((0.0, 0.0), (2.0, 0.5), size=(50, 2))
+    check = action_drift(FAST, states)
+    assert check.threshold == 1e-7
+    assert check.passed, check.value
 
 
 def test_controlled_work_is_delta_omega_times_action():

@@ -19,6 +19,7 @@ from staosc.cli_runner import (
     run_experiment,
     validate_config,
 )
+from staosc.invariants import Check
 from staosc.quantum_dynamics import pdf_quantum_adiabatic
 
 
@@ -57,6 +58,10 @@ def test_validate_config_rejects_unknown_fields():
     with pytest.raises(ConfigError) as err:
         validate_config(_config("classical-work-dist", threads=2))
     assert "'threads' was unexpected" in str(err.value)
+    with pytest.raises(ConfigError) as err:
+        validate_config(_config("engine-curves", physical={"beta_2": 1.0}))
+    assert "$.physical" in str(err.value)
+    assert "'beta_2' was unexpected" in str(err.value)
     with pytest.raises(ConfigError) as err:
         validate_config(_config("classical-work-dist", numeric={"tolerance": 1e-6}))
     assert "$.numeric" in str(err.value)
@@ -260,13 +265,6 @@ def test_engine_curves_experiment(tmp_path):
     assert np.all(data[:, cols["eta_sta"]] <= carnot + 1e-12)
 
 
-def test_verify_experiment_all_checks_pass(tmp_path):
-    summary = run_experiment(_config("verify"), out_dir=tmp_path)
-    assert summary["all_checks_passed"]
-    assert len(summary["checks"]) >= 10
-    assert (tmp_path / "verify_report.json").exists()
-
-
 def test_runs_are_deterministic(tmp_path):
     cfg = _config("classical-work-dist", numeric={"samples": 5000})
     dir_a, dir_b = tmp_path / "a", tmp_path / "b"
@@ -347,8 +345,30 @@ def test_main_verify_subcommand(tmp_path, capsys):
     assert code == 0
     printed = capsys.readouterr().out
     assert "PASS" in printed and "FAIL" not in printed
-    report = json.loads((tmp_path / "verify_report.json").read_text())
-    assert report["all_checks_passed"]
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["all_checks_passed"]
+    assert len(summary["checks"]) == 15
+    assert all(list(c) == ["name", "value", "threshold", "passed", "detail"]
+               for c in summary["checks"])
+    assert [line.split(" vs ")[0] for line in printed.splitlines()] == [
+        f"PASS {c['name']}: {c['value']:.3e}" for c in summary["checks"]
+    ]
+    # `staosc run` on a verify config prints through the same loop
+    cfg_path = tmp_path / "verify.json"
+    cfg_path.write_text(json.dumps(_config("verify")))
+    assert main(["run", str(cfg_path), "--out-dir", str(tmp_path / "run")]) == code
+    assert capsys.readouterr().out == printed
+
+
+def test_failed_verify_exits_nonzero_from_both_entry_points(tmp_path, monkeypatch, capsys):
+    failing = Check("forced", 1.0, 0.5, False, "forced failure")
+    monkeypatch.setattr("staosc.cli_runner.verify_battery", lambda seed: [failing])
+    cfg_path = tmp_path / "verify.json"
+    cfg_path.write_text(json.dumps(_config("verify")))
+    assert main(["run", str(cfg_path), "--out-dir", str(tmp_path)]) == 1
+    assert main(["verify", "--out-dir", str(tmp_path)]) == 1
+    line = "FAIL forced: 1.000e+00 vs threshold 5.000e-01, margin 5.00e-01 (forced failure)"
+    assert capsys.readouterr().out == f"{line}\n{line}\n"
 
 
 def test_main_schema_subcommand(capsys):

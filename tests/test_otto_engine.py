@@ -19,6 +19,7 @@ from staosc.otto_engine import (
     stroke_energy_factor,
     thermal_energy,
 )
+from staosc.invariants import carnot_margin
 from staosc.protocols import cosine_ramp
 from staosc.quantum_dynamics import FockBasisConfig, fock_transition_matrix
 
@@ -290,21 +291,18 @@ def test_optimizer_boundary_flag():
 
 def test_efficiency_below_carnot_over_random_specs():
     rng = np.random.default_rng(67)
+    specs = []
     for _ in range(60):
         beta_1 = float(rng.uniform(0.1, 5.0))
         ratio = float(rng.uniform(1.2, 30.0))
         w_ratio = float(rng.uniform(1.05, 6.0))
         strokes = [StrokeKind.sta(), StrokeKind.sudden()][int(rng.integers(2))]
         regime = [CLASSICAL, QUANTUM][int(rng.integers(2))]
-        spec = OttoCycleSpec(
-            beta_1=beta_1, beta_2=beta_1 / ratio, omega_i=WI, omega_f=WI * w_ratio,
-            regime=regime, stroke_1=strokes, stroke_3=strokes,
-            hbar=HBAR_SCALED,
-        )
-        cycle = evaluate_cycle(spec)
-        if cycle.feasible:
-            eta_carnot = 1.0 - 1.0 / ratio
-            assert cycle.efficiency <= eta_carnot + 1e-12
+        specs.append(OttoCycleSpec(beta_1, beta_1 / ratio, WI, WI * w_ratio, regime,
+                                   strokes, strokes, hbar=HBAR_SCALED))
+    check = carnot_margin(specs)
+    assert check.threshold == 1e-12
+    assert check.passed, check.value
 
 
 def test_quantum_optimizer_high_temperature_matches_classical():
@@ -348,6 +346,15 @@ def test_efficiency_curves_classical_table():
     )
     with pytest.raises(ValueError):
         efficiency_curves(CLASSICAL, beta_1=1.0, beta_ratios=[0.5])
+
+
+def test_efficiency_curves_rejects_unknown_inputs():
+    # each used to return a table: the sudden closed form for the two stroke
+    # names, the quantum optimizer for the regime
+    for regime, kinds, bad in [(CLASSICAL, (STA, BARE), BARE), (CLASSICAL, ("fast",), "fast"),
+                               ("mixed", (STA,), "mixed")]:
+        with pytest.raises(ValueError, match=f"got '{bad}'"):
+            efficiency_curves(regime, beta_1=1.0, beta_ratios=[2.0], stroke_kinds=kinds)
 
 
 def test_efficiency_curves_quantum_match_classical_at_high_temperature():

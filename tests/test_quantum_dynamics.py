@@ -11,6 +11,7 @@ from staosc.classical_analytics import (
     quadratic_form,
 )
 from staosc.errors import IntegrationError, TruncationLeakageError
+from staosc.invariants import transitionless_deviation
 from staosc.protocols import constant_protocol, cosine_ramp, omega_at, omega_dot_at
 from staosc.quantum_dynamics import (
     FockBasisConfig,
@@ -222,20 +223,17 @@ def test_transition_matrix_rows_sum_to_one():
 
 
 def test_transition_matrix_control_is_identity():
-    tm = fock_transition_matrix(
-        FAST, with_control=True, n_max=12,
-        cfg=FockBasisConfig(dimension=256, omega_ref=WI),
-    )
-    eye = np.zeros((tm.n_max, tm.m_max))
-    eye[:, : tm.n_max] = np.eye(tm.n_max)[:, : tm.m_max]
-    assert np.allclose(tm.probs, eye[:, : tm.m_max], atol=1e-6)
+    check = transitionless_deviation(FAST, FockBasisConfig(dimension=256, omega_ref=WI), 12)
+    assert check.threshold == 1e-6
+    assert check.passed, check.value
 
 
 @pytest.mark.parametrize(
     "ratio, dimension", [(math.sqrt(3.0), 128), (0.5, 128), (4.0, 512)]
 )
 def test_closed_form_matches_fock_propagation(ratio, dimension):
-    # at omega_f = 4 omega_i a 256-level reference basis is itself off by ~2e-8
+    # at omega_f = 4 omega_i a 256-level reference basis misplaces its final
+    # eigenvalues by 4.3e-3 and raises (see the eigenvalue-gate test)
     worst = 0.0
     for hbar in (1.0, 1.0 / (2.0 * math.pi)):
         cfg = FockBasisConfig(dimension=dimension, omega_ref=WI, hbar=hbar)
@@ -246,6 +244,16 @@ def test_closed_form_matches_fock_propagation(ratio, dimension):
             assert closed.probs.shape == fock.probs.shape
             worst = max(worst, float(np.max(np.abs(closed.probs - fock.probs))))
     assert worst <= 1e-9
+
+
+def test_fock_eigenvalue_gate():
+    # the truncated H0(omega_f) must reproduce hbar omega_f (m + 1/2) for
+    # every final level m < m_max it projects onto: at omega_f = 4 omega_i
+    # the worst relative error is 1.9e-14 with 512 levels, 4.3e-3 with 256
+    proto = cosine_ramp(WI, 4.0 * WI, 1e-2 / WI)
+    assert fock_transition_matrix(proto, cfg=FockBasisConfig(512, WI), n_max=8).m_max == 64
+    with pytest.raises(TruncationLeakageError, match=r"error 4\.33\de-03 over m < m_max = 64"):
+        fock_transition_matrix(proto, cfg=FockBasisConfig(256, WI), n_max=8)
 
 
 def test_closed_form_control_is_exact_identity():
