@@ -54,8 +54,6 @@ from .classical_analytics import (
     BasicSolutions,
     QuadraticWorkForm,
     basic_solutions,
-    bessel_i0,
-    bessel_i0_scaled,
     moments_from_form,
     pdf_adiabatic,
     pdf_nonadiabatic,

@@ -46,30 +46,6 @@ _WRONSKIAN_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
-# Modified Bessel function I0
-# ---------------------------------------------------------------------------
-
-def bessel_i0(x):
-    """Modified Bessel function of the first kind, order zero.
-
-    Thin wrapper over :func:`scipy.special.i0`; a scalar input gives a
-    float.  Overflows to inf past x ~ 713 together with exp(x).
-    """
-    out = special.i0(np.asarray(x, dtype=float))
-    return float(out) if out.ndim == 0 else out
-
-
-def bessel_i0_scaled(x):
-    """exp(-|x|) * I0(x): bounded on the whole axis, safe for large x.
-
-    Thin wrapper over :func:`scipy.special.i0e`; a scalar input gives a
-    float.
-    """
-    out = special.i0e(np.asarray(x, dtype=float))
-    return float(out) if out.ndim == 0 else out
-
-
-# ---------------------------------------------------------------------------
 # Basic solutions and the work quadratic form
 # ---------------------------------------------------------------------------
 
@@ -259,6 +235,6 @@ def pdf_nonadiabatic(W, form: QuadraticWorkForm):
         # exp(-(mu_+ + mu_-) W / (2 mu_+ mu_-)) * I0(arg) with
         # arg = (mu_+ - mu_-) W / (2 mu_+ mu_-)  ==  exp(-W/mu_+) * i0e(arg)
         arg = (mu_p - mu_m) * W[pos] / (2.0 * mu_p * mu_m)
-        out[pos] = np.exp(-W[pos] / mu_p) * bessel_i0_scaled(arg) / math.sqrt(mu_p * mu_m)
+        out[pos] = np.exp(-W[pos] / mu_p) * special.i0e(arg) / math.sqrt(mu_p * mu_m)
         out[W == 0.0] = 1.0 / math.sqrt(mu_p * mu_m)
     return float(out[0]) if scalar else out

@@ -16,6 +16,10 @@ of :mod:`staosc.invariants` at reduced size; its summary holds the checks.
 Every check is one record (name, value, threshold, passed, detail), and
 the command line prints each with its margin to the threshold.
 
+One table, ``_EXPERIMENTS``, declares each experiment: its runner and the
+config keys it reads, with their defaults.  The JSON schema is built from
+it, and a key an experiment does not read is rejected.
+
 Every CSV carries a header comment with the experiment seed and a hash of
 the resolved configuration, and all numbers are written with 17
 significant digits, so a rerun of the same config is byte-identical.
@@ -45,161 +49,7 @@ from .protocols import cosine_ramp
 
 SCHEMA_VERSION = 1
 
-EXPERIMENTS = (
-    "classical-work-dist",
-    "jarzynski-trace",
-    "quantum-work-atoms",
-    "engine-curves",
-    "verify",
-)
-
 _OUT_DIR_ENV = "STAOSC_OUT_DIR"
-
-CONFIG_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "title": "staosc experiment configuration",
-    "type": "object",
-    "required": ["schema_version", "experiment"],
-    "additionalProperties": False,
-    "properties": {
-        "schema_version": {"const": SCHEMA_VERSION},
-        "experiment": {"enum": list(EXPERIMENTS)},
-        "seed": {"type": "integer", "minimum": 0},
-        "output_dir": {"type": "string"},
-        "physical": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "beta": {"type": "number", "exclusiveMinimum": 0},
-                "omega_i": {"type": "number", "exclusiveMinimum": 0},
-                "omega_f": {"type": "number", "exclusiveMinimum": 0},
-                "tau": {"type": "number", "exclusiveMinimum": 0},
-                "tau_omega_i": {"type": "number", "exclusiveMinimum": 0},
-                "mass": {"type": "number", "exclusiveMinimum": 0},
-                "hbar": {"type": "number", "exclusiveMinimum": 0},
-                "beta_1": {"type": "number", "exclusiveMinimum": 0},
-                "regime": {"enum": ["classical", "quantum"]},
-            },
-        },
-        "numeric": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "samples": {"type": "integer", "minimum": 2},
-                "bins": {"type": "integer", "minimum": 1},
-                "grid_points": {"type": "integer", "minimum": 2},
-                "w_max": {"type": "number", "exclusiveMinimum": 0},
-                "basis_size": {"type": "integer", "minimum": 4},
-                "n_max": {"type": "integer", "minimum": 1},
-                "batch_size": {"type": "integer", "minimum": 2},
-                "replicates": {"type": "integer", "minimum": 1},
-                "trace_points": {"type": "integer", "minimum": 2},
-                "probability_floor": {"type": "number", "exclusiveMinimum": 0},
-                "ratios": {
-                    "type": "array",
-                    "items": {"type": "number", "exclusiveMinimum": 1},
-                    "minItems": 1,
-                },
-            },
-        },
-    },
-}
-
-_DEFAULTS = {
-    "classical-work-dist": {
-        "physical": {
-            "beta": 0.2,
-            "omega_i": 10.0,
-            "omega_f": 10.0 * math.sqrt(3.0),
-            "tau_omega_i": 1e-3,
-            "mass": 1.0,
-        },
-        "numeric": {"samples": 100_000, "grid_points": 512},
-    },
-    "jarzynski-trace": {
-        "physical": {
-            "beta": 0.2,
-            "omega_i": 10.0,
-            "omega_f": 10.0 * math.sqrt(3.0),
-            "tau_omega_i": 1e-3,
-            "mass": 1.0,
-        },
-        "numeric": {
-            "samples": 1_000_000,
-            "batch_size": 10_000,
-            "replicates": 20,
-            "trace_points": 400,
-        },
-    },
-    "quantum-work-atoms": {
-        "physical": {
-            "beta": 0.2,
-            "omega_i": 10.0,
-            "omega_f": 10.0 * math.sqrt(3.0),
-            "tau_omega_i": 1e-3,
-            "hbar": 1.0,
-        },
-        "numeric": {
-            "basis_size": 512,
-            "n_max": 24,
-            "probability_floor": 2e-4,
-        },
-    },
-    "engine-curves": {
-        "physical": {
-            "beta_1": 10.0,
-            "omega_i": 10.0,
-            "hbar": 1.0 / (2.0 * math.pi),
-            "regime": "quantum",
-        },
-        "numeric": {},
-    },
-    "verify": {"physical": {}, "numeric": {}},
-}
-
-
-class ConfigError(ValueError):
-    """Configuration rejected, with one line per offending field."""
-
-
-def config_schema() -> dict:
-    return json.loads(json.dumps(CONFIG_SCHEMA))
-
-
-def validate_config(config: dict) -> None:
-    errors = sorted(
-        Draft202012Validator(CONFIG_SCHEMA).iter_errors(config),
-        key=lambda e: e.json_path,
-    )
-    if errors:
-        lines = [f"{e.json_path}: {e.message}" for e in errors]
-        raise ConfigError("invalid configuration:\n  " + "\n  ".join(lines))
-
-
-def resolve_config(config: dict) -> dict:
-    """Validate and fill per-experiment defaults (user values win)."""
-    validate_config(config)
-    experiment = config["experiment"]
-    resolved = {
-        "schema_version": SCHEMA_VERSION,
-        "experiment": experiment,
-        "seed": int(config.get("seed", 12345)),
-        "physical": dict(_DEFAULTS[experiment]["physical"]),
-        "numeric": dict(_DEFAULTS[experiment]["numeric"]),
-    }
-    resolved["physical"].update(config.get("physical", {}))
-    resolved["numeric"].update(config.get("numeric", {}))
-    if "output_dir" in config:
-        resolved["output_dir"] = config["output_dir"]
-    phys = resolved["physical"]
-    if "tau" not in phys and "tau_omega_i" in phys:
-        phys["tau"] = phys["tau_omega_i"] / phys["omega_i"]
-    return resolved
-
-
-def config_hash(resolved: dict) -> str:
-    canonical = json.dumps(resolved, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
 def _write_csv(path: Path, meta: dict, names, columns) -> None:
@@ -210,32 +60,6 @@ def _write_csv(path: Path, meta: dict, names, columns) -> None:
         fh.write(",".join(names) + "\n")
         for row in zip(*columns):
             fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
-
-
-def emit_grid(target, path: Path, meta: dict, grid=None, probability_floor=None) -> None:
-    """Write a density (callable on a grid) or an atom set to CSV.
-
-    Callables need an explicit grid and produce (work, density) rows.
-    Atom sets produce (work, probability) rows, optionally filtered and
-    log10-transformed for semi-log plotting when probability_floor is set.
-    """
-    if isinstance(target, qd.QuantumWorkAtoms):
-        works, probs = target.works, target.probs
-        if probability_floor is not None:
-            keep = probs >= probability_floor
-            _write_csv(
-                path,
-                meta,
-                ["work", "log10_probability"],
-                [works[keep], np.log10(probs[keep])],
-            )
-        else:
-            _write_csv(path, meta, ["work", "probability"], [works, probs])
-    else:
-        if grid is None:
-            raise ValueError("densities need an explicit grid")
-        grid = np.asarray(grid, dtype=float)
-        _write_csv(path, meta, ["work", "density"], [grid, target(grid)])
 
 
 def _protocol_from(phys: dict):
@@ -284,7 +108,7 @@ def _run_classical_work_dist(resolved: dict, out_dir: Path, meta: dict):
         hist_path = out_dir / f"classical_work_{label}_hist.csv"
         _write_csv(hist_path, meta, ["work", "density"], [centers, hist.density])
         dens_path = out_dir / f"classical_work_{label}_density.csv"
-        emit_grid(densities[label], dens_path, meta, grid=grid)
+        _write_csv(dens_path, meta, ["work", "density"], [grid, densities[label](grid)])
         outputs += [hist_path.name, dens_path.name]
 
         stats = ws.summary(sets[label])
@@ -385,9 +209,13 @@ def _run_quantum_work_atoms(resolved: dict, out_dir: Path, meta: dict):
         atoms = qd.quantum_work_atoms(tm, beta)
         atom_sets[label] = atoms
         path = out_dir / f"quantum_atoms_{label}.csv"
-        emit_grid(atoms, path, meta)
+        _write_csv(path, meta, ["work", "probability"], [atoms.works, atoms.probs])
         semilog = out_dir / f"quantum_atoms_{label}_semilog.csv"
-        emit_grid(atoms, semilog, meta, probability_floor=num["probability_floor"])
+        keep = atoms.probs >= num["probability_floor"]
+        _write_csv(
+            semilog, meta, ["work", "log10_probability"],
+            [atoms.works[keep], np.log10(atoms.probs[keep])],
+        )
         outputs += [path.name, semilog.name]
 
         jz = ws.jarzynski(atoms, beta, delta_f)
@@ -431,10 +259,7 @@ def _run_quantum_work_atoms(resolved: dict, out_dir: Path, meta: dict):
 
 def _run_engine_curves(resolved: dict, out_dir: Path, meta: dict):
     phys, num = resolved["physical"], resolved["numeric"]
-    regime = phys.get("regime", "quantum")
-    beta_1 = phys["beta_1"]
-    hbar = phys.get("hbar", 1.0)
-    omega_i = phys["omega_i"]
+    regime, beta_1, hbar, omega_i = phys["regime"], phys["beta_1"], phys["hbar"], phys["omega_i"]
     ratios = np.asarray(
         num.get("ratios") or np.geomspace(1.5, 100.0, 25).tolist(), dtype=float
     )
@@ -477,13 +302,169 @@ def _run_engine_curves(resolved: dict, out_dir: Path, meta: dict):
     return [path.name], checks, derived
 
 
-_RUNNERS = {
-    "classical-work-dist": _run_classical_work_dist,
-    "jarzynski-trace": _run_jarzynski_trace,
-    "quantum-work-atoms": _run_quantum_work_atoms,
-    "engine-curves": _run_engine_curves,
-    "verify": lambda resolved, out_dir, meta: ([], verify_battery(resolved["seed"]), {}),
+def _run_verify(resolved: dict, out_dir: Path, meta: dict):
+    return [], verify_battery(resolved["seed"]), {}
+
+
+# ---------------------------------------------------------------------------
+# The experiment table and the configuration it accepts
+# ---------------------------------------------------------------------------
+
+_POSITIVE = {"type": "number", "exclusiveMinimum": 0}
+
+#: JSON type of every config key, whichever experiments read it.
+_KEY_TYPES = {
+    "physical": {
+        "beta": _POSITIVE,
+        "omega_i": _POSITIVE,
+        "omega_f": _POSITIVE,
+        "tau": _POSITIVE,
+        "tau_omega_i": _POSITIVE,
+        "mass": _POSITIVE,
+        "hbar": _POSITIVE,
+        "beta_1": _POSITIVE,
+        "regime": {"enum": ["classical", "quantum"]},
+    },
+    "numeric": {
+        "samples": {"type": "integer", "minimum": 2},
+        "bins": {"type": "integer", "minimum": 1},
+        "grid_points": {"type": "integer", "minimum": 2},
+        "w_max": _POSITIVE,
+        "basis_size": {"type": "integer", "minimum": 4},
+        "n_max": {"type": "integer", "minimum": 1},
+        "batch_size": {"type": "integer", "minimum": 2},
+        "replicates": {"type": "integer", "minimum": 1},
+        "trace_points": {"type": "integer", "minimum": 2},
+        "probability_floor": _POSITIVE,
+        "ratios": {
+            "type": "array",
+            "items": {"type": "number", "exclusiveMinimum": 1},
+            "minItems": 1,
+        },
+    },
 }
+
+#: The cosine ramp of the three work experiments, with its defaults.
+_RAMP = {
+    "beta": 0.2,
+    "omega_i": 10.0,
+    "omega_f": 10.0 * math.sqrt(3.0),
+    "tau": None,
+    "tau_omega_i": 1e-3,
+}
+
+#: Per experiment: its runner and, per config section, the keys it reads
+#: with their defaults (None: accepted but left unset).  Any other key is
+#: rejected, so every accepted key changes the run it is hashed into.
+_EXPERIMENTS = {
+    "classical-work-dist": {
+        "run": _run_classical_work_dist,
+        "physical": {**_RAMP, "mass": 1.0},
+        "numeric": {"samples": 100_000, "grid_points": 512, "w_max": None, "bins": None},
+    },
+    "jarzynski-trace": {
+        "run": _run_jarzynski_trace,
+        "physical": {**_RAMP, "mass": 1.0},
+        "numeric": {
+            "samples": 1_000_000,
+            "batch_size": 10_000,
+            "replicates": 20,
+            "trace_points": 400,
+        },
+    },
+    "quantum-work-atoms": {
+        "run": _run_quantum_work_atoms,
+        "physical": {**_RAMP, "hbar": 1.0},
+        "numeric": {"basis_size": 512, "n_max": 24, "probability_floor": 2e-4},
+    },
+    "engine-curves": {
+        "run": _run_engine_curves,
+        # omega_i and hbar are read by the quantum regime only
+        "physical": {
+            "beta_1": 10.0,
+            "omega_i": 10.0,
+            "hbar": 1.0 / (2.0 * math.pi),
+            "regime": "quantum",
+        },
+        "numeric": {"ratios": None},
+    },
+    "verify": {"run": _run_verify, "physical": {}, "numeric": {}},
+}
+
+EXPERIMENTS = tuple(_EXPERIMENTS)
+_SECTIONS = ("physical", "numeric")
+
+CONFIG_SCHEMA = {
+    "$schema": "https://json-schema.org/draft/2020-12/schema",
+    "title": "staosc experiment configuration",
+    "type": "object",
+    "required": ["schema_version", "experiment"],
+    "additionalProperties": False,
+    "properties": {
+        "schema_version": {"const": SCHEMA_VERSION},
+        "experiment": {"enum": list(EXPERIMENTS)},
+        "seed": {"type": "integer", "minimum": 0},
+        "output_dir": {"type": "string"},
+        **{section: {"type": "object"} for section in _SECTIONS},
+    },
+    "allOf": [
+        {
+            "if": {"required": ["experiment"], "properties": {"experiment": {"const": name}}},
+            "then": {
+                "properties": {
+                    section: {
+                        "additionalProperties": False,
+                        "properties": {key: _KEY_TYPES[section][key] for key in entry[section]},
+                    }
+                    for section in _SECTIONS
+                }
+            },
+        }
+        for name, entry in _EXPERIMENTS.items()
+    ],
+}
+_VALIDATOR = Draft202012Validator(CONFIG_SCHEMA)
+
+
+class ConfigError(ValueError):
+    """Configuration rejected, with one line per offending field."""
+
+
+def config_schema() -> dict:
+    return json.loads(json.dumps(CONFIG_SCHEMA))
+
+
+def validate_config(config: dict) -> None:
+    errors = sorted(_VALIDATOR.iter_errors(config), key=lambda e: e.json_path)
+    if errors:
+        lines = [f"{e.json_path}: {e.message}" for e in errors]
+        raise ConfigError("invalid configuration:\n  " + "\n  ".join(lines))
+
+
+def resolve_config(config: dict) -> dict:
+    """Validate and fill per-experiment defaults (user values win)."""
+    validate_config(config)
+    experiment = config["experiment"]
+    resolved = {
+        "schema_version": SCHEMA_VERSION,
+        "experiment": experiment,
+        "seed": int(config.get("seed", 12345)),
+    }
+    for section in _SECTIONS:
+        defaults = _EXPERIMENTS[experiment][section]
+        resolved[section] = {k: v for k, v in defaults.items() if v is not None}
+        resolved[section].update(config.get(section, {}))
+    if "output_dir" in config:
+        resolved["output_dir"] = config["output_dir"]
+    phys = resolved["physical"]
+    if "tau" not in phys and "tau_omega_i" in phys:
+        phys["tau"] = phys["tau_omega_i"] / phys["omega_i"]
+    return resolved
+
+
+def config_hash(resolved: dict) -> str:
+    canonical = json.dumps(resolved, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
 def run_experiment(config: dict, out_dir=None) -> dict:
@@ -496,7 +477,7 @@ def run_experiment(config: dict, out_dir=None) -> dict:
     digest = config_hash(resolved)
     meta = {"config_sha256": digest, "seed": resolved["seed"]}
 
-    outputs, checks, derived = _RUNNERS[resolved["experiment"]](resolved, out_dir, meta)
+    outputs, checks, derived = _EXPERIMENTS[resolved["experiment"]]["run"](resolved, out_dir, meta)
 
     summary = {
         "schema_version": SCHEMA_VERSION,

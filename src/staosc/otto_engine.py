@@ -101,14 +101,13 @@ class OttoCycleSpec:
     regime: str = CLASSICAL
     stroke_1: StrokeKind = field(default_factory=StrokeKind.sta)
     stroke_3: StrokeKind = field(default_factory=StrokeKind.sta)
-    mass: float = 1.0
     hbar: float = 1.0
     relaxation_times: tuple[float, float] | None = None
 
     def __post_init__(self):
         if self.regime not in (CLASSICAL, QUANTUM):
             raise ValueError(f"regime must be 'classical' or 'quantum', got {self.regime!r}")
-        for name in ("beta_1", "beta_2", "omega_i", "mass", "hbar"):
+        for name in ("beta_1", "beta_2", "omega_i", "hbar"):
             value = getattr(self, name)
             if not math.isfinite(value) or value <= 0.0:
                 raise ValueError(f"{name} must be positive and finite")

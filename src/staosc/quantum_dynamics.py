@@ -45,7 +45,7 @@ opposite parity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -68,17 +68,19 @@ _EIGENVALUE_TOL = 1e-9
 
 @dataclass(frozen=True)
 class FockBasisConfig:
-    """Truncated number-basis setup: dimension, reference frequency, constants."""
+    """Truncated number-basis setup: dimension, reference frequency, hbar.
+
+    There is no mass: H0 and Hc are mass-free in the ladder basis.
+    """
 
     dimension: int = 512
     omega_ref: float = 1.0
-    mass: float = 1.0
     hbar: float = 1.0
 
     def __post_init__(self):
         if self.dimension < 4 or self.dimension % 2:
             raise ValueError("dimension must be an even integer >= 4")
-        for name in ("omega_ref", "mass", "hbar"):
+        for name in ("omega_ref", "hbar"):
             value = getattr(self, name)
             if not math.isfinite(value) or value <= 0.0:
                 raise ValueError(f"{name} must be positive and finite")
@@ -242,9 +244,7 @@ class TransitionMatrix:
     probs: np.ndarray
     omega_i: float
     omega_f: float
-    with_control: bool
     hbar: float = 1.0
-    protocol: FrequencyProtocol | None = field(default=None, compare=False)
 
     @property
     def n_max(self) -> int:
@@ -275,10 +275,7 @@ def _basis_for(
 
 
 def _trimmed(
-    p_full: np.ndarray,
-    protocol: FrequencyProtocol,
-    with_control: bool,
-    cfg: FockBasisConfig,
+    p_full: np.ndarray, protocol: FrequencyProtocol, cfg: FockBasisConfig
 ) -> TransitionMatrix:
     """Keep the fewest final levels (doubling from 16) that complete every row.
 
@@ -300,14 +297,7 @@ def _trimmed(
                 "the basis dimension"
             )
         m_max = min(2 * m_max, cfg.dimension)
-    return TransitionMatrix(
-        probs=p_full[:, :m_max].copy(),
-        omega_i=protocol.omega_i,
-        omega_f=protocol.omega_f,
-        with_control=with_control,
-        hbar=cfg.hbar,
-        protocol=protocol,
-    )
+    return TransitionMatrix(p_full[:, :m_max].copy(), protocol.omega_i, protocol.omega_f, cfg.hbar)
 
 
 def _squeeze_probabilities(q_star: float, n_max: int, m_count: int) -> np.ndarray:
@@ -362,7 +352,7 @@ def transition_matrix(
                 f"adiabaticity factor Q* = {q_star!r} is below 1 beyond 1e-9"
             )
         p_full = _squeeze_probabilities(max(q_star, 1.0), n_max, cfg.dimension)
-    return _trimmed(p_full, protocol, with_control, cfg)
+    return _trimmed(p_full, protocol, cfg)
 
 
 def fock_transition_matrix(
@@ -388,7 +378,7 @@ def fock_transition_matrix(
     psi_tau = _propagate_columns(v_i[:, :n_max] + 0j, protocol, with_control, cfg, tol)
     # full (final level m, initial level n) probability table
     amplitudes = v_f.conj().T @ psi_tau
-    tm = _trimmed((np.abs(amplitudes) ** 2).T, protocol, with_control, cfg)
+    tm = _trimmed((np.abs(amplitudes) ** 2).T, protocol, cfg)
     exact = cfg.hbar * protocol.omega_f * (np.arange(tm.m_max) + 0.5)
     worst = float(np.max(np.abs(e_f[: tm.m_max] - exact) / exact))
     if worst > _EIGENVALUE_TOL:
@@ -461,13 +451,7 @@ def _merge_atoms(works: np.ndarray, probs: np.ndarray, scale: float):
     return merged_w, merged_p
 
 
-def quantum_work_atoms(
-    tm: TransitionMatrix,
-    beta: float,
-    omega_i: float | None = None,
-    omega_f: float | None = None,
-    hbar: float | None = None,
-) -> QuantumWorkAtoms:
+def quantum_work_atoms(tm: TransitionMatrix, beta: float) -> QuantumWorkAtoms:
     """Two-point-measurement work atoms for a thermal initial state.
 
     Initial level n carries the truncated-and-renormalized thermal weight
@@ -476,9 +460,7 @@ def quantum_work_atoms(
     """
     if beta <= 0.0:
         raise ValueError("beta must be positive")
-    omega_i = tm.omega_i if omega_i is None else omega_i
-    omega_f = tm.omega_f if omega_f is None else omega_f
-    hbar = tm.hbar if hbar is None else hbar
+    omega_i, omega_f, hbar = tm.omega_i, tm.omega_f, tm.hbar
     n_max, m_max = tm.probs.shape
     x = math.exp(-beta * hbar * omega_i)
     raw = x ** np.arange(n_max)

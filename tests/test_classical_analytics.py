@@ -2,14 +2,11 @@ import math
 
 import numpy as np
 import pytest
-import scipy.special
 from scipy.integrate import quad
 
 from staosc.classical_analytics import (
     BasicSolutions,
     basic_solutions,
-    bessel_i0,
-    bessel_i0_scaled,
     moments_from_form,
     pdf_adiabatic,
     pdf_nonadiabatic,
@@ -24,41 +21,6 @@ WI = 10.0
 WF = 10.0 * math.sqrt(3.0)
 BETA = 0.2
 FAST = cosine_ramp(WI, WF, 1e-4)
-
-
-# ---------------------------------------------------------------------------
-# bessel_i0
-# ---------------------------------------------------------------------------
-
-def test_bessel_i0_at_zero_and_one():
-    assert bessel_i0(0.0) == 1.0
-    # reference value of I0(1), cross-checked against the ascending series
-    series = sum((0.25) ** k / math.factorial(k) ** 2 for k in range(20))
-    assert series == pytest.approx(1.2660658777520084, rel=1e-15)
-    assert bessel_i0(1.0) == pytest.approx(1.2660658777520084, rel=1e-12)
-
-
-def test_bessel_i0_against_scipy_across_range():
-    x = np.concatenate([np.linspace(0.0, 17.9, 40), np.linspace(18.1, 300.0, 40)])
-    ours = bessel_i0(x)
-    ref = scipy.special.i0(x)
-    assert np.allclose(ours, ref, rtol=1e-12)
-
-
-def test_bessel_i0_scaled_large_argument():
-    # two-term asymptotic 1/sqrt(2 pi x) (1 + 1/(8x)) at x = 700
-    x = 700.0
-    expected = (1.0 + 1.0 / (8.0 * x)) / math.sqrt(2.0 * math.pi * x)
-    assert bessel_i0_scaled(x) == pytest.approx(expected, rel=1e-6)
-    assert np.allclose(bessel_i0_scaled(np.array([5.0, 50.0, 500.0])),
-                       scipy.special.i0e(np.array([5.0, 50.0, 500.0])), rtol=1e-12)
-
-
-def test_bessel_i0_monotone_and_even():
-    x = np.linspace(0.0, 30.0, 200)
-    v = bessel_i0(x)
-    assert np.all(np.diff(v) > 0.0)
-    assert bessel_i0(-3.0) == pytest.approx(bessel_i0(3.0), rel=1e-14)
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,13 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from jsonschema import Draft202012Validator
 
+import staosc.invariants as invariants
 import staosc.work_statistics as work_statistics
 from staosc.cli_runner import (
     EXPERIMENTS,
@@ -13,14 +16,15 @@ from staosc.cli_runner import (
     ConfigError,
     config_hash,
     config_schema,
-    emit_grid,
     main,
     resolve_config,
     run_experiment,
     validate_config,
 )
+from staosc.errors import IntegrationError
 from staosc.invariants import Check
-from staosc.quantum_dynamics import pdf_quantum_adiabatic
+from staosc.protocols import cosine_ramp
+from staosc.quantum_dynamics import FockBasisConfig
 
 
 def _config(experiment, **overrides):
@@ -131,36 +135,86 @@ def test_config_schema_roundtrip():
     json.dumps(schema)
 
 
-# ---------------------------------------------------------------------------
-# emit_grid
-# ---------------------------------------------------------------------------
+#: The keys each experiment's runner reads, per config section.
+RAMP_KEYS = {"beta", "omega_i", "omega_f", "tau", "tau_omega_i"}
+READS = {
+    "classical-work-dist": {
+        "physical": RAMP_KEYS | {"mass"},
+        "numeric": {"samples", "grid_points", "w_max", "bins"},
+    },
+    "jarzynski-trace": {
+        "physical": RAMP_KEYS | {"mass"},
+        "numeric": {"samples", "batch_size", "replicates", "trace_points"},
+    },
+    "quantum-work-atoms": {
+        "physical": RAMP_KEYS | {"hbar"},
+        "numeric": {"basis_size", "n_max", "probability_floor"},
+    },
+    "engine-curves": {"physical": {"beta_1", "omega_i", "hbar", "regime"}, "numeric": {"ratios"}},
+    "verify": {"physical": set(), "numeric": set()},
+}
+#: A valid value of every config key.
+VALID = {
+    "physical": {
+        "beta": 0.5, "omega_i": 2.0, "omega_f": 3.0, "tau": 0.1, "tau_omega_i": 0.2,
+        "mass": 1.5, "hbar": 0.5, "beta_1": 4.0, "regime": "classical",
+    },
+    "numeric": {
+        "samples": 64, "bins": 8, "grid_points": 16, "w_max": 30.0, "basis_size": 64,
+        "n_max": 4, "batch_size": 8, "replicates": 2, "trace_points": 4,
+        "probability_floor": 1e-3, "ratios": [2.0, 4.0],
+    },
+}
+PAIRS = [
+    (experiment, section, key)
+    for experiment in READS
+    for section, values in VALID.items()
+    for key in values
+]
 
-def test_emit_grid_density_and_atoms(tmp_path):
-    meta = {"config_sha256": "deadbeef", "seed": 1}
-    dens_path = tmp_path / "density.csv"
-    emit_grid(lambda w: np.exp(-np.asarray(w)), dens_path, meta,
-              grid=np.linspace(0.1, 5.0, 7))
-    lines = dens_path.read_text().splitlines()
-    assert lines[0] == "# config_sha256=deadbeef"
-    assert lines[1] == "# seed=1"
-    assert lines[2] == "work,density"
-    assert len(lines) == 3 + 7
 
-    atoms = pdf_quantum_adiabatic(0.2, 10.0, 10.0 * math.sqrt(3.0), n_max=40)
-    atom_path = tmp_path / "atoms.csv"
-    emit_grid(atoms, atom_path, meta)
-    header = atom_path.read_text().splitlines()[2]
-    assert header == "work,probability"
+def test_pairs_cover_every_experiment_and_key():
+    assert len(PAIRS) == 100
+    assert set(READS) == set(EXPERIMENTS)
+    assert sum(key in READS[e][s] for e, s, key in PAIRS) == 34
 
-    log_path = tmp_path / "atoms_log.csv"
-    emit_grid(atoms, log_path, meta, probability_floor=1e-4)
-    rows = log_path.read_text().splitlines()
-    assert rows[2] == "work,log10_probability"
-    values = [float(r.split(",")[1]) for r in rows[3:]]
-    assert all(v >= -4.0 - 1e-12 for v in values)
 
-    with pytest.raises(ValueError):
-        emit_grid(lambda w: w, tmp_path / "no_grid.csv", meta)
+@pytest.mark.parametrize("experiment,section,key", PAIRS)
+def test_config_accepts_exactly_the_keys_an_experiment_reads(experiment, section, key):
+    config = _config(experiment, **{section: {key: VALID[section][key]}})
+    if key in READS[experiment][section]:
+        validate_config(config)
+        return
+    with pytest.raises(ConfigError) as err:
+        validate_config(config)
+    assert f"$.{section}" in str(err.value)
+    assert f"'{key}' was unexpected" in str(err.value)
+
+
+def test_accepted_configs_hash_as_before():
+    pinned = {
+        "classical-work-dist": "f155e714dd5f5807",
+        "jarzynski-trace": "cecfd0e393844dbf",
+        "quantum-work-atoms": "e331e7cd34ab945a",
+        "engine-curves": "5c27776528e7bb02",
+        "verify": "8a13cb6995eb6b57",
+    }
+    assert {e: config_hash(resolve_config(_config(e))) for e in EXPERIMENTS} == pinned
+    # the benchmark's quantum-work-atoms config at tau omega_i = 0.5
+    perf = _config(
+        "quantum-work-atoms",
+        physical={"tau_omega_i": 0.5},
+        numeric={"basis_size": 512, "n_max": 32},
+    )
+    assert config_hash(resolve_config(perf)) == "e61f6798ef2d8977"
+
+
+def test_readme_minimal_config_validates_against_printed_schema(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("A minimal config:")[1].split("```json")[1].split("```")[0]
+    assert main(["schema"]) == 0
+    schema = json.loads(capsys.readouterr().out)
+    Draft202012Validator(schema).validate(json.loads(block))
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +243,12 @@ def test_classical_work_dist_experiment(tmp_path, monkeypatch):
     assert (tmp_path / "summary.json").exists()
     on_disk = json.loads((tmp_path / "summary.json").read_text())
     assert on_disk["config_sha256"] == summary["config_sha256"]
+    for label in ("sta", "bare"):
+        lines = (tmp_path / f"classical_work_{label}_density.csv").read_text().splitlines()
+        assert lines[:3] == [
+            f"# config_sha256={summary['config_sha256']}", "# seed=12345", "work,density"
+        ]
+        assert len(lines) == 3 + 511  # grid_points = 512 minus the W = 0 point
     # analytic block carries the distribution scales
     assert on_disk["derived"]["analytic"]["nonadiabatic_mean"] == pytest.approx(
         5.0, rel=1e-4
@@ -237,6 +297,14 @@ def test_quantum_work_atoms_experiment(tmp_path):
         "quantum_atoms_sta_semilog.csv",
         "quantum_atoms_bare_semilog.csv",
     } <= outputs
+    floor = np.log10(summary["parameters"]["numeric"]["probability_floor"])
+    for label in ("sta", "bare"):
+        rows = (tmp_path / f"quantum_atoms_{label}.csv").read_text().splitlines()
+        assert rows[2] == "work,probability"
+        rows = (tmp_path / f"quantum_atoms_{label}_semilog.csv").read_text().splitlines()
+        assert rows[2] == "work,log10_probability"
+        values = [float(r.split(",")[1]) for r in rows[3:]]
+        assert values and all(v >= floor for v in values)
     checks = {c["name"]: c for c in summary["checks"]}
     assert "sta_no_negative_work" in checks
     assert "jarzynski_sta" in checks and "jarzynski_bare" in checks
@@ -340,6 +408,16 @@ def test_main_missing_config_returns_error(tmp_path, capsys):
     assert "cannot read config" in capsys.readouterr().err
 
 
+#: The checks of ``staosc verify``, in order.
+VERIFY_CHECKS = [
+    "protocol_validation", "wronskian", "action_invariance", "action_angle_roundtrip",
+    "quadratic_form_route", "norm_adiabatic", "norm_nonadiabatic", "norm_sudden",
+    "decay_rate_ordering", "jarzynski_classical", "quantum_transitionless",
+    "quantum_closed_form_vs_fock", "jarzynski_quantum", "engine_closed_forms",
+    "adiabaticity_limits",
+]
+
+
 def test_main_verify_subcommand(tmp_path, capsys):
     code = main(["verify", "--out-dir", str(tmp_path)])
     assert code == 0
@@ -347,7 +425,7 @@ def test_main_verify_subcommand(tmp_path, capsys):
     assert "PASS" in printed and "FAIL" not in printed
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["all_checks_passed"]
-    assert len(summary["checks"]) == 15
+    assert [c["name"] for c in summary["checks"]] == VERIFY_CHECKS
     assert all(list(c) == ["name", "value", "threshold", "passed", "detail"]
                for c in summary["checks"])
     assert [line.split(" vs ")[0] for line in printed.splitlines()] == [
@@ -369,6 +447,55 @@ def test_failed_verify_exits_nonzero_from_both_entry_points(tmp_path, monkeypatc
     assert main(["verify", "--out-dir", str(tmp_path)]) == 1
     line = "FAIL forced: 1.000e+00 vs threshold 5.000e-01, margin 5.00e-01 (forced failure)"
     assert capsys.readouterr().out == f"{line}\n{line}\n"
+
+
+def test_verify_reports_a_tripped_accuracy_gate_as_failed(tmp_path, monkeypatch, capsys):
+    # the 256-level basis cannot resolve omega_f = 4 omega_i: the Fock
+    # eigenvalue gate raises TruncationLeakageError inside this check
+    real = invariants.closed_form_vs_fock
+    monkeypatch.setattr(
+        invariants, "closed_form_vs_fock",
+        lambda protocol, cfg, n_max: real(
+            cosine_ramp(10.0, 40.0, 1e-3), FockBasisConfig(256, 10.0), 8
+        ),
+    )
+    cfg_path = tmp_path / "verify.json"
+    cfg_path.write_text(json.dumps(_config("verify")))
+    for argv in (["verify", "--out-dir", str(tmp_path / "a")],
+                 ["run", str(cfg_path), "--out-dir", str(tmp_path / "b")]):
+        assert main(argv) == 1
+        summary = json.loads((Path(argv[-1]) / "summary.json").read_text())
+        assert [c["name"] for c in summary["checks"]] == VERIFY_CHECKS
+        failed = [c for c in summary["checks"] if not c["passed"]]
+        assert [c["name"] for c in failed] == ["quantum_closed_form_vs_fock"]
+        assert failed[0]["detail"].startswith("TruncationLeakageError: ")
+        assert "eigenvalue error" in failed[0]["detail"]
+    assert "FAIL quantum_closed_form_vs_fock: nan" in capsys.readouterr().out
+
+
+def test_verify_battery_names_every_check_whose_gate_trips(monkeypatch):
+    def trip(*args):
+        raise IntegrationError("tripped")
+
+    for measure in (
+        "protocol_validation", "wronskian", "action_drift", "action_angle_roundtrip",
+        "form_work_mismatch", "density_mass", "decay_rate_ordering", "jarzynski_classical",
+        "transitionless_deviation", "closed_form_vs_fock", "jarzynski_quantum",
+        "engine_closed_forms", "adiabaticity_limit",
+    ):
+        monkeypatch.setattr(invariants, measure, trip)
+    checks = invariants.verify_battery(12345)
+    assert [c.name for c in checks] == VERIFY_CHECKS
+    assert all(not c.passed and c.detail == "IntegrationError: tripped" for c in checks)
+
+
+def test_verify_propagates_errors_other_than_accuracy_gates(tmp_path, monkeypatch):
+    def broken(protocol):
+        raise ValueError("not an accuracy gate")
+
+    monkeypatch.setattr(invariants, "protocol_validation", broken)
+    with pytest.raises(ValueError, match="not an accuracy gate"):
+        main(["verify", "--out-dir", str(tmp_path)])
 
 
 def test_main_schema_subcommand(capsys):
