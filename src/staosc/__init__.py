@@ -43,12 +43,14 @@ from .classical_dynamics import (
     ensemble_work,
     from_action_angle,
     fundamental_matrix,
+    gibbs_action_angle,
     integrate,
     oscillator_energy,
     propagate_ensemble,
     sample_gibbs,
     to_action_angle,
     trajectory_work,
+    work_coefficients,
 )
 from .classical_analytics import (
     BasicSolutions,

@@ -13,9 +13,16 @@ m omega omega_dot q**2 along the path (the control term contributes nothing
 at the endpoints because omega_dot vanishes there).
 
 Both flows are linear in (p, q) and share one vector field and one DOP853
-solve.  :func:`propagate_ensemble` applies the ramp's 2x2
+solve; a tabulated schedule is solved from knot to knot.  The ramp's 2x2
 :func:`fundamental_matrix` (integrated if bare, closed form if controlled)
-to every member and agrees with per-trajectory :func:`integrate`.
+characterizes the whole flow.  Work is therefore a quadratic form in the
+initial state: :func:`work_coefficients` reads it off Phi in action-angle
+variables, W = I (a + b cos 2 theta + c sin 2 theta), which turns a
+:func:`gibbs_action_angle` draw straight into work samples.  The
+phase-space route, :func:`sample_gibbs` then :func:`propagate_ensemble`
+then :func:`ensemble_work`, computes the same numbers from (p, q) arrays
+and is the independent check of that one; it agrees with per-trajectory
+:func:`integrate`.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import IntegrationError
-from .protocols import FrequencyProtocol, omega_at, omega_dot_at, total_phase
+from .protocols import TABLE, FrequencyProtocol, omega_at, omega_dot_at, total_phase
 
 _TWO_PI = 2.0 * math.pi
 
@@ -156,14 +163,20 @@ def _flow(y0, protocol, with_control, m, tol):
     mw = m * protocol.omega_i
     scale = np.maximum(np.maximum(ps, mw * qs), 1e-30)
     atol = tol * np.concatenate([scale, scale / mw])
-    sol = solve_ivp(_field, (0.0, protocol.tau), y0, method="DOP853", rtol=tol,
-                    atol=atol, args=(protocol, with_control, m))
-    if not sol.success:
-        raise IntegrationError(
-            f"phase-space integration failed: {sol.message} "
-            f"(kind={protocol.kind}, tau={protocol.tau}, with_control={with_control})"
-        )
-    return sol.y[:, -1]
+    # A table's omega is only C^1 at its knots, and a step across one loses
+    # the method's order, so a table is solved from knot to knot.
+    knots = [t for t, _ in protocol.samples] if protocol.kind == TABLE else [0.0, protocol.tau]
+    y = y0
+    for start, stop in zip(knots[:-1], knots[1:]):
+        sol = solve_ivp(_field, (start, stop), y, method="DOP853", rtol=tol,
+                        atol=atol, args=(protocol, with_control, m))
+        if not sol.success:
+            raise IntegrationError(
+                f"phase-space integration failed: {sol.message} "
+                f"(kind={protocol.kind}, tau={protocol.tau}, with_control={with_control})"
+            )
+        y = sol.y[:, -1]
+    return y
 
 
 def derivative(
@@ -221,26 +234,62 @@ def fundamental_matrix(
     return phi
 
 
-def sample_gibbs(
-    spec: EnsembleSpec, omega: float, params: OscillatorParams = OscillatorParams()
-) -> np.ndarray:
-    """Draw canonical-ensemble phase points at frequency omega.
+def gibbs_action_angle(spec: EnsembleSpec, omega: float) -> tuple[np.ndarray, np.ndarray]:
+    """Draw a canonical ensemble at frequency omega in action-angle form.
 
-    Returns an (count, 2) array with columns (p, q).  In action-angle form
-    the canonical density factorizes into I ~ Exp(mean 1/(beta*omega)) and
-    theta ~ Uniform[0, 2*pi); the draw happens in those variables and is
-    mapped back.  The generator is counter-based (Philox keyed by the
-    seed), so a given (seed, count) always yields the same array regardless
-    of platform or call history.
+    Returns (I, theta), each of length count.  The canonical density
+    factorizes into I ~ Exp(mean 1/(beta*omega)), whatever the mass, and
+    theta ~ Uniform[0, 2*pi).  The generator is counter-based (Philox keyed
+    by the seed), so a given (seed, count) always yields the same arrays
+    regardless of platform or call history.
     """
     if omega <= 0.0:
         raise ValueError("omega must be positive")
     rng = np.random.Generator(np.random.Philox(key=spec.seed))
     action = rng.exponential(scale=1.0 / (spec.beta * omega), size=spec.count)
     theta = rng.uniform(0.0, _TWO_PI, size=spec.count)
+    return action, theta
+
+
+def sample_gibbs(
+    spec: EnsembleSpec, omega: float, params: OscillatorParams = OscillatorParams()
+) -> np.ndarray:
+    """Draw canonical-ensemble phase points at frequency omega.
+
+    Returns an (count, 2) array with columns (p, q): the
+    :func:`gibbs_action_angle` draw mapped to phase space as in
+    :func:`from_action_angle`.
+    """
+    action, theta = gibbs_action_angle(spec, omega)
     p = np.sqrt(2.0 * params.m * omega * action) * np.cos(theta)
     q = np.sqrt(2.0 * action / (params.m * omega)) * np.sin(theta)
     return np.column_stack([p, q])
+
+
+def work_coefficients(
+    protocol: FrequencyProtocol,
+    with_control: bool = False,
+    params: OscillatorParams = OscillatorParams(),
+) -> tuple[float, float, float]:
+    """(a, b, c) with endpoint work W = I (a + b cos 2 theta + c sin 2 theta).
+
+    I and theta are the action-angle coordinates of the initial state at
+    omega_i.  The state is sqrt(2 I) U xi with xi = (cos theta, sin theta)
+    and U = diag(sqrt(m omega_i), 1/sqrt(m omega_i)), so the final energy
+    is I xi^T K xi with K = U Phi^T D_f Phi U, D_f = diag(1/m, m omega_f**2)
+    and Phi the ramp's :func:`fundamental_matrix`.  Then
+    a = (K11 + K22)/2 - omega_i, b = (K11 - K22)/2 and c = K12.  K does not
+    depend on the mass.
+    """
+    phi = fundamental_matrix(protocol, with_control, params)
+    root = math.sqrt(params.m * protocol.omega_i)
+    phi_u = phi * np.array([root, 1.0 / root])
+    k = phi_u.T @ np.diag([1.0 / params.m, params.m * protocol.omega_f**2]) @ phi_u
+    return (
+        float(0.5 * (k[0, 0] + k[1, 1]) - protocol.omega_i),
+        float(0.5 * (k[0, 0] - k[1, 1])),
+        float(k[0, 1]),
+    )
 
 
 def propagate_ensemble(

@@ -379,7 +379,6 @@ _EXPERIMENTS = {
     },
     "engine-curves": {
         "run": _run_engine_curves,
-        # omega_i and hbar are read by the quantum regime only
         "physical": {
             "beta_1": 10.0,
             "omega_i": 10.0,
@@ -387,12 +386,38 @@ _EXPERIMENTS = {
             "regime": "quantum",
         },
         "numeric": {"ratios": None},
+        # physical keys a regime does not read (their defaults still resolve)
+        "unread_by_regime": {"classical": ("omega_i", "hbar")},
     },
     "verify": {"run": _run_verify, "physical": {}, "numeric": {}},
 }
 
 EXPERIMENTS = tuple(_EXPERIMENTS)
 _SECTIONS = ("physical", "numeric")
+
+
+def _regime_clauses(entry: dict) -> dict:
+    """Schema clauses rejecting the physical keys a set regime does not read."""
+    clauses = [
+        {
+            "if": {
+                "properties": {
+                    "physical": {"required": ["regime"], "properties": {"regime": {"const": regime}}}
+                }
+            },
+            "then": {
+                "properties": {
+                    "physical": {
+                        "additionalProperties": False,
+                        "properties": {key: {} for key in entry["physical"] if key not in unread},
+                    }
+                }
+            },
+        }
+        for regime, unread in entry.get("unread_by_regime", {}).items()
+    ]
+    return {"allOf": clauses} if clauses else {}
+
 
 CONFIG_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -417,7 +442,8 @@ CONFIG_SCHEMA = {
                         "properties": {key: _KEY_TYPES[section][key] for key in entry[section]},
                     }
                     for section in _SECTIONS
-                }
+                },
+                **_regime_clauses(entry),
             },
         }
         for name, entry in _EXPERIMENTS.items()
@@ -494,8 +520,19 @@ def run_experiment(config: dict, out_dir=None) -> dict:
         "all_checks_passed": all(c.passed for c in checks),
     }
     with open(out_dir / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2, default=float)
+        json.dump(_finite_or_null(summary), fh, indent=2, default=float, allow_nan=False)
     return summary
+
+
+def _finite_or_null(value):
+    """``value`` with every non-finite float replaced by None, which JSON writes as null."""
+    if isinstance(value, dict):
+        return {key: _finite_or_null(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(item) for item in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
 
 
 def main(argv=None) -> int:

@@ -9,6 +9,9 @@ exponential-average estimator
 
 holds for both the bare and the shortcut-controlled ramp; what the control
 changes is the estimator's dispersion, not its target.
+
+Classical sample sets are drawn in action-angle form and turned into work
+by each ramp's closed-form quadratic form, with no phase-space arrays.
 """
 
 from __future__ import annotations
@@ -22,9 +25,8 @@ from scipy.interpolate import PchipInterpolator
 from .classical_dynamics import (
     EnsembleSpec,
     OscillatorParams,
-    ensemble_work,
-    propagate_ensemble,
-    sample_gibbs,
+    gibbs_action_angle,
+    work_coefficients,
 )
 from .protocols import FrequencyProtocol
 from .quantum_dynamics import QuantumWorkAtoms
@@ -76,18 +78,26 @@ def classical_work_ensembles(
     ``{True: controlled, False: bare}``.  Every ramp sees the same initial
     states, which is what a controlled-versus-bare comparison needs; each
     set is bit-identical to a separate :func:`classical_work_ensemble` call
-    with the same spec.  Each ramp's final states are dropped before the
-    next ramp is propagated.
+    with the same spec.  The draw stays in action-angle form and each
+    ramp's work is W = I (a + b cos 2 theta + c sin 2 theta), with (a, b, c)
+    from :func:`~staosc.classical_dynamics.work_coefficients`: no
+    phase-space array is built and no energy is computed.  Per sample the
+    work agrees within 1e-13 omega_i I with the phase-space route of
+    :mod:`staosc.classical_dynamics` (``sample_gibbs``, then
+    ``propagate_ensemble`` and ``ensemble_work``).
     """
-    initial = sample_gibbs(spec, protocol.omega_i, params)
+    action, theta = gibbs_action_angle(spec, protocol.omega_i)
+    # one transcendental per sample instead of a cosine and a sine:
+    # with t = tan(theta), cos 2 theta = (1 - t^2)/(1 + t^2), sin 2 theta = 2 t/(1 + t^2)
+    t = np.tan(theta)
+    del theta
+    scale = 1.0 / (1.0 + t * t)
+    cos_2theta, sin_2theta = (1.0 - t * t) * scale, 2.0 * t * scale
+    del t, scale
     sets = {}
     for with_control in controls:
-        works = ensemble_work(
-            initial,
-            propagate_ensemble(initial, protocol, with_control, params),
-            protocol,
-            params,
-        )
+        a, b, c = work_coefficients(protocol, with_control, params)
+        works = action * (a + b * cos_2theta + c * sin_2theta)
         prov = SampleProvenance(
             kind=protocol.kind,
             omega_i=protocol.omega_i,

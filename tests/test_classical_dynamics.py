@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 
 from staosc import classical_dynamics
+from staosc.classical_analytics import basic_solutions, quadratic_form
 from staosc.classical_dynamics import (
     ActionAngle,
     EnsembleSpec,
@@ -16,11 +18,13 @@ from staosc.classical_dynamics import (
     ensemble_work,
     from_action_angle,
     fundamental_matrix,
+    gibbs_action_angle,
     integrate,
     propagate_ensemble,
     sample_gibbs,
     to_action_angle,
     trajectory_work,
+    work_coefficients,
 )
 from staosc.invariants import action_drift
 from staosc.protocols import constant_protocol, cosine_ramp, omega_at, protocol_from_table
@@ -216,6 +220,65 @@ def test_sample_gibbs_deterministic_and_seed_sensitive():
     assert np.array_equal(a, b)
     c = sample_gibbs(EnsembleSpec(beta=BETA, count=1000, seed=124), WI)
     assert not np.array_equal(a, c)
+
+
+def test_sample_gibbs_maps_the_action_angle_draw():
+    spec = EnsembleSpec(beta=BETA, count=1000, seed=31)
+    params = OscillatorParams(m=1.7)
+    action, theta = gibbs_action_angle(spec, WI)
+    assert action.shape == theta.shape == (1000,)
+    assert np.all(action >= 0.0) and np.all((theta >= 0.0) & (theta < 2.0 * math.pi))
+    states = sample_gibbs(spec, WI, params)
+    mapped = np.column_stack([
+        np.sqrt(2.0 * params.m * WI * action) * np.cos(theta),
+        np.sqrt(2.0 * action / (params.m * WI)) * np.sin(theta),
+    ])
+    assert np.array_equal(states, mapped)
+    for i in range(0, 1000, 97):
+        back = to_action_angle(PhaseState(*states[i]), WI, params)
+        assert back.I == pytest.approx(action[i], rel=1e-12)
+        assert back.theta == pytest.approx(theta[i], rel=1e-12, abs=1e-12)
+
+
+def test_work_coefficients_closed_cases():
+    # controlled: W = (omega_f - omega_i) I for every angle
+    a, b, c = work_coefficients(FAST, with_control=True)
+    assert a == pytest.approx(WF - WI, rel=1e-13)
+    assert abs(b) < 1e-12 * WF and abs(c) < 1e-12 * WF
+    # sudden (Phi -> 1): W = m (omega_f**2 - omega_i**2) q**2 / 2 = I a (1 - cos 2 theta)
+    sudden = cosine_ramp(WI, WF, 1e-9)
+    half_gap = (WF**2 - WI**2) / (2.0 * WI)
+    for m in (1.0, 3.7):
+        a, b, c = work_coefficients(sudden, params=OscillatorParams(m=m))
+        assert a == pytest.approx(half_gap, rel=1e-9)
+        assert b == pytest.approx(-half_gap, rel=1e-9)
+        assert abs(c) < 1e-6 * half_gap
+
+
+@pytest.mark.parametrize("ratio,tau_omega_i", [(math.sqrt(3.0), 1e-3), (2.0, 1.0), (0.5, 3.0)])
+def test_work_coefficients_match_the_quadratic_form(ratio, tau_omega_i):
+    # I (a + r cos(2 theta - phi)) with I ~ Exp is the two-mode form: beta mu_pm = (a +- r)/omega_i
+    proto = cosine_ramp(WI, ratio * WI, tau_omega_i / WI)
+    form = quadratic_form(basic_solutions(proto), BETA, WI, ratio * WI)
+    for m in (1.0, 0.3):
+        a, b, c = work_coefficients(proto, params=OscillatorParams(m=m))
+        r = math.hypot(b, c)
+        scale = 1e-9 * BETA * max(abs(form.mu_plus), abs(form.mu_minus))
+        assert (a + r) / WI == pytest.approx(BETA * form.mu_plus, abs=scale)
+        assert (a - r) / WI == pytest.approx(BETA * form.mu_minus, abs=scale)
+
+
+def test_table_ramp_is_integrated_knot_to_knot():
+    # a 200-knot PCHIP table is only C^1 at its knots; the reference is an
+    # unsplit solve whose steps are capped at an eighth of the knot spacing
+    t = np.linspace(0.0, 0.3, 200)
+    table = protocol_from_table(list(zip(t, omega_at(cosine_ramp(WI, 2.0 * WI, 0.3), t))))
+    ref = solve_ivp(
+        classical_dynamics._field, (0.0, table.tau), np.eye(2).ravel(), method="DOP853",
+        rtol=2.3e-14, atol=1e-17, max_step=(t[1] - t[0]) / 8.0, args=(table, False, 1.0),
+    ).y[:, -1].reshape(2, 2)
+    phi = fundamental_matrix(table)
+    assert np.max(np.abs(phi - ref)) / np.max(np.abs(ref)) < 1e-12
 
 
 def test_bare_work_nonnegative_for_increasing_ramp():

@@ -36,13 +36,13 @@ def _config(experiment, **overrides):
 def _count_gibbs_draws(monkeypatch) -> list:
     """Record the seed of every Gibbs draw the sample-set estimators make."""
     seeds = []
-    sample_gibbs = work_statistics.sample_gibbs
+    gibbs_action_angle = work_statistics.gibbs_action_angle
 
     def counted(spec, *args, **kwargs):
         seeds.append(spec.seed)
-        return sample_gibbs(spec, *args, **kwargs)
+        return gibbs_action_angle(spec, *args, **kwargs)
 
-    monkeypatch.setattr(work_statistics, "sample_gibbs", counted)
+    monkeypatch.setattr(work_statistics, "gibbs_action_angle", counted)
     return seeds
 
 
@@ -189,6 +189,19 @@ def test_config_accepts_exactly_the_keys_an_experiment_reads(experiment, section
         validate_config(config)
     assert f"$.{section}" in str(err.value)
     assert f"'{key}' was unexpected" in str(err.value)
+
+
+@pytest.mark.parametrize("key", ["omega_i", "hbar"])
+def test_classical_engine_curves_rejects_the_quantum_keys(key):
+    # the classical regime reads neither key, so setting one must not pass
+    # as a different run under a different config_sha256
+    with pytest.raises(ConfigError) as err:
+        validate_config(_config("engine-curves", physical={"regime": "classical", key: 2.0}))
+    assert "$.physical" in str(err.value)
+    assert f"'{key}' was unexpected" in str(err.value)
+    validate_config(_config("engine-curves", physical={"regime": "quantum", key: 2.0}))
+    resolved = resolve_config(_config("engine-curves", physical={"regime": "classical"}))
+    assert {"omega_i", "hbar"} <= set(resolved["physical"])  # defaults still resolve
 
 
 def test_accepted_configs_hash_as_before():
@@ -449,6 +462,10 @@ def test_failed_verify_exits_nonzero_from_both_entry_points(tmp_path, monkeypatc
     assert capsys.readouterr().out == f"{line}\n{line}\n"
 
 
+def _reject_constant(name):
+    raise ValueError(f"summary.json holds the non-JSON constant {name}")
+
+
 def test_verify_reports_a_tripped_accuracy_gate_as_failed(tmp_path, monkeypatch, capsys):
     # the 256-level basis cannot resolve omega_f = 4 omega_i: the Fock
     # eigenvalue gate raises TruncationLeakageError inside this check
@@ -464,10 +481,13 @@ def test_verify_reports_a_tripped_accuracy_gate_as_failed(tmp_path, monkeypatch,
     for argv in (["verify", "--out-dir", str(tmp_path / "a")],
                  ["run", str(cfg_path), "--out-dir", str(tmp_path / "b")]):
         assert main(argv) == 1
-        summary = json.loads((Path(argv[-1]) / "summary.json").read_text())
+        summary = json.loads(
+            (Path(argv[-1]) / "summary.json").read_text(), parse_constant=_reject_constant
+        )
         assert [c["name"] for c in summary["checks"]] == VERIFY_CHECKS
         failed = [c for c in summary["checks"] if not c["passed"]]
         assert [c["name"] for c in failed] == ["quantum_closed_form_vs_fock"]
+        assert failed[0]["value"] is None and failed[0]["threshold"] is None
         assert failed[0]["detail"].startswith("TruncationLeakageError: ")
         assert "eigenvalue error" in failed[0]["detail"]
     assert "FAIL quantum_closed_form_vs_fock: nan" in capsys.readouterr().out

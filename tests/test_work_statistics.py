@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import staosc.work_statistics as work_statistics
@@ -13,7 +15,14 @@ from staosc.classical_analytics import (
     pdf_sudden,
     quadratic_form,
 )
-from staosc.classical_dynamics import EnsembleSpec
+from staosc.classical_dynamics import (
+    EnsembleSpec,
+    OscillatorParams,
+    ensemble_work,
+    gibbs_action_angle,
+    propagate_ensemble,
+    sample_gibbs,
+)
 from staosc.protocols import cosine_ramp
 from staosc.quantum_dynamics import FockBasisConfig, quantum_work_atoms, transition_matrix
 from staosc.work_statistics import (
@@ -68,13 +77,13 @@ def test_classical_work_ensemble_shapes_and_provenance():
 
 def test_classical_work_ensembles_one_draw_matches_two(monkeypatch):
     draws = []
-    sample_gibbs = work_statistics.sample_gibbs
+    gibbs_action_angle = work_statistics.gibbs_action_angle
 
     def counted(spec, *args, **kwargs):
         draws.append(spec)
-        return sample_gibbs(spec, *args, **kwargs)
+        return gibbs_action_angle(spec, *args, **kwargs)
 
-    monkeypatch.setattr(work_statistics, "sample_gibbs", counted)
+    monkeypatch.setattr(work_statistics, "gibbs_action_angle", counted)
     spec = EnsembleSpec(beta=BETA, count=4096, seed=19)
     both = classical_work_ensembles(FAST, spec)
     assert draws == [spec]
@@ -86,6 +95,32 @@ def test_classical_work_ensembles_one_draw_matches_two(monkeypatch):
         assert ws.provenance.with_control is with_control
     assert draws == [spec] * 3
     assert not np.array_equal(both[True].samples, both[False].samples)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    omega_i=st.floats(0.5, 50.0),
+    ratio=st.floats(0.25, 5.0),
+    log_tau_omega_i=st.floats(-4.0, math.log10(20.0)),
+    m=st.floats(0.2, 5.0),
+    beta=st.floats(0.01, 10.0),
+    seed=st.integers(0, 2**32 - 1),
+    with_control=st.booleans(),
+)
+def test_action_angle_work_matches_propagated_phase_space(
+    omega_i, ratio, log_tau_omega_i, m, beta, seed, with_control
+):
+    # ratio < 1 covers decreasing ramps; both routes start from the same draw
+    proto = cosine_ramp(omega_i, ratio * omega_i, 10.0**log_tau_omega_i / omega_i)
+    spec = EnsembleSpec(beta=beta, count=256, seed=seed)
+    params = OscillatorParams(m=m)
+    works = classical_work_ensemble(proto, spec, params, with_control).samples
+    states = sample_gibbs(spec, omega_i, params)
+    oracle = ensemble_work(
+        states, propagate_ensemble(states, proto, with_control, params), proto, params
+    )
+    action, _ = gibbs_action_angle(spec, omega_i)
+    assert np.all(np.abs(works - oracle) <= 1e-13 * omega_i * action)
 
 
 def test_work_sample_set_validation():
