@@ -55,6 +55,7 @@ from .classical_dynamics import (
 from .classical_analytics import (
     BasicSolutions,
     QuadraticWorkForm,
+    adiabaticity_parameter,
     basic_solutions,
     moments_from_form,
     pdf_adiabatic,
@@ -67,7 +68,6 @@ from .quantum_dynamics import (
     QuantumState,
     QuantumWorkAtoms,
     TransitionMatrix,
-    adiabaticity_parameter,
     delta_f_quantum,
     eigenbasis,
     fock_transition_matrix,

@@ -1,26 +1,27 @@
 """Closed-form work statistics for a classical thermal oscillator ramp.
 
-Everything here reduces to the two basic solutions C(t), S(t) of the
-classical equation of motion x'' + omega(t)**2 x = 0 with initial data
-(C, C')(0) = (1, 0) and (S, S')(0) = (0, 1).  Writing the initial Gibbs
-ensemble in scaled coordinates, the work of a bare (uncontrolled) ramp is
-the quadratic form
+Both flows are linear, so the work of a bare ramp is a quadratic form in
+the initial state.  :func:`staosc.classical_dynamics.work_coefficients`
+reads it off the ramp's fundamental matrix Phi in action-angle variables,
 
-    beta W = mu_plus x**2 + mu_minus y**2,   x, y ~ Normal(0, 1/2) iid,
+    W = I (a + b cos 2 theta + c sin 2 theta),
 
-whose coefficients follow from C and S evaluated at t = tau:
+and everything here is derived from (a, b, c).  In the Gibbs ensemble at
+omega_i, I is exponential with mean 1/(beta omega_i) and theta uniform, so
+with r = hypot(b, c) the work is the Gaussian two-mode form
 
-    K = (S'^2 + omega_f^2 S^2 - 1) / beta
-    L = (C'^2 + omega_f^2 C^2 - omega_i^2) / (beta omega_i^2)
-    M = (C' S' + omega_f^2 C S) / (beta omega_i)
-    mu_pm = ((K + L) +- sqrt((K - L)^2 + 4 M^2)) / 2.
+    W = mu_plus x**2 + mu_minus y**2,   x, y ~ Normal(0, 1/2) iid,
+    mu_pm = (a +- r) / (beta omega_i).
+
+Its trace gives Husimi's adiabaticity factor Q* = (a + omega_i)/omega_f
+(Prog. Theor. Phys. 9, 381 (1953)), which also fixes the quantum transition
+probabilities and the bare Otto stroke.  The mass never appears.
 
 mu_plus >= mu_minus >= 0 whenever omega increases monotonically.  The work
 density is then an exponential-times-Bessel law; its two degenerate limits
 are the adiabatic exponential (mu_plus = mu_minus) and the sudden
-inverse-square-root law (mu_minus = 0).  The mass never appears: C and S
-are mass-independent and the Gibbs weights absorb m into the scaled
-coordinates.
+inverse-square-root law (mu_minus = 0).  The basic solutions C, S of
+x'' + omega(t)**2 x = 0 are the entries of the bare Phi at unit mass.
 """
 
 from __future__ import annotations
@@ -34,15 +35,12 @@ from scipy import special
 # Unused: perfbench/layers.py counts solver calls through module.solve_ivp
 from scipy.integrate import solve_ivp  # noqa: F401
 
-from .classical_dynamics import fundamental_matrix
-from .errors import IntegrationError
+from .classical_dynamics import fundamental_matrix, work_coefficients
 from .protocols import FrequencyProtocol
 
 #: Below mu_minus/mu_plus = this ratio the Bessel form is numerically
 #: degenerate and the sudden-limit density is used instead.
 DEGENERACY_SWITCH = 1e-9
-
-_WRONSKIAN_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -68,33 +66,39 @@ def basic_solutions(protocol: FrequencyProtocol) -> BasicSolutions:
     """Endpoint data of C and S, read off the bare fundamental matrix.
 
     At unit mass (p, q) = (x', x): the column of Phi started from (0, 1) is
-    (C', C), the one started from (1, 0) is (S', S); Phi is integrated at
-    the :func:`fundamental_matrix` default rtol 1e-12.  The Wronskian
-    C S' - C' S = 1 is checked at t = tau and a failure beyond 1e-9 raises
-    IntegrationError rather than returning silently inaccurate coefficients.
+    (C', C), the one started from (1, 0) is (S', S).  The Wronskian is
+    det Phi, so the :func:`fundamental_matrix` gate already holds it to 1
+    within 1e-9.
     """
     phi = fundamental_matrix(protocol, with_control=False)
-    basic = BasicSolutions(
+    return BasicSolutions(
         C_tau=float(phi[1, 1]),
         Cdot_tau=float(phi[0, 1]),
         S_tau=float(phi[1, 0]),
         Sdot_tau=float(phi[0, 0]),
     )
-    if abs(basic.wronskian - 1.0) > _WRONSKIAN_TOL:
-        raise IntegrationError(
-            f"Wronskian drifted to {basic.wronskian!r}; integration accuracy "
-            "insufficient for this protocol"
-        )
-    return basic
+
+
+def adiabaticity_parameter(protocol: FrequencyProtocol) -> float:
+    """Husimi's energy-magnification factor Q* = (a + omega_i)/omega_f of a bare ramp.
+
+    Q* = 1 for an adiabatic ramp and (omega_i^2 + omega_f^2) /
+    (2 omega_i omega_f) for a sudden jump; the mean bare work of a
+    classical thermal ensemble is (Q* omega_f/omega_i - 1)/beta.  The same
+    factor magnifies quantum level energies, which is how the quantum
+    transition matrices and the engine layer use it.
+    """
+    a, _, _ = work_coefficients(protocol)
+    return (a + protocol.omega_i) / protocol.omega_f
 
 
 @dataclass(frozen=True)
 class QuadraticWorkForm:
-    """Coefficients of the Gaussian quadratic form generating bare work."""
+    """The bare work form W = I (a + b cos 2 theta + c sin 2 theta) and its eigenvalues."""
 
-    K: float
-    L: float
-    M: float
+    a: float
+    b: float
+    c: float
     mu_plus: float
     mu_minus: float
     beta: float
@@ -102,45 +106,38 @@ class QuadraticWorkForm:
     omega_f: float
 
 
-def quadratic_form(
-    basic: BasicSolutions, beta: float, omega_i: float, omega_f: float
-) -> QuadraticWorkForm:
-    """Assemble the work quadratic form from basic-solution endpoint data.
+def quadratic_form(protocol: FrequencyProtocol, beta: float) -> QuadraticWorkForm:
+    """The bare ramp's work form at inverse temperature beta.
 
-    The eigenvalues are computed with the determinant route
-    mu_minus = (K L - M^2)/mu_plus, which is immune to the cancellation
-    that the subtractive formula suffers when mu_minus is tiny (fast
-    ramps).  Floating-point dust below -1e-12*mu_plus is clamped to zero;
-    a genuinely negative mu_minus (decreasing ramp) is preserved so the
-    caller can detect it.
+    mu_pm = (a +- hypot(b, c))/(beta omega_i), mu_minus by the determinant
+    route (a^2 - b^2 - c^2)/((beta omega_i)^2 mu_plus) when mu_plus > 0.
+    When mu_minus is tiny (fast ramps) it cancels in either route and is
+    good to about ulp(a)/(beta omega_i) absolute.  Floating-point dust
+    below -1e-12*mu_plus is clamped to zero; a genuinely negative mu_minus
+    (decreasing ramp) is preserved so the caller can detect it.
     """
-    if beta <= 0.0 or omega_i <= 0.0 or omega_f <= 0.0:
-        raise ValueError("beta, omega_i, omega_f must all be positive")
-    C, Cd, S, Sd = basic.C_tau, basic.Cdot_tau, basic.S_tau, basic.Sdot_tau
-    wf2 = omega_f**2
-    K = (Sd**2 + wf2 * S**2 - 1.0) / beta
-    L = (Cd**2 + wf2 * C**2 - omega_i**2) / (beta * omega_i**2)
-    M = (Cd * Sd + wf2 * C * S) / (beta * omega_i)
-
-    disc = math.hypot(K - L, 2.0 * M)
-    mu_plus = 0.5 * ((K + L) + disc)
-    det = K * L - M * M
+    if beta <= 0.0:
+        raise ValueError("beta must be positive")
+    a, b, c = work_coefficients(protocol)
+    scale = beta * protocol.omega_i
+    r = math.hypot(b, c)
+    mu_plus = (a + r) / scale
     if mu_plus > 0.0:
-        mu_minus = det / mu_plus
+        mu_minus = (a * a - b * b - c * c) / (scale * scale * mu_plus)
     else:
-        mu_minus = 0.5 * ((K + L) - disc)
+        mu_minus = (a - r) / scale
     if -1e-12 * max(mu_plus, 1e-300) < mu_minus < 0.0:
         mu_minus = 0.0
     return QuadraticWorkForm(
-        K=K, L=L, M=M, mu_plus=mu_plus, mu_minus=mu_minus,
-        beta=beta, omega_i=omega_i, omega_f=omega_f,
+        a=a, b=b, c=c, mu_plus=mu_plus, mu_minus=mu_minus,
+        beta=beta, omega_i=protocol.omega_i, omega_f=protocol.omega_f,
     )
 
 
 def moments_from_form(form: QuadraticWorkForm) -> tuple[float, float]:
     """Mean and standard deviation of the bare work distribution.
 
-    For beta W = mu_+ x^2 + mu_- y^2 with x, y ~ N(0, 1/2):
+    For W = mu_+ x^2 + mu_- y^2 with x, y ~ N(0, 1/2):
     <W> = (mu_+ + mu_-)/2 and Var W = (mu_+^2 + mu_-^2)/2.
     """
     mean = 0.5 * (form.mu_plus + form.mu_minus)

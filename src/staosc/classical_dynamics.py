@@ -214,7 +214,9 @@ def fundamental_matrix(
     Phi is integrated to relative tolerance ``tol``.  The controlled one is
     exact, A(omega_f)^-1 R A(omega_i) with A(omega) = diag(1/sqrt(m omega),
     sqrt(m omega)) and R the rotation by :func:`staosc.protocols.total_phase`.
-    det Phi = 1 (both flows are divergence-free) is enforced as a gate.
+    det Phi = 1 (both flows are divergence-free) is the one accuracy gate of
+    every Phi: |det Phi - 1| > 1e-9 raises IntegrationError.  For the bare
+    Phi at m = 1 it is the Wronskian C S' - C' S of the basic solutions.
     """
     if with_control:
         phase = total_phase(protocol)
@@ -226,7 +228,7 @@ def fundamental_matrix(
         # rows (p, q), columns the points started from (1, 0) and (0, 1)
         phi = _flow(np.eye(2).ravel(), protocol, False, params.m, tol).reshape(2, 2)
     det = phi[0, 0] * phi[1, 1] - phi[0, 1] * phi[1, 0]
-    if abs(det - 1.0) > 1e-8:
+    if abs(det - 1.0) > 1e-9:
         raise IntegrationError(
             f"fundamental matrix lost area preservation: det = {det!r}; "
             "tighten tol or inspect the protocol"

@@ -81,7 +81,7 @@ def _run_classical_work_dist(resolved: dict, out_dir: Path, meta: dict):
     by_control = ws.classical_work_ensembles(protocol, spec, params)
     sets = {"sta": by_control[True], "bare": by_control[False]}
 
-    form = ca.quadratic_form(ca.basic_solutions(protocol), beta, wi, wf)
+    form = ca.quadratic_form(protocol, beta)
     densities = {
         "sta": lambda w: ca.pdf_adiabatic(w, beta, wi, wf),
         "bare": lambda w: ca.pdf_nonadiabatic(w, form),

@@ -81,15 +81,18 @@ def action_angle_roundtrip(states, omega: float) -> Check:
 
 
 def form_work_mismatch(protocol, form: ca.QuadraticWorkForm, states) -> Check:
-    """Largest |W_form - W_traj| / max(|W_traj|, 1e-12), each row integrated at rtol 1e-12."""
+    """Largest |W_form - W_traj| / max(|W_traj|, 1e-12), each row integrated at rtol 1e-12.
+
+    W_form = I (a + b cos 2 theta + c sin 2 theta) at the row's (I, theta).
+    """
     worst = 0.0
     for p, q in states:
         s0 = cd.PhaseState(float(p), float(q))
         s1 = cd.integrate(s0, protocol, with_control=False, tol=1e-12)
         w_traj = cd.trajectory_work(s0, s1, protocol)
-        xp = math.sqrt(form.beta / 2.0) * s0.p
-        xq = math.sqrt(form.beta * form.omega_i**2 / 2.0) * s0.q
-        w_form = form.K * xp**2 + form.L * xq**2 + 2.0 * form.M * xp * xq
+        aa = cd.to_action_angle(s0, form.omega_i)
+        two = 2.0 * aa.theta
+        w_form = aa.I * (form.a + form.b * math.cos(two) + form.c * math.sin(two))
         worst = max(worst, abs(w_traj - w_form) / max(abs(w_traj), 1e-12))
     return Check.below("quadratic_form_route", worst, 1e-6, f"over {len(states)} trajectories")
 
@@ -171,8 +174,7 @@ def engine_closed_forms(specs) -> Check:
 
 def adiabaticity_limit(protocol) -> Check:
     """|Q* - 1| of a ramp slow enough to be adiabatic."""
-    basic = ca.basic_solutions(protocol)
-    q_star = qd.adiabaticity_parameter(basic, protocol.omega_i, protocol.omega_f)
+    q_star = ca.adiabaticity_parameter(protocol)
     return Check.below("adiabaticity_limits", abs(q_star - 1.0), 1e-3, "slow ramp, Q* -> 1")
 
 
@@ -205,7 +207,7 @@ def verify_battery(seed: int) -> list[Check]:
     fast = cosine_ramp(wi, wf, 1e-4)
     states = cd.sample_gibbs(cd.EnsembleSpec(beta, 200, seed), wi)
     rng = np.random.Generator(np.random.Philox(key=seed))
-    form = cache(lambda: ca.quadratic_form(ca.basic_solutions(fast), beta, wi, wf))
+    form = cache(lambda: ca.quadratic_form(fast, beta))
     w_max = 60.0 * (wf - wi) / (wi * beta)
     cfg = qd.FockBasisConfig(dimension=128, omega_ref=wi, hbar=1.0)
     battery = {

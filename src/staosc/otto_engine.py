@@ -29,13 +29,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .classical_analytics import basic_solutions
+from .classical_analytics import adiabaticity_parameter
 from .protocols import FrequencyProtocol
-from .quantum_dynamics import (
-    FockBasisConfig,
-    adiabaticity_parameter,
-    transition_matrix,
-)
+from .quantum_dynamics import FockBasisConfig, transition_matrix
 
 CLASSICAL = "classical"
 QUANTUM = "quantum"
@@ -215,7 +211,7 @@ def stroke_energy_factor(
                 f"but the cycle needs {omega_from} -> {omega_to}"
             )
         if regime == CLASSICAL:
-            q_star = adiabaticity_parameter(basic_solutions(proto), omega_from, omega_to)
+            q_star = adiabaticity_parameter(proto)
         else:
             q_star = _bare_q_star_quantum(proto, hbar)
     return q_star * (omega_to / omega_from)

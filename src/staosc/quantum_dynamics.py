@@ -3,10 +3,11 @@
 Production transition matrices come in closed form
 (:func:`transition_matrix`).  The controlled ramp is transitionless,
 P(n -> m) = delta_nm.  For the bare ramp of a harmonic oscillator P(n -> m)
-depends only on the adiabaticity factor Q* of the classical basic
-solutions (Husimi, Prog. Theor. Phys. 9, 381 (1953); Deffner & Lutz,
-PRE 77, 021128 (2008)): it is the squared number-basis element of a
-squeeze operator with cosh 2r = Q*, built by a stable recurrence.
+depends only on the adiabaticity factor Q* of the classical ramp
+(Husimi, Prog. Theor. Phys. 9, 381 (1953); Deffner & Lutz, PRE 77, 021128
+(2008)): it is the squared number-basis element of a squeeze operator
+with cosh 2r = Q*, built by a forward recurrence that is accurate only in
+the range :func:`_squeeze_probabilities` states.
 
 :func:`fock_transition_matrix` is the integrated reference that tests and
 ``staosc verify`` compare the closed form against.  It propagates the
@@ -46,11 +47,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .classical_analytics import BasicSolutions, basic_solutions
+from .classical_analytics import adiabaticity_parameter
 from .errors import IntegrationError, TruncationLeakageError
 from .protocols import FrequencyProtocol, omega_at, omega_dot_at
 
@@ -111,52 +113,57 @@ class QuantumState:
         self.amplitudes = amp
 
 
-def _codiag_coeffs(dimension: int) -> np.ndarray:
-    n = np.arange(dimension - 2, dtype=float)
-    return np.sqrt((n + 1.0) * (n + 2.0))
+@cache
+def _ladder(dimension: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only 2n + 1 and sqrt((n+1)(n+2)) of the number basis."""
+    n = np.arange(dimension, dtype=float)
+    arrays = (2.0 * n + 1.0, np.sqrt((n[:-2] + 1.0) * (n[:-2] + 2.0)))
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
+
+
+def _bands(omega: float, omega_dot: float, cfg: FockBasisConfig):
+    """Diagonal and upper second co-diagonal of H0(omega), and that co-diagonal of Hc.
+
+    These are the formulas of the module docstring; Hc has no diagonal.
+    """
+    two_n_plus_1, roots = _ladder(cfg.dimension)
+    hbar, wref = cfg.hbar, cfg.omega_ref
+    w2 = omega * omega
+    diag = 0.25 * hbar * (wref + w2 / wref) * two_n_plus_1
+    off = 0.25 * hbar * (w2 / wref - wref) * roots
+    control = (0.25j * hbar * omega_dot / omega) * roots
+    return diag, off, control
+
+
+def _apply_hamiltonian(psi, d, u):
+    """y = H psi for the Hermitian H with diagonal d and upper second co-diagonal u."""
+    y = d[:, None] * psi
+    y[:-2] += u[:, None] * psi[2:]
+    y[2:] += np.conj(u)[:, None] * psi[:-2]
+    return y
 
 
 def h0_matrix(omega: float, cfg: FockBasisConfig) -> np.ndarray:
     """Dense bare Hamiltonian at frequency omega, in the reference basis."""
     if omega <= 0.0:
         raise ValueError("omega must be positive")
-    N = cfg.dimension
-    n = np.arange(N, dtype=float)
-    diag = 0.25 * cfg.hbar * (cfg.omega_ref + omega**2 / cfg.omega_ref) * (2.0 * n + 1.0)
-    off = 0.25 * cfg.hbar * (omega**2 / cfg.omega_ref - cfg.omega_ref) * _codiag_coeffs(N)
-    h = np.diag(diag)
-    idx = np.arange(N - 2)
-    h[idx, idx + 2] = off
-    h[idx + 2, idx] = off
-    return h
+    diag, off, _ = _bands(omega, 0.0, cfg)
+    return _apply_hamiltonian(np.eye(cfg.dimension), diag, off)
 
 
 def hc_matrix(protocol: FrequencyProtocol, t: float, cfg: FockBasisConfig) -> np.ndarray:
     """Dense control Hamiltonian -(omega_dot/4 omega)(qp + pq) at time t."""
-    w = omega_at(protocol, t)
-    wd = omega_dot_at(protocol, t)
-    N = cfg.dimension
-    g = 0.25 * cfg.hbar * wd / w
-    off = -1j * g * _codiag_coeffs(N)
-    h = np.zeros((N, N), dtype=complex)
-    idx = np.arange(N - 2)
-    h[idx + 2, idx] = off
-    h[idx, idx + 2] = np.conj(off)
-    return h
+    _, _, control = _bands(omega_at(protocol, t), omega_dot_at(protocol, t), cfg)
+    identity = np.eye(cfg.dimension, dtype=complex)
+    return _apply_hamiltonian(identity, np.zeros(cfg.dimension), control)
 
 
 def eigenbasis(omega: float, cfg: FockBasisConfig) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and eigenvector columns of H0(omega)."""
     energies, vectors = np.linalg.eigh(h0_matrix(omega, cfg))
     return energies, vectors
-
-
-def _apply_hamiltonian(psi, d, u):
-    """y = H psi for the pentadiagonal H given by diagonal d and co-diagonal u."""
-    y = d[:, None] * psi
-    y[:-2] += u[:, None] * psi[2:]
-    y[2:] += np.conj(u)[:, None] * psi[:-2]
-    return y
 
 
 def _propagate_columns(
@@ -169,20 +176,13 @@ def _propagate_columns(
     """Solve i hbar dpsi/dt = H(t) psi for a stack of column vectors."""
     N = cfg.dimension
     cols = psi0.shape[1]
-    roots = _codiag_coeffs(N)
-    two_n_plus_1 = 2.0 * np.arange(N, dtype=float) + 1.0
-    hbar, wref = cfg.hbar, cfg.omega_ref
 
     def rhs(t, y):
         w = omega_at(protocol, t)
-        d = 0.25 * hbar * (wref + w * w / wref) * two_n_plus_1
-        u = (0.25 * hbar * (w * w / wref - wref)) * roots + 0j
-        if with_control:
-            wd = omega_dot_at(protocol, t)
-            # upper co-diagonal of Hc: <n|Hc|n+2> = +i hbar wd/(4 w) sqrt(...)
-            u = u + (0.25j * hbar * wd / w) * roots
+        wd = omega_dot_at(protocol, t) if with_control else 0.0
+        d, u, uc = _bands(w, wd, cfg)
         psi = y.reshape(N, cols)
-        return (-1j / hbar) * _apply_hamiltonian(psi, d, u).ravel()
+        return (-1j / cfg.hbar) * _apply_hamiltonian(psi, d, u + uc).ravel()
 
     sol = solve_ivp(
         rhs,
@@ -306,8 +306,14 @@ def _squeeze_probabilities(q_star: float, n_max: int, m_count: int) -> np.ndarra
     With t = tanh r and s = sech r the amplitudes c[m, n] obey
     c[0, 0] = sqrt(s), c[0, n] = t sqrt((n-1)/n) c[0, n-2] and
     sqrt(m) c[m, n] = -t sqrt(m-1) c[m-2, n] + s sqrt(n) c[m-1, n-1].
-    The homogeneous part of the m recurrence decays (|t| < 1), so the
-    forward sweep is stable.
+    The forward sweep is not stable: its rounding error grows with n_max
+    and Q*.  Over 512 final levels (800 at n_max 160) the largest
+    |row sum - 1| is below 1e-14 at the shipped n_max of 24-64 with
+    Q* <= 1.16, but 5.6e-5 at Q* = 1.1547 with n_max 160, 5.6e-2 at Q* = 2
+    with n_max 100 and 31 at Q* = 1.5 with n_max 128.  The two gates of
+    :func:`_trimmed` (a row sum above 1 + 1e-9, a deficit above 1e-6) are
+    what stop such results; the stable Legendre route is ROADMAP
+    direction 1.
     """
     t = math.sqrt((q_star - 1.0) / (q_star + 1.0))
     s = math.sqrt(2.0 / (q_star + 1.0))
@@ -344,9 +350,7 @@ def transition_matrix(
     if with_control:
         p_full = np.eye(n_max, cfg.dimension)
     else:
-        q_star = adiabaticity_parameter(
-            basic_solutions(protocol), protocol.omega_i, protocol.omega_f
-        )
+        q_star = adiabaticity_parameter(protocol)
         if q_star < 1.0 - 1e-9:
             raise IntegrationError(
                 f"adiabaticity factor Q* = {q_star!r} is below 1 beyond 1e-9"
@@ -524,28 +528,3 @@ def delta_f_quantum(beta: float, omega_i: float, omega_f: float, hbar: float = 1
     a = 0.5 * beta * hbar * omega_f
     b = 0.5 * beta * hbar * omega_i
     return (_log_sinh(a) - _log_sinh(b)) / beta
-
-
-def adiabaticity_parameter(basic: BasicSolutions, omega_i: float, omega_f: float) -> float:
-    """Energy-magnification factor Q* of a bare ramp.
-
-    Built from the classical basic solutions:
-
-        Q* = [Sdot^2 omega_i^2 + omega_f^2 omega_i^2 S^2
-              + Cdot^2 + omega_f^2 C^2] / (2 omega_i omega_f).
-
-    Q* = 1 for an adiabatic ramp and (omega_i^2 + omega_f^2) /
-    (2 omega_i omega_f) for a sudden jump; the mean bare work of a
-    classical thermal ensemble is (Q* omega_f/omega_i - 1)/beta.  The same
-    factor magnifies quantum level energies, which is how the engine layer
-    uses it.
-    """
-    if omega_i <= 0.0 or omega_f <= 0.0:
-        raise ValueError("frequencies must be positive")
-    num = (
-        basic.Sdot_tau**2 * omega_i**2
-        + omega_f**2 * omega_i**2 * basic.S_tau**2
-        + basic.Cdot_tau**2
-        + omega_f**2 * basic.C_tau**2
-    )
-    return num / (2.0 * omega_i * omega_f)

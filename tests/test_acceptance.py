@@ -15,7 +15,6 @@ from conftest import record_acceptance
 
 from staosc import invariants
 from staosc.classical_analytics import (
-    basic_solutions,
     pdf_adiabatic,
     pdf_nonadiabatic,
     pdf_sudden,
@@ -74,7 +73,7 @@ def test_criterion_1_classical_work_distributions():
     ks_sta = ks_distance(sta, lambda w: pdf_adiabatic(w, BETA, WI, WF))
     s_sta = summary(sta)
 
-    form = quadratic_form(basic_solutions(RAMP), BETA, WI, WF)
+    form = quadratic_form(RAMP, BETA)
     ks_bare = ks_distance(bare, lambda w: pdf_nonadiabatic(w, form))
     s_bare = summary(bare)
 
@@ -322,7 +321,7 @@ def test_criterion_6_quantum_engine_regimes():
 
 def test_criterion_7_property_battery():
     proto = cosine_ramp(WI, WF, 0.04)
-    form = quadratic_form(basic_solutions(proto), BETA, WI, WF)
+    form = quadratic_form(proto, BETA)
     gibbs = sample_gibbs(EnsembleSpec(beta=BETA, count=1000, seed=707), WI)
     form_states = np.random.default_rng(808).normal((0.0, 0.0), (3.0, 0.4), size=(100, 2))
     taus = (1e-4, 1e-2, 1.0, 20.0)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from staosc import classical_dynamics
 from staosc.classical_analytics import (
-    BasicSolutions,
     basic_solutions,
     moments_from_form,
     pdf_adiabatic,
@@ -58,19 +58,24 @@ def test_basic_solutions_wronskian_many_speeds():
 # quadratic form
 # ---------------------------------------------------------------------------
 
-def test_quadratic_form_sudden_substitution_exact():
-    # C=1, Cdot=0, S=0, Sdot=1 gives K = M = 0 and L = (a^2 - 1)/beta
-    basic = BasicSolutions(C_tau=1.0, Cdot_tau=0.0, S_tau=0.0, Sdot_tau=1.0)
-    form = quadratic_form(basic, BETA, WI, WF)
-    assert form.K == 0.0
-    assert form.M == 0.0
-    assert form.L == pytest.approx((WF**2 / WI**2 - 1.0) / BETA, rel=1e-14)
+@pytest.fixture
+def sudden_phi(monkeypatch):
+    """The ideal jump: Phi = 1 for every ramp."""
+    monkeypatch.setattr(classical_dynamics, "fundamental_matrix", lambda *args: np.eye(2))
+
+
+def test_quadratic_form_sudden_substitution_exact(sudden_phi):
+    # Phi = 1 gives W = I a (1 - cos 2 theta), a = (omega_f^2 - omega_i^2)/(2 omega_i)
+    form = quadratic_form(FAST, BETA)
+    assert form.a == pytest.approx((WF**2 - WI**2) / (2.0 * WI), rel=1e-14)
+    assert form.b == pytest.approx(-form.a, rel=1e-14)
+    assert form.c == 0.0
     assert form.mu_plus == pytest.approx(10.0, rel=1e-14)
     assert form.mu_minus == 0.0
 
 
 def test_quadratic_form_adiabatic_limit():
-    form = quadratic_form(basic_solutions(cosine_ramp(WI, WF, 60.0)), BETA, WI, WF)
+    form = quadratic_form(cosine_ramp(WI, WF, 60.0), BETA)
     target = (WF - WI) / (WI * BETA)  # = 3.6603 at these parameters
     assert target == pytest.approx(3.6602540378443855, rel=1e-12)
     assert form.mu_plus == pytest.approx(target, rel=1e-3)
@@ -81,37 +86,36 @@ def test_mu_values_converge_with_ramp_time():
     target = (WF - WI) / (WI * BETA)
     spread = []
     for tau in (2.0, 8.0, 32.0):
-        form = quadratic_form(basic_solutions(cosine_ramp(WI, WF, tau)), BETA, WI, WF)
+        form = quadratic_form(cosine_ramp(WI, WF, tau), BETA)
         spread.append(abs(form.mu_plus - form.mu_minus))
         assert form.mu_minus >= 0.0
         assert form.mu_plus >= form.mu_minus
     assert spread[2] < spread[1] < spread[0]
-    final = quadratic_form(basic_solutions(cosine_ramp(WI, WF, 32.0)), BETA, WI, WF)
+    final = quadratic_form(cosine_ramp(WI, WF, 32.0), BETA)
     assert 0.5 * (final.mu_plus + final.mu_minus) == pytest.approx(target, rel=1e-3)
 
 
 def test_quadratic_form_matches_trajectory_work():
-    # scaled coordinates: W = K p'^2 + L q'^2 + 2 M p' q'
-    form = quadratic_form(basic_solutions(FAST), BETA, WI, WF)
+    # action-angle coordinates: W = I (a + b cos 2 theta + c sin 2 theta)
+    form = quadratic_form(FAST, BETA)
     states = np.random.default_rng(21).normal((0.0, 0.0), (2.0, 0.3), size=(100, 2))
     check = form_work_mismatch(FAST, form, states)
     assert check.threshold == 1e-6
     assert check.passed, check.value
 
 
-def test_moments_from_form_sudden_values():
-    basic = BasicSolutions(C_tau=1.0, Cdot_tau=0.0, S_tau=0.0, Sdot_tau=1.0)
-    mean, std = moments_from_form(quadratic_form(basic, BETA, WI, WF))
+def test_moments_from_form_sudden_values(sudden_phi):
+    mean, std = moments_from_form(quadratic_form(FAST, BETA))
     assert mean == pytest.approx(5.0, rel=1e-13)
     assert std == pytest.approx(10.0 / math.sqrt(2.0), rel=1e-13)
 
 
 def test_mean_work_equals_half_trace():
-    # <W> = (K + L)/2 for any ramp
+    # <W> = <I> a = a/(beta omega_i) for any ramp, a = tr K/2 - omega_i
     for tau in (1e-4, 0.01, 1.0):
-        form = quadratic_form(basic_solutions(cosine_ramp(WI, WF, tau)), BETA, WI, WF)
+        form = quadratic_form(cosine_ramp(WI, WF, tau), BETA)
         mean, _ = moments_from_form(form)
-        assert mean == pytest.approx(0.5 * (form.K + form.L), rel=1e-12)
+        assert mean == pytest.approx(form.a / (BETA * WI), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -155,8 +159,7 @@ def test_pdf_sudden_normalization_and_moments():
 
 
 def test_pdf_nonadiabatic_reduces_to_exponential_when_degenerate():
-    basic = basic_solutions(cosine_ramp(WI, WF, 60.0))
-    form = quadratic_form(basic, BETA, WI, WF)
+    form = quadratic_form(cosine_ramp(WI, WF, 60.0), BETA)
     w = np.linspace(0.0, 20.0, 50)
     ad = pdf_adiabatic(w, BETA, WI, WF)
     na = pdf_nonadiabatic(w, form)
@@ -164,7 +167,7 @@ def test_pdf_nonadiabatic_reduces_to_exponential_when_degenerate():
 
 
 def test_pdf_nonadiabatic_normalization_fast_ramp():
-    form = quadratic_form(basic_solutions(FAST), BETA, WI, WF)
+    form = quadratic_form(FAST, BETA)
     mass, _ = quad(
         lambda u: 2 * u * pdf_nonadiabatic(u * u, form), 0, 40, limit=300
     )
@@ -172,7 +175,7 @@ def test_pdf_nonadiabatic_normalization_fast_ramp():
 
 
 def test_pdf_nonadiabatic_moments_match_form():
-    form = quadratic_form(basic_solutions(cosine_ramp(WI, WF, 0.05)), BETA, WI, WF)
+    form = quadratic_form(cosine_ramp(WI, WF, 0.05), BETA)
     mean_exp, std_exp = moments_from_form(form)
     mean, _ = quad(lambda u: 2 * u**3 * pdf_nonadiabatic(u * u, form), 0, 50, limit=300)
     second, _ = quad(lambda u: 2 * u**5 * pdf_nonadiabatic(u * u, form), 0, 50, limit=300)
@@ -181,7 +184,7 @@ def test_pdf_nonadiabatic_moments_match_form():
 
 
 def test_pdf_nonadiabatic_rejects_negative_mu():
-    bad = quadratic_form(basic_solutions(cosine_ramp(WF, WI, 1e-4)), BETA, WF, WI)
+    bad = quadratic_form(cosine_ramp(WF, WI, 1e-4), BETA)
     assert bad.mu_minus < 0.0  # decreasing ramp: form is indefinite
     with pytest.raises(ValueError):
         pdf_nonadiabatic(1.0, bad)
@@ -202,7 +205,7 @@ def test_decay_rate_inequality():
 
 def test_sudden_quadratic_form_from_real_fast_ramp():
     # the actual fast ramp reproduces the ideal-jump quadratic form closely
-    form = quadratic_form(basic_solutions(FAST), BETA, WI, WF)
+    form = quadratic_form(FAST, BETA)
     assert form.mu_plus == pytest.approx(10.0, rel=1e-4)
     assert form.mu_minus < 1e-5 * form.mu_plus
     mean, std = moments_from_form(form)
@@ -213,7 +216,7 @@ def test_sudden_quadratic_form_from_real_fast_ramp():
 def test_mc_histogram_matches_nonadiabatic_density():
     from staosc.work_statistics import classical_work_ensemble, ks_distance
 
-    form = quadratic_form(basic_solutions(FAST), BETA, WI, WF)
+    form = quadratic_form(FAST, BETA)
     samples = classical_work_ensemble(
         FAST, EnsembleSpec(beta=BETA, count=100_000, seed=31), with_control=False
     )
@@ -226,7 +229,7 @@ def test_intermediate_speed_dual_route():
     from staosc.work_statistics import classical_work_ensemble, ks_distance
 
     proto = cosine_ramp(WI, WF, 0.05)
-    form = quadratic_form(basic_solutions(proto), BETA, WI, WF)
+    form = quadratic_form(proto, BETA)
     assert form.mu_minus > 0.01 * form.mu_plus  # genuinely non-degenerate
     samples = classical_work_ensemble(
         proto, EnsembleSpec(beta=BETA, count=60_000, seed=37), with_control=False

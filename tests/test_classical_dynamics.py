@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from staosc import classical_dynamics
-from staosc.classical_analytics import basic_solutions, quadratic_form
+from staosc.classical_analytics import adiabaticity_parameter, basic_solutions, quadratic_form
 from staosc.classical_dynamics import (
     ActionAngle,
     EnsembleSpec,
@@ -26,8 +26,10 @@ from staosc.classical_dynamics import (
     trajectory_work,
     work_coefficients,
 )
+from staosc.errors import IntegrationError
 from staosc.invariants import action_drift
 from staosc.protocols import constant_protocol, cosine_ramp, omega_at, protocol_from_table
+from staosc.work_statistics import classical_work_ensembles
 
 WI = 10.0
 WF = 10.0 * math.sqrt(3.0)
@@ -255,17 +257,55 @@ def test_work_coefficients_closed_cases():
         assert abs(c) < 1e-6 * half_gap
 
 
-@pytest.mark.parametrize("ratio,tau_omega_i", [(math.sqrt(3.0), 1e-3), (2.0, 1.0), (0.5, 3.0)])
-def test_work_coefficients_match_the_quadratic_form(ratio, tau_omega_i):
-    # I (a + r cos(2 theta - phi)) with I ~ Exp is the two-mode form: beta mu_pm = (a +- r)/omega_i
-    proto = cosine_ramp(WI, ratio * WI, tau_omega_i / WI)
-    form = quadratic_form(basic_solutions(proto), BETA, WI, ratio * WI)
-    for m in (1.0, 0.3):
-        a, b, c = work_coefficients(proto, params=OscillatorParams(m=m))
-        r = math.hypot(b, c)
-        scale = 1e-9 * BETA * max(abs(form.mu_plus), abs(form.mu_minus))
-        assert (a + r) / WI == pytest.approx(BETA * form.mu_plus, abs=scale)
-        assert (a - r) / WI == pytest.approx(BETA * form.mu_minus, abs=scale)
+def _basic_solution_form(proto, beta):
+    """mu_plus, mu_minus and Q* from the paper's expressions in C, C', S, S'."""
+    sol = basic_solutions(proto)
+    C, Cd, S, Sd = sol.C_tau, sol.Cdot_tau, sol.S_tau, sol.Sdot_tau
+    wi, wf = proto.omega_i, proto.omega_f
+    K = (Sd**2 + wf**2 * S**2 - 1.0) / beta
+    L = (Cd**2 + wf**2 * C**2 - wi**2) / (beta * wi**2)
+    M = (Cd * Sd + wf**2 * C * S) / (beta * wi)
+    disc = math.hypot(K - L, 2.0 * M)
+    mu_plus = 0.5 * ((K + L) + disc)
+    # the determinant route, wherever mu_plus > 0 can carry it
+    mu_minus = (K * L - M * M) / mu_plus if mu_plus > 0.0 else 0.5 * ((K + L) - disc)
+    q_star = (Sd**2 * wi**2 + wf**2 * wi**2 * S**2 + Cd**2 + wf**2 * C**2) / (2.0 * wi * wf)
+    return mu_plus, mu_minus, q_star
+
+
+@pytest.mark.parametrize("low, high", [(1.01, 4.0), (0.3, 0.99)], ids=["increasing", "decreasing"])
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(fraction=st.floats(0.0, 1.0), log_tau_omega_i=st.floats(-3.0, math.log10(30.0)))
+def test_work_form_matches_the_basic_solution_expressions(low, high, fraction, log_tau_omega_i):
+    # (a, b, c) off Phi against the C/S expressions: Q* within 1e-12 relative and
+    # mu_pm within 1e-12 max(|mu_plus|, |mu_minus|), since the smaller one cancels
+    # on fast ramps (3.3e-14 is the worst of 5,000 random draws); closer to
+    # omega_f = omega_i both routes cancel to ~ulp(omega_i)/|omega_f - omega_i|
+    ratio = low + (high - low) * fraction
+    proto = cosine_ramp(WI, ratio * WI, 10.0**log_tau_omega_i / WI)
+    mu_plus, mu_minus, q_star = _basic_solution_form(proto, BETA)
+    form = quadratic_form(proto, BETA)
+    scale = 1e-12 * max(abs(form.mu_plus), abs(form.mu_minus))
+    assert adiabaticity_parameter(proto) == pytest.approx(q_star, rel=1e-12)
+    assert form.mu_plus == pytest.approx(mu_plus, abs=scale)
+    assert form.mu_minus == pytest.approx(mu_minus, abs=scale)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: fundamental_matrix(FAST),
+        lambda: work_coefficients(FAST),
+        lambda: classical_work_ensembles(FAST, EnsembleSpec(beta=BETA, count=100, seed=1)),
+    ],
+    ids=["fundamental_matrix", "work_coefficients", "classical_work_ensembles"],
+)
+def test_det_gate_rejects_a_bare_phi_off_by_5e_9(monkeypatch, call):
+    # one gate, |det Phi - 1| <= 1e-9, on every Phi; 5e-9 passed the former 1e-8 gate
+    drifted = np.array([1.0 + 5e-9, 0.0, 0.0, 1.0])
+    monkeypatch.setattr(classical_dynamics, "_flow", lambda *args: drifted)
+    with pytest.raises(IntegrationError, match="area preservation"):
+        call()
 
 
 def test_table_ramp_is_integrated_knot_to_knot():

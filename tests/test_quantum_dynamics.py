@@ -1,15 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
-from staosc import quantum_dynamics
-from staosc.classical_analytics import (
-    BasicSolutions,
-    basic_solutions,
-    moments_from_form,
-    quadratic_form,
-)
+from staosc import classical_dynamics, quantum_dynamics
+from staosc.classical_analytics import adiabaticity_parameter, moments_from_form, quadratic_form
 from staosc.errors import IntegrationError, TruncationLeakageError
 from staosc.invariants import transitionless_deviation
 from staosc.protocols import constant_protocol, cosine_ramp, omega_at, omega_dot_at
@@ -17,7 +13,6 @@ from staosc.quantum_dynamics import (
     FockBasisConfig,
     QuantumState,
     QuantumWorkAtoms,
-    adiabaticity_parameter,
     delta_f_quantum,
     _merge_atoms,
     eigenbasis,
@@ -262,25 +257,24 @@ def test_closed_form_control_is_exact_identity():
 
 
 def test_closed_form_rejects_q_star_below_one(monkeypatch):
-    # Q* >= 1 for every Wronskian-1 flow; a contracting one must not pass
-    squeezed = BasicSolutions(C_tau=0.9, Cdot_tau=0.0, S_tau=0.0, Sdot_tau=0.9)
-    monkeypatch.setattr(quantum_dynamics, "basic_solutions", lambda proto: squeezed)
+    # Q* >= 1 for every area-preserving flow; a contracting one must not pass
+    monkeypatch.setattr(quantum_dynamics, "adiabaticity_parameter", lambda proto: 0.81)
     with pytest.raises(IntegrationError, match="below 1"):
         transition_matrix(constant_protocol(WI, 0.1), cfg=SMALL, n_max=8)
     # round-off below 1 is clamped to the identity
-    shave = math.sqrt(1.0 - 5e-10)
-    near = BasicSolutions(C_tau=shave, Cdot_tau=0.0, S_tau=0.0, Sdot_tau=shave)
-    monkeypatch.setattr(quantum_dynamics, "basic_solutions", lambda proto: near)
+    monkeypatch.setattr(quantum_dynamics, "adiabaticity_parameter", lambda proto: 1.0 - 5e-10)
     tm = transition_matrix(constant_protocol(WI, 0.1), cfg=SMALL, n_max=8)
     assert np.array_equal(tm.probs, np.eye(8, tm.m_max))
 
 
 def test_closed_form_rejects_row_sums_above_one():
     # the squeeze recurrence loses accuracy at large n_max; here its rows
-    # sum to about 1256, which no set of probabilities can do
+    # sum to far above 1 (the value follows the last ulp of Q*), which no
+    # set of probabilities can do
     cfg = FockBasisConfig(dimension=800, omega_ref=WI)
-    with pytest.raises(IntegrationError, match=r"sums to 1256\.\d+ > 1"):
+    with pytest.raises(IntegrationError, match=r"sums to \S+ > 1") as raised:
         transition_matrix(FAST, cfg=cfg, n_max=200)
+    assert float(re.search(r"sums to (\S+) >", str(raised.value)).group(1)) > 1.0 + 1e-9
 
 
 def test_transition_matrix_parity_selection():
@@ -476,21 +470,18 @@ def test_pdf_quantum_adiabatic_tail_guard():
 
 
 def test_adiabaticity_parameter_limits():
-    slow = basic_solutions(cosine_ramp(WI, WF, 60.0))
-    assert adiabaticity_parameter(slow, WI, WF) == pytest.approx(1.0, abs=1e-3)
-    fast = basic_solutions(FAST)
+    slow = cosine_ramp(WI, WF, 60.0)
+    assert adiabaticity_parameter(slow) == pytest.approx(1.0, abs=1e-3)
     sudden = (WI**2 + WF**2) / (2.0 * WI * WF)
     assert sudden == pytest.approx(1.1547005383792515, rel=1e-12)
-    assert adiabaticity_parameter(fast, WI, WF) == pytest.approx(sudden, rel=1e-5)
+    assert adiabaticity_parameter(FAST) == pytest.approx(sudden, rel=1e-5)
     # >= 1 up to integrator noise
-    assert adiabaticity_parameter(slow, WI, WF) >= 1.0 - 1e-8
+    assert adiabaticity_parameter(slow) >= 1.0 - 1e-8
 
 
-def test_adiabaticity_parameter_sudden_substitution_exact():
-    from staosc.classical_analytics import BasicSolutions
-
-    basic = BasicSolutions(C_tau=1.0, Cdot_tau=0.0, S_tau=0.0, Sdot_tau=1.0)
-    assert adiabaticity_parameter(basic, WI, WF) == pytest.approx(
+def test_adiabaticity_parameter_sudden_substitution_exact(monkeypatch):
+    monkeypatch.setattr(classical_dynamics, "fundamental_matrix", lambda *args: np.eye(2))
+    assert adiabaticity_parameter(FAST) == pytest.approx(
         (WI**2 + WF**2) / (2.0 * WI * WF), rel=1e-14
     )
 
@@ -501,7 +492,7 @@ def test_quantum_classical_mean_work_correspondence():
     cfg = FockBasisConfig(dimension=512, omega_ref=WI, hbar=hbar)
     tm = fock_transition_matrix(FAST, n_max=128, cfg=cfg, tol=1e-9)
     atoms = quantum_work_atoms(tm, BETA)
-    form = quadratic_form(basic_solutions(FAST), BETA, WI, WF)
+    form = quadratic_form(FAST, BETA)
     mean_cl, std_cl = moments_from_form(form)
     assert atoms.mean() == pytest.approx(mean_cl, rel=0.01)
     assert atoms.std() == pytest.approx(std_cl, rel=0.01)

@@ -9,7 +9,6 @@ from scipy.integrate import quad
 
 import staosc.work_statistics as work_statistics
 from staosc.classical_analytics import (
-    basic_solutions,
     pdf_adiabatic,
     pdf_nonadiabatic,
     pdf_sudden,
@@ -193,7 +192,7 @@ def test_histogram_tracks_density():
     ws = _samples(200_000, seed=13)
     h = histogram(ws, bins=60)
     centers = 0.5 * (h.edges[:-1] + h.edges[1:])
-    form = quadratic_form(basic_solutions(FAST), BETA, WI, WF)
+    form = quadratic_form(FAST, BETA)
     ref = pdf_nonadiabatic(np.maximum(centers, 1e-12), form)
     keep = (centers > 1.0) & (centers < 15.0)
     assert np.allclose(h.density[keep], ref[keep], rtol=0.12)
@@ -264,7 +263,7 @@ def test_dissipated_work_nonnegative_and_smaller_with_control():
 # ---------------------------------------------------------------------------
 
 def test_integrate_density_normalizations():
-    form = quadratic_form(basic_solutions(FAST), BETA, WI, WF)
+    form = quadratic_form(FAST, BETA)
     assert integrate_density(lambda w: pdf_nonadiabatic(w, form), 200.0) == pytest.approx(
         1.0, abs=1e-6
     )
@@ -295,7 +294,7 @@ def test_cdf_matches_adaptive_quadrature(w_max):
     ]
     for tau_omega in (1e-4, 3e-4, 1e-3, 1e-2, 0.05, 0.3, 1.0, 5.0):
         ramp = cosine_ramp(WI, WF, tau_omega / WI)
-        form = quadratic_form(basic_solutions(ramp), BETA, WI, WF)
+        form = quadratic_form(ramp, BETA)
         densities.append(lambda w, form=form: pdf_nonadiabatic(w, form))
     for density in densities:
         grid, cdf = _cdf_on_grid(density, w_max)
@@ -318,7 +317,7 @@ def test_density_must_accept_arrays(density):
 
 def test_ks_distance_small_for_matching_density():
     ws = _samples(100_000, seed=31)
-    form = quadratic_form(basic_solutions(FAST), BETA, WI, WF)
+    form = quadratic_form(FAST, BETA)
     ks = ks_distance(ws, lambda w: pdf_nonadiabatic(w, form))
     assert ks < 0.02
 
@@ -332,7 +331,7 @@ def test_ks_distance_large_for_wrong_density():
 
 def test_ks_distance_respects_w_max():
     ws = _samples(20_000, seed=41)
-    form = quadratic_form(basic_solutions(FAST), BETA, WI, WF)
+    form = quadratic_form(FAST, BETA)
     ks_default = ks_distance(ws, lambda w: pdf_nonadiabatic(w, form))
     ks_wide = ks_distance(ws, lambda w: pdf_nonadiabatic(w, form),
                           w_max=float(ws.samples.max()) * 2.0)
