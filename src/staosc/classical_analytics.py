@@ -67,8 +67,8 @@ def basic_solutions(protocol: FrequencyProtocol) -> BasicSolutions:
 
     At unit mass (p, q) = (x', x): the column of Phi started from (0, 1) is
     (C', C), the one started from (1, 0) is (S', S).  The Wronskian is
-    det Phi, so the :func:`fundamental_matrix` gate already holds it to 1
-    within 1e-9.
+    det Phi, which the Magnus product keeps at 1 to round-off;
+    :func:`staosc.invariants.wronskian` measures it on the DOP853 reference.
     """
     phi = fundamental_matrix(protocol, with_control=False)
     return BasicSolutions(

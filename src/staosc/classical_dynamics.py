@@ -12,17 +12,21 @@ W = H0(tau) - H0(0), which is the integral of the explicit time derivative
 m omega omega_dot q**2 along the path (the control term contributes nothing
 at the endpoints because omega_dot vanishes there).
 
-Both flows are linear in (p, q) and share one vector field and one DOP853
-solve; a tabulated schedule is solved from knot to knot.  The ramp's 2x2
-:func:`fundamental_matrix` (integrated if bare, closed form if controlled)
-characterizes the whole flow.  Work is therefore a quadratic form in the
-initial state: :func:`work_coefficients` reads it off Phi in action-angle
-variables, W = I (a + b cos 2 theta + c sin 2 theta), which turns a
-:func:`gibbs_action_angle` draw straight into work samples.  The
-phase-space route, :func:`sample_gibbs` then :func:`propagate_ensemble`
-then :func:`ensemble_work`, computes the same numbers from (p, q) arrays
-and is the independent check of that one; it agrees with per-trajectory
-:func:`integrate`.
+Both flows are linear in (p, q), so the ramp's 2x2
+:func:`fundamental_matrix` Phi characterizes the whole flow.  The
+controlled Phi is a closed form.  The bare Phi is a fourth-order Magnus
+product of exact 2x2 exponentials, accepted by step doubling and with no
+ODE solve.  Work is therefore a quadratic form in the initial state:
+:func:`work_coefficients` reads it off Phi in action-angle variables,
+W = I (a + b cos 2 theta + c sin 2 theta), which turns a
+:func:`gibbs_action_angle` draw straight into work samples.
+
+:func:`integrate` is the reference: one adaptive DOP853 solve of one
+vector field carries a state, or an (n, 2) batch of states, through either
+flow; a tabulated schedule is solved from knot to knot.  The phase-space
+route, :func:`sample_gibbs` then :func:`propagate_ensemble` then
+:func:`ensemble_work`, computes the same numbers from (p, q) arrays and is
+the independent check of the work form.
 """
 
 from __future__ import annotations
@@ -37,6 +41,16 @@ from .errors import IntegrationError
 from .protocols import TABLE, FrequencyProtocol, omega_at, omega_dot_at, total_phase
 
 _TWO_PI = 2.0 * math.pi
+#: Steps of the bare Magnus product built and reduced at a time.
+_MAGNUS_CHUNK = 4096
+#: Step doublings after which a bare Phi that has not converged raises; ramps
+#: with omega_f/omega_i from 0.1 to 10 and tau omega_i from 1e-4 to 1e3 need 1-8.
+_MAX_DOUBLINGS = 12
+#: Below this |d| the 2x2 step exponential uses the Taylor series in d.
+_SERIES_CUT = 1e-2
+#: The 2-point Gauss nodes on [0, 1], and the commutator weight sqrt(3)/12.
+_GAUSS = np.array((0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0))
+_SQRT3_12 = math.sqrt(3.0) / 12.0
 
 
 @dataclass(frozen=True)
@@ -136,47 +150,15 @@ def control_value(state: PhaseState, protocol: FrequencyProtocol, t: float) -> f
 
 
 def _field(t, y, protocol, with_control, m):
-    """Phase-space velocity of one point (p, q) or two stacked as (p1, p2, q1, q2).
+    """Phase-space velocity of n points stacked as (p_1..p_n, q_1..q_n).
 
-    Bare flow: q_dot = p/m, p_dot = -m omega**2 q.  The control adds the
-    divergence-free shear (+g p, -g q) with g = omega_dot/(2 omega).
-    Unrolled over Python floats, since a solve evaluates it thousands of
-    times and numpy row operations take over twice as long at this size.
+    The flow is linear, (p_dot, q_dot) = A (p, q) with A = [[g, -m omega**2],
+    [1/m, -g]]: the bare flow has g = 0, and the control adds the
+    divergence-free shear with g = omega_dot/(2 omega).
     """
     w = omega_at(protocol, t)
-    k = -m * w * w
     g = omega_dot_at(protocol, t) / (2.0 * w) if with_control else 0.0
-    if len(y) == 2:
-        p, q = y.tolist()
-        return [k * q + g * p, p / m - g * q]
-    p1, p2, q1, q2 = y.tolist()
-    return [k * q1 + g * p1, k * q2 + g * p2, p1 / m - g * q1, p2 / m - g * q2]
-
-
-def _flow(y0, protocol, with_control, m, tol):
-    """Stacked points y0 carried to t = tau by one DOP853 solve of :func:`_field`.
-
-    Each point's absolute tolerance is tol times its momentum scale
-    max(|p|, m omega_i |q|) in p, and that scale over m omega_i in q.
-    """
-    ps, qs = np.split(np.abs(y0), 2)
-    mw = m * protocol.omega_i
-    scale = np.maximum(np.maximum(ps, mw * qs), 1e-30)
-    atol = tol * np.concatenate([scale, scale / mw])
-    # A table's omega is only C^1 at its knots, and a step across one loses
-    # the method's order, so a table is solved from knot to knot.
-    knots = [t for t, _ in protocol.samples] if protocol.kind == TABLE else [0.0, protocol.tau]
-    y = y0
-    for start, stop in zip(knots[:-1], knots[1:]):
-        sol = solve_ivp(_field, (start, stop), y, method="DOP853", rtol=tol,
-                        atol=atol, args=(protocol, with_control, m))
-        if not sol.success:
-            raise IntegrationError(
-                f"phase-space integration failed: {sol.message} "
-                f"(kind={protocol.kind}, tau={protocol.tau}, with_control={with_control})"
-            )
-        y = sol.y[:, -1]
-    return y
+    return (np.array(((g, -m * w * w), (1.0 / m, -g))) @ y.reshape(2, -1)).ravel()
 
 
 def derivative(
@@ -187,19 +169,135 @@ def derivative(
     params: OscillatorParams = OscillatorParams(),
 ):
     """Phase-space velocity (p_dot, q_dot) at time t."""
-    return tuple(_field(t, np.array((state.p, state.q)), protocol, with_control, params.m))
+    p_dot, q_dot = _field(t, np.array((state.p, state.q)), protocol, with_control, params.m)
+    return float(p_dot), float(q_dot)
+
+
+def _knots(protocol: FrequencyProtocol) -> list[float]:
+    """[0, tau], or a table's knot times: its omega is only C^1 at the knots."""
+    return [t for t, _ in protocol.samples] if protocol.kind == TABLE else [0.0, protocol.tau]
 
 
 def integrate(
-    initial: PhaseState,
+    initial,
     protocol: FrequencyProtocol,
     with_control: bool = False,
     params: OscillatorParams = OscillatorParams(),
     tol: float = 1e-10,
-) -> PhaseState:
-    """Propagate one state through the full ramp, t: 0 -> tau."""
-    p, q = _flow((initial.p, initial.q), protocol, with_control, params.m, tol)
-    return PhaseState(p=float(p), q=float(q))
+):
+    """Propagate a state through the full ramp, t: 0 -> tau, by adaptive DOP853.
+
+    ``initial`` is a :class:`PhaseState`, which returns one, or an (n, 2)
+    array of (p, q) rows, which returns the (n, 2) array of final rows from
+    one solve.  Each point's absolute tolerance is tol times its momentum
+    scale max(|p|, m omega_i |q|) in p, and that scale over m omega_i in q.
+    A step across a table knot loses the method's order, so a table is
+    solved from knot to knot.
+    """
+    single = isinstance(initial, PhaseState)
+    states = np.array([[initial.p, initial.q]]) if single else np.asarray(initial, dtype=float)
+    if states.ndim != 2 or states.shape[1] != 2:
+        raise ValueError("states must be an (n, 2) array of (p, q) rows")
+    m = params.m
+    mw = m * protocol.omega_i
+    scale = np.maximum(np.maximum(np.abs(states[:, 0]), mw * np.abs(states[:, 1])), 1e-30)
+    atol = tol * np.concatenate([scale, scale / mw])
+    y = states.T.ravel()
+    knots = _knots(protocol)
+    for start, stop in zip(knots[:-1], knots[1:]):
+        sol = solve_ivp(_field, (start, stop), y, method="DOP853", rtol=tol,
+                        atol=atol, args=(protocol, with_control, m))
+        if not sol.success:
+            raise IntegrationError(
+                f"phase-space integration failed: {sol.message} "
+                f"(kind={protocol.kind}, tau={protocol.tau}, with_control={with_control})"
+            )
+        y = sol.y[:, -1]
+    final = y.reshape(2, -1).T
+    return PhaseState(p=float(final[0, 0]), q=float(final[0, 1])) if single else final
+
+
+def _expm_traceless(alpha, beta, gamma):
+    """exp X for the traceless steps X = [[alpha, beta], [gamma, -alpha]], as (n, 2, 2).
+
+    X**2 = d I with d = alpha**2 + beta gamma, so exp X = ch I + sh X, where
+    r = sqrt|d| and (ch, sh) = (cos r, sin r / r) for d < 0, (cosh r,
+    sinh r / r) for d > 0, and their Taylor series in d for |d| below
+    :data:`_SERIES_CUT` (truncation under 3e-17 there).
+    """
+    d = alpha * alpha + beta * gamma
+    r = np.sqrt(np.abs(d))
+    ch, sh = np.cos(r), np.sin(r)
+    up = d > 0.0
+    if up.any():
+        ch[up], sh[up] = np.cosh(r[up]), np.sinh(r[up])
+    small = np.abs(d) < _SERIES_CUT
+    sh /= np.where(small, 1.0, r)
+    if small.any():
+        e = d[small]
+        ch[small] = 1.0 + e / 2.0 * (1.0 + e / 12.0 * (1.0 + e / 30.0 * (1.0 + e / 56.0)))
+        sh[small] = 1.0 + e / 6.0 * (1.0 + e / 20.0 * (1.0 + e / 42.0 * (1.0 + e / 72.0)))
+    entries = (ch + sh * alpha, sh * beta, sh * gamma, ch - sh * alpha)
+    return np.stack(entries, axis=-1).reshape(-1, 2, 2)
+
+
+def _ordered_product(steps):
+    """steps[n-1] @ ... @ steps[0] of an (n, 2, 2) array, by pairwise matmul."""
+    while len(steps) > 1:
+        odd = len(steps) % 2
+        paired = steps[1 : len(steps) - odd : 2] @ steps[0 : len(steps) - odd : 2]
+        steps = np.concatenate((paired, steps[-1:])) if odd else paired
+    return steps[0]
+
+
+def _magnus_product(protocol: FrequencyProtocol, m: float, per_interval: int) -> np.ndarray:
+    """Bare Phi as a fourth-order Magnus product of per_interval equal steps per knot interval.
+
+    On a step [t, t + h] with 2-point Gauss nodes t + (1/2 -+ sqrt(3)/6) h,
+    where omega**2 reads w1, w2, the bare generator A = [[0, -m omega**2],
+    [1/m, 0]] gives the traceless exponent Omega = h (A1 + A2)/2 +
+    (sqrt(3)/12) h**2 [A2, A1], i.e. alpha = (sqrt(3)/12) h**2 (w1 - w2),
+    beta = -m h (w1 + w2)/2, gamma = h/m.  Steps are built and reduced
+    :data:`_MAGNUS_CHUNK` at a time, so memory does not grow with the count.
+    """
+    knots = np.array(_knots(protocol))
+    widths = np.diff(knots)
+    total = len(widths) * per_interval
+    phi = np.eye(2)
+    for first in range(0, total, _MAGNUS_CHUNK):
+        step = np.arange(first, min(first + _MAGNUS_CHUNK, total))
+        interval, sub = np.divmod(step, per_interval)
+        h = widths[interval] / per_interval
+        nodes = (knots[interval] + h * sub)[:, None] + h[:, None] * _GAUSS
+        w_sq = omega_at(protocol, nodes.ravel()).reshape(-1, 2) ** 2
+        steps = _expm_traceless(
+            _SQRT3_12 * h * h * (w_sq[:, 0] - w_sq[:, 1]), -0.5 * m * h * w_sq.sum(axis=1), h / m
+        )
+        phi = _ordered_product(steps) @ phi
+    return phi
+
+
+def _bare_phi(protocol: FrequencyProtocol, m: float, tol: float) -> np.ndarray:
+    """The bare Phi from :func:`_magnus_product`, accepted by step doubling.
+
+    Starting from about 8 + 2 phi steps (phi the total phase), the step
+    count doubles until two successive products agree to tol max|Phi|; the
+    finer one is returned, its error about a sixteenth of that gap.
+    """
+    per = max(1, math.ceil((8.0 + 2.0 * total_phase(protocol)) / (len(_knots(protocol)) - 1)))
+    coarse = _magnus_product(protocol, m, per)
+    for _ in range(_MAX_DOUBLINGS):
+        per *= 2
+        fine = _magnus_product(protocol, m, per)
+        gap = np.max(np.abs(fine - coarse)) / np.max(np.abs(fine))
+        if gap <= tol:
+            return fine
+        coarse = fine
+    raise IntegrationError(
+        f"bare fundamental matrix did not converge in {_MAX_DOUBLINGS} step doublings: "
+        f"relative gap {gap!r} > tol {tol!r} at {per} steps per knot interval "
+        f"(kind={protocol.kind}, tau={protocol.tau})"
+    )
 
 
 def fundamental_matrix(
@@ -210,13 +308,16 @@ def fundamental_matrix(
 ) -> np.ndarray:
     """2x2 matrix Phi mapping (p, q) at t=0 to (p, q) at t=tau.
 
-    Both flows are linear, so Phi characterizes the whole ramp.  The bare
-    Phi is integrated to relative tolerance ``tol``.  The controlled one is
-    exact, A(omega_f)^-1 R A(omega_i) with A(omega) = diag(1/sqrt(m omega),
-    sqrt(m omega)) and R the rotation by :func:`staosc.protocols.total_phase`.
-    det Phi = 1 (both flows are divergence-free) is the one accuracy gate of
-    every Phi: |det Phi - 1| > 1e-9 raises IntegrationError.  For the bare
-    Phi at m = 1 it is the Wronskian C S' - C' S of the basic solutions.
+    Both flows are linear, so Phi characterizes the whole ramp.  The
+    controlled Phi is exact, A(omega_f)^-1 R A(omega_i) with A(omega) =
+    diag(1/sqrt(m omega), sqrt(m omega)) and R the rotation by
+    :func:`staosc.protocols.total_phase`.  The bare Phi is a fourth-order
+    Magnus product whose step count doubles until the products at n and 2n
+    steps agree to ``tol`` max|Phi| (steps align with a table's knots);
+    :data:`_MAX_DOUBLINGS` doublings without agreement raise
+    IntegrationError.  Every step is an exact exponential of a traceless
+    matrix, so det Phi = 1 to round-off on either route, and
+    |det Phi - 1| > 1e-9 raising IntegrationError is a sanity check.
     """
     if with_control:
         phase = total_phase(protocol)
@@ -226,7 +327,7 @@ def fundamental_matrix(
         phi = np.array([[c * r, -s * mw], [s / mw, c / r]])
     else:
         # rows (p, q), columns the points started from (1, 0) and (0, 1)
-        phi = _flow(np.eye(2).ravel(), protocol, False, params.m, tol).reshape(2, 2)
+        phi = _bare_phi(protocol, params.m, tol)
     det = phi[0, 0] * phi[1, 1] - phi[0, 1] * phi[1, 0]
     if abs(det - 1.0) > 1e-9:
         raise IntegrationError(

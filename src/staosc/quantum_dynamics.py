@@ -341,7 +341,7 @@ def transition_matrix(
 
     P = I for the controlled ramp; for the bare ramp, the squeeze-operator
     probabilities with cosh 2r = Q*, Q* coming from the classical basic
-    solutions (whose Wronskian gate applies).  Q* below 1 - 1e-9 raises
+    solutions (the bare Phi's doubling and det gates apply).  Q* below 1 - 1e-9 raises
     IntegrationError; smaller round-off is clamped to 1.  cfg.dimension
     caps the final levels and n_max <= cfg.dimension / 4, as for
     :func:`fock_transition_matrix`, the integrated reference.

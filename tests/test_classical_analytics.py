@@ -54,6 +54,16 @@ def test_basic_solutions_wronskian_many_speeds():
     assert check.passed, check.value
 
 
+def test_wronskian_check_fails_by_value(monkeypatch):
+    # the check reads the DOP853 reference, not the gated Phi: a reference
+    # whose C S' - C' S is off by 5e-9 reads FAIL with that value, not an error
+    drifted = np.array([[1.0 + 5e-9, 0.0], [0.0, 1.0]])
+    monkeypatch.setattr(classical_dynamics, "integrate", lambda *args, **kwargs: drifted)
+    check = wronskian([FAST])
+    assert not check.passed
+    assert check.value == pytest.approx(5e-9, rel=1e-6)
+
+
 # ---------------------------------------------------------------------------
 # quadratic form
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
 from staosc import classical_dynamics
 from staosc.classical_analytics import adiabaticity_parameter, basic_solutions, quadratic_form
@@ -150,17 +151,29 @@ def test_ensemble_propagation_matches_per_state_integration():
             assert row1[1] == pytest.approx(single.q, rel=1e-9, abs=1e-12)
 
 
-def _closed_form_deviation(proto, m, tol=1e-12):
-    """max |closed-form Phi - integrated Phi| / max |integrated Phi|."""
+def test_batched_integrate_matches_per_state_solves():
+    # one solve of 20 stacked points against 20 solves, both at rtol 1e-12
+    states = sample_gibbs(EnsembleSpec(beta=BETA, count=20, seed=6), WI)
+    for proto in (FAST, cosine_ramp(WI, WF, 0.5)):
+        for control in (False, True):
+            batch = integrate(states, proto, with_control=control, tol=1e-12)
+            for row0, row1 in zip(states, batch):
+                single = integrate(PhaseState(*row0), proto, with_control=control, tol=1e-12)
+                assert row1 == pytest.approx((single.p, single.q), rel=1e-9, abs=1e-12)
+    with pytest.raises(ValueError, match=r"\(n, 2\)"):
+        integrate(states.T, FAST)
+
+
+def _phi_deviation(proto, with_control, m, tol=1e-12):
+    """max |Phi - integrated Phi| / max |integrated Phi|.
+
+    The integrated Phi is one batched DOP853 solve of the unit states
+    (p, q) = (1, 0) and (0, 1), whose finals are its columns.
+    """
     params = OscillatorParams(m=m)
-    # columns: the controlled trajectories started from (p, q) = (1, 0), (0, 1)
-    cols = [
-        integrate(PhaseState(p, q), proto, with_control=True, params=params, tol=tol)
-        for p, q in ((1.0, 0.0), (0.0, 1.0))
-    ]
-    ref = np.array([[cols[0].p, cols[1].p], [cols[0].q, cols[1].q]])
-    closed = fundamental_matrix(proto, with_control=True, params=params)
-    return np.max(np.abs(closed - ref)) / np.max(np.abs(ref))
+    ref = integrate(np.eye(2), proto, with_control, params, tol=tol).T
+    phi = fundamental_matrix(proto, with_control, params)
+    return np.max(np.abs(phi - ref)) / np.max(np.abs(ref))
 
 
 def test_controlled_closed_form_matches_integration():
@@ -169,11 +182,11 @@ def test_controlled_closed_form_matches_integration():
         for tau_omega_i in (1e-4, 1e-2, 1.0, 3.0, 20.0):
             for m in (1.0, 2.3):
                 proto = cosine_ramp(WI, ratio * WI, tau_omega_i / WI)
-                worst = max(worst, _closed_form_deviation(proto, m))
+                worst = max(worst, _phi_deviation(proto, True, m))
     # a tabulated ramp, tau omega_i = 3, through its own interpolant
     t = np.linspace(0.0, 0.3, 9)
     table = protocol_from_table(list(zip(t, omega_at(cosine_ramp(WI, 2.0 * WI, 0.3), t))))
-    worst = max(worst, _closed_form_deviation(table, 1.0))
+    worst = max(worst, _phi_deviation(table, True, 1.0))
     assert worst < 1e-10
 
 
@@ -199,8 +212,8 @@ def test_controlled_closed_form_matches_integration_property(
     proto = cosine_ramp(omega_i, ratio * omega_i, 10.0**log_tau_omega_i / omega_i)
     # at tol 1e-12 the integrated reference itself is off by up to ~2e-10
     # over this box (tau omega_i ~ 17, omega_f/omega_i ~ 4.5); at 1e-13 the
-    # two routes agree to ~2e-11
-    assert _closed_form_deviation(proto, m, tol=1e-13) < 1e-10
+    # two routes agree to 1.8e-13
+    assert _phi_deviation(proto, True, m, tol=1e-13) < 1e-10
 
 
 def test_sample_gibbs_statistics():
@@ -302,10 +315,63 @@ def test_work_form_matches_the_basic_solution_expressions(low, high, fraction, l
 )
 def test_det_gate_rejects_a_bare_phi_off_by_5e_9(monkeypatch, call):
     # one gate, |det Phi - 1| <= 1e-9, on every Phi; 5e-9 passed the former 1e-8 gate
-    drifted = np.array([1.0 + 5e-9, 0.0, 0.0, 1.0])
-    monkeypatch.setattr(classical_dynamics, "_flow", lambda *args: drifted)
+    drifted = np.array([[1.0 + 5e-9, 0.0], [0.0, 1.0]])
+    monkeypatch.setattr(classical_dynamics, "_magnus_product", lambda *args: drifted)
     with pytest.raises(IntegrationError, match="area preservation"):
         call()
+
+
+def test_bare_phi_raises_when_the_step_doublings_run_out(monkeypatch):
+    # successive products that never agree: each one stretches by 1e-6 per step
+    counts = []
+
+    def never_agrees(protocol, m, per_interval):
+        counts.append(per_interval)
+        return np.diag([1.0 + 1e-6 * per_interval, 1.0 / (1.0 + 1e-6 * per_interval)])
+
+    monkeypatch.setattr(classical_dynamics, "_magnus_product", never_agrees)
+    with pytest.raises(IntegrationError, match="did not converge"):
+        fundamental_matrix(FAST)
+    assert len(counts) == classical_dynamics._MAX_DOUBLINGS + 1
+    assert all(b == 2 * a for a, b in zip(counts, counts[1:]))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    omega_i=st.floats(0.5, 50.0),
+    ratio=st.floats(0.25, 5.0),
+    log_tau_omega_i=st.floats(-4.0, math.log10(20.0)),
+    m=st.floats(0.2, 5.0),
+)
+def test_bare_magnus_matches_integration_property(omega_i, ratio, log_tau_omega_i, m):
+    # the box of the controlled twin, decreasing ramps included; 5.1e-13 seen
+    proto = cosine_ramp(omega_i, ratio * omega_i, 10.0**log_tau_omega_i / omega_i)
+    assert _phi_deviation(proto, False, m, tol=1e-13) < 1e-10
+
+
+@pytest.mark.parametrize(
+    "sign, log_d",
+    [
+        (-1.0, (-2.0, 0.0)),
+        (1.0, (-2.0, 0.0)),
+        (0.0, (-12.0, math.log10(classical_dynamics._SERIES_CUT))),
+    ],
+    ids=["d<0", "d>0", "|d|<cut"],
+)
+def test_traceless_exponential_matches_expm(sign, log_d):
+    # exp [[alpha, beta], [gamma, -alpha]] in each branch of d = alpha**2 + beta gamma,
+    # for |d| <= 1 (a Magnus step turns by r = sqrt|d| ~ omega h); the mixed-sign case
+    # covers the series; against mpmath the closed form is good to 1.7e-15 up to
+    # |d| = 100, where expm drifts to 1.5e-12
+    rng = np.random.default_rng(31)
+    d = 10.0 ** rng.uniform(*log_d, size=200) * (sign or rng.choice((-1.0, 1.0), size=200))
+    alpha = np.sqrt(np.abs(d)) * rng.uniform(-2.0, 2.0, size=200)
+    beta = rng.choice((-1.0, 1.0), size=200) * 10.0 ** rng.uniform(-3.0, 3.0, size=200)
+    gamma = (d - alpha**2) / beta
+    generators = np.stack((alpha, beta, gamma, -alpha), axis=-1).reshape(-1, 2, 2)
+    for x, got in zip(generators, classical_dynamics._expm_traceless(alpha, beta, gamma)):
+        want = expm(x)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_table_ramp_is_integrated_knot_to_knot():
