@@ -34,12 +34,8 @@ from .protocols import (
     validate,
 )
 from .classical_dynamics import (
-    ActionAngle,
     EnsembleSpec,
     OscillatorParams,
-    PhaseState,
-    control_value,
-    derivative,
     ensemble_work,
     from_action_angle,
     fundamental_matrix,
@@ -49,7 +45,6 @@ from .classical_dynamics import (
     propagate_ensemble,
     sample_gibbs,
     to_action_angle,
-    trajectory_work,
     work_coefficients,
 )
 from .classical_analytics import (
@@ -65,7 +60,6 @@ from .classical_analytics import (
 )
 from .quantum_dynamics import (
     FockBasisConfig,
-    QuantumState,
     QuantumWorkAtoms,
     TransitionMatrix,
     delta_f_quantum,
@@ -74,7 +68,6 @@ from .quantum_dynamics import (
     h0_matrix,
     hc_matrix,
     pdf_quantum_adiabatic,
-    propagate,
     quantum_work_atoms,
     transition_matrix,
 )
@@ -87,7 +80,6 @@ from .work_statistics import (
     classical_work_ensemble,
     classical_work_ensembles,
     delta_f_classical,
-    dissipated_work,
     estimator_dispersion,
     histogram,
     jarzynski,

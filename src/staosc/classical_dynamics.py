@@ -21,10 +21,12 @@ ODE solve.  Work is therefore a quadratic form in the initial state:
 W = I (a + b cos 2 theta + c sin 2 theta), which turns a
 :func:`gibbs_action_angle` draw straight into work samples.
 
-:func:`integrate` is the reference: one adaptive DOP853 solve of one
-vector field carries a state, or an (n, 2) batch of states, through either
-flow; a tabulated schedule is solved from knot to knot.  The phase-space
-route, :func:`sample_gibbs` then :func:`propagate_ensemble` then
+Phase-space state is always an (n, 2) array of (p, q) rows, and
+:func:`to_action_angle` / :func:`from_action_angle` map it to and from the
+(I, theta) arrays.  :func:`integrate` is the reference: one adaptive DOP853
+solve of one vector field carries the rows through either flow; a
+tabulated schedule is solved from knot to knot.  The phase-space route,
+:func:`sample_gibbs` then :func:`propagate_ensemble` then
 :func:`ensemble_work`, computes the same numbers from (p, q) arrays and is
 the independent check of the work form.
 """
@@ -51,33 +53,6 @@ _SERIES_CUT = 1e-2
 #: The 2-point Gauss nodes on [0, 1], and the commutator weight sqrt(3)/12.
 _GAUSS = np.array((0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0))
 _SQRT3_12 = math.sqrt(3.0) / 12.0
-
-
-@dataclass(frozen=True)
-class PhaseState:
-    """A single phase-space point (momentum first)."""
-
-    p: float
-    q: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.p) and math.isfinite(self.q)):
-            raise ValueError(f"phase-space coordinates must be finite: {self!r}")
-
-
-@dataclass(frozen=True)
-class ActionAngle:
-    """Action-angle coordinates; theta is stored wrapped into [0, 2*pi)."""
-
-    I: float
-    theta: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.I) and math.isfinite(self.theta)):
-            raise ValueError("action-angle coordinates must be finite")
-        if self.I < 0.0:
-            raise ValueError(f"action must be non-negative, got {self.I!r}")
-        object.__setattr__(self, "theta", self.theta % _TWO_PI)
 
 
 @dataclass(frozen=True)
@@ -111,42 +86,51 @@ def oscillator_energy(p, q, omega, params: OscillatorParams = OscillatorParams()
     return np.asarray(p) ** 2 / (2.0 * params.m) + 0.5 * params.m * omega**2 * np.asarray(q) ** 2
 
 
+def _positive_omega(omega: float) -> None:
+    """Raise ValueError unless omega is finite and positive."""
+    if not (math.isfinite(omega) and omega > 0.0):
+        raise ValueError(f"omega must be positive and finite, got {omega!r}")
+
+
+def _rows(states) -> np.ndarray:
+    """``states`` as an (n, 2) float array of finite (p, q) rows."""
+    states = np.asarray(states, dtype=float)
+    if states.ndim != 2 or states.shape[1] != 2:
+        raise ValueError("states must be an (n, 2) array of (p, q) rows")
+    if not np.all(np.isfinite(states)):
+        raise ValueError("phase-space coordinates must be finite")
+    return states
+
+
 def to_action_angle(
-    state: PhaseState, omega: float, params: OscillatorParams = OscillatorParams()
-) -> ActionAngle:
-    """Map (p, q) to (I, theta) at fixed frequency omega.
+    states, omega: float, params: OscillatorParams = OscillatorParams()
+) -> tuple[np.ndarray, np.ndarray]:
+    """Map (n, 2) rows of (p, q) to the arrays (I, theta) at fixed frequency omega.
 
     Conventions: q = sqrt(2 I / (m omega)) sin(theta),
-    p = sqrt(2 m omega I) cos(theta), so I = H0/omega.  The origin gets
-    theta = 0 by convention.
+    p = sqrt(2 m omega I) cos(theta), so I = H0/omega.  theta lies in
+    [0, 2 pi), and a row at the origin gets theta = 0.
     """
-    if omega <= 0.0:
-        raise ValueError("omega must be positive")
-    energy = float(oscillator_energy(state.p, state.q, omega, params))
-    action = energy / omega
-    if action == 0.0:
-        return ActionAngle(I=0.0, theta=0.0)
+    _positive_omega(omega)
+    p, q = _rows(states).T
+    action = oscillator_energy(p, q, omega, params) / omega
     root_momega = math.sqrt(params.m * omega)
-    theta = math.atan2(state.q * root_momega, state.p / root_momega)
-    return ActionAngle(I=action, theta=theta)
+    theta = np.arctan2(q * root_momega, p / root_momega) % _TWO_PI
+    # a tiny negative angle wraps to 2 pi itself in floating point
+    return action, np.where((action == 0.0) | (theta == _TWO_PI), 0.0, theta)
 
 
 def from_action_angle(
-    aa: ActionAngle, omega: float, params: OscillatorParams = OscillatorParams()
-) -> PhaseState:
-    """Inverse of :func:`to_action_angle` at the same omega."""
-    if omega <= 0.0:
-        raise ValueError("omega must be positive")
-    q = math.sqrt(2.0 * aa.I / (params.m * omega)) * math.sin(aa.theta)
-    p = math.sqrt(2.0 * params.m * omega * aa.I) * math.cos(aa.theta)
-    return PhaseState(p=p, q=q)
-
-
-def control_value(state: PhaseState, protocol: FrequencyProtocol, t: float) -> float:
-    """Instantaneous value of the control term -(omega_dot/2 omega) p q."""
-    w = omega_at(protocol, t)
-    wd = omega_dot_at(protocol, t)
-    return -(wd / (2.0 * w)) * state.p * state.q
+    action, theta, omega: float, params: OscillatorParams = OscillatorParams()
+) -> np.ndarray:
+    """Inverse of :func:`to_action_angle` at the same omega: the (n, 2) rows of (p, q)."""
+    _positive_omega(omega)
+    action, theta = np.asarray(action, dtype=float), np.asarray(theta, dtype=float)
+    if not (np.all((action >= 0.0) & (action < math.inf)) and np.all(np.isfinite(theta))):
+        raise ValueError("actions must be finite and non-negative, and angles finite")
+    p = np.sqrt(2.0 * params.m * omega * action) * np.cos(theta)
+    q = np.sqrt(2.0 * action / (params.m * omega)) * np.sin(theta)
+    return np.column_stack([p, q])
 
 
 def _field(t, y, protocol, with_control, m):
@@ -161,43 +145,27 @@ def _field(t, y, protocol, with_control, m):
     return (np.array(((g, -m * w * w), (1.0 / m, -g))) @ y.reshape(2, -1)).ravel()
 
 
-def derivative(
-    state: PhaseState,
-    t: float,
-    protocol: FrequencyProtocol,
-    with_control: bool = False,
-    params: OscillatorParams = OscillatorParams(),
-):
-    """Phase-space velocity (p_dot, q_dot) at time t."""
-    p_dot, q_dot = _field(t, np.array((state.p, state.q)), protocol, with_control, params.m)
-    return float(p_dot), float(q_dot)
-
-
 def _knots(protocol: FrequencyProtocol) -> list[float]:
     """[0, tau], or a table's knot times: its omega is only C^1 at the knots."""
     return [t for t, _ in protocol.samples] if protocol.kind == TABLE else [0.0, protocol.tau]
 
 
 def integrate(
-    initial,
+    states,
     protocol: FrequencyProtocol,
     with_control: bool = False,
     params: OscillatorParams = OscillatorParams(),
     tol: float = 1e-10,
 ):
-    """Propagate a state through the full ramp, t: 0 -> tau, by adaptive DOP853.
+    """Propagate (n, 2) rows of (p, q) through the full ramp, t: 0 -> tau, by adaptive DOP853.
 
-    ``initial`` is a :class:`PhaseState`, which returns one, or an (n, 2)
-    array of (p, q) rows, which returns the (n, 2) array of final rows from
-    one solve.  Each point's absolute tolerance is tol times its momentum
-    scale max(|p|, m omega_i |q|) in p, and that scale over m omega_i in q.
+    One solve carries every row and returns the (n, 2) final rows.  Each
+    point's absolute tolerance is tol times its momentum scale
+    max(|p|, m omega_i |q|) in p, and that scale over m omega_i in q.
     A step across a table knot loses the method's order, so a table is
     solved from knot to knot.
     """
-    single = isinstance(initial, PhaseState)
-    states = np.array([[initial.p, initial.q]]) if single else np.asarray(initial, dtype=float)
-    if states.ndim != 2 or states.shape[1] != 2:
-        raise ValueError("states must be an (n, 2) array of (p, q) rows")
+    states = _rows(states)
     m = params.m
     mw = m * protocol.omega_i
     scale = np.maximum(np.maximum(np.abs(states[:, 0]), mw * np.abs(states[:, 1])), 1e-30)
@@ -213,8 +181,7 @@ def integrate(
                 f"(kind={protocol.kind}, tau={protocol.tau}, with_control={with_control})"
             )
         y = sol.y[:, -1]
-    final = y.reshape(2, -1).T
-    return PhaseState(p=float(final[0, 0]), q=float(final[0, 1])) if single else final
+    return y.reshape(2, -1).T
 
 
 def _expm_traceless(alpha, beta, gamma):
@@ -346,8 +313,7 @@ def gibbs_action_angle(spec: EnsembleSpec, omega: float) -> tuple[np.ndarray, np
     by the seed), so a given (seed, count) always yields the same arrays
     regardless of platform or call history.
     """
-    if omega <= 0.0:
-        raise ValueError("omega must be positive")
+    _positive_omega(omega)
     rng = np.random.Generator(np.random.Philox(key=spec.seed))
     action = rng.exponential(scale=1.0 / (spec.beta * omega), size=spec.count)
     theta = rng.uniform(0.0, _TWO_PI, size=spec.count)
@@ -357,16 +323,8 @@ def gibbs_action_angle(spec: EnsembleSpec, omega: float) -> tuple[np.ndarray, np
 def sample_gibbs(
     spec: EnsembleSpec, omega: float, params: OscillatorParams = OscillatorParams()
 ) -> np.ndarray:
-    """Draw canonical-ensemble phase points at frequency omega.
-
-    Returns an (count, 2) array with columns (p, q): the
-    :func:`gibbs_action_angle` draw mapped to phase space as in
-    :func:`from_action_angle`.
-    """
-    action, theta = gibbs_action_angle(spec, omega)
-    p = np.sqrt(2.0 * params.m * omega * action) * np.cos(theta)
-    q = np.sqrt(2.0 * action / (params.m * omega)) * np.sin(theta)
-    return np.column_stack([p, q])
+    """The :func:`gibbs_action_angle` draw at frequency omega as (count, 2) rows of (p, q)."""
+    return from_action_angle(*gibbs_action_angle(spec, omega), omega, params)
 
 
 def work_coefficients(
@@ -407,23 +365,9 @@ def propagate_ensemble(
     linearity of the flow: one fundamental matrix serves the whole
     ensemble.
     """
-    states = np.asarray(states, dtype=float)
-    if states.ndim != 2 or states.shape[1] != 2:
-        raise ValueError("states must be an (n, 2) array of (p, q) rows")
+    states = _rows(states)
     phi = fundamental_matrix(protocol, with_control, params)
     return states @ phi.T
-
-
-def trajectory_work(
-    initial: PhaseState,
-    final: PhaseState,
-    protocol: FrequencyProtocol,
-    params: OscillatorParams = OscillatorParams(),
-) -> float:
-    """Endpoint work H0(final at omega_f) - H0(initial at omega_i)."""
-    e_in = oscillator_energy(initial.p, initial.q, protocol.omega_i, params)
-    e_out = oscillator_energy(final.p, final.q, protocol.omega_f, params)
-    return float(e_out - e_in)
 
 
 def ensemble_work(

@@ -570,8 +570,8 @@ def main(argv=None) -> int:
         except (OSError, json.JSONDecodeError) as exc:
             print(f"cannot read config: {exc}", file=sys.stderr)
             return 1
-        if args.seed is not None:
-            config["seed"] = args.seed
+        if args.seed is not None and isinstance(config, dict):
+            config["seed"] = args.seed  # a non-object config is rejected by the schema
     try:
         summary = run_experiment(config, args.out_dir)
     except ConfigError as exc:

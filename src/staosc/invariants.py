@@ -66,16 +66,11 @@ def wronskian(protocols) -> Check:
     return Check.below("wronskian", worst, 1e-9, f"DOP853 reference over {len(protocols)} ramps")
 
 
-def _actions(states, omega: float) -> np.ndarray:
-    """I = H0/omega of (p, q) rows, as :func:`staosc.classical_dynamics.to_action_angle`."""
-    return cd.oscillator_energy(states[:, 0], states[:, 1], omega) / omega
-
-
 def action_drift(protocol, states) -> Check:
     """Largest relative action change of rows with I > 0, from one solve at rtol 1e-12."""
-    states = np.asarray(states, dtype=float)
     finals = cd.integrate(states, protocol, with_control=True, tol=1e-12)
-    i0, i1 = _actions(states, protocol.omega_i), _actions(finals, protocol.omega_f)
+    i0 = cd.to_action_angle(states, protocol.omega_i)[0]
+    i1 = cd.to_action_angle(finals, protocol.omega_f)[0]
     moved = i0 > 0
     worst = float(np.max(np.abs(i1[moved] - i0[moved]) / i0[moved], initial=0.0))
     return Check.below("action_invariance", worst, 1e-7, f"over {len(states)} trajectories")
@@ -83,11 +78,8 @@ def action_drift(protocol, states) -> Check:
 
 def action_angle_roundtrip(states, omega: float) -> Check:
     """Largest error of (p, q) -> (I, theta) -> (p, q) at frequency omega."""
-    worst = 0.0
-    for p, q in states:
-        s = cd.PhaseState(float(p), float(q))
-        back = cd.from_action_angle(cd.to_action_angle(s, omega), omega)
-        worst = max(worst, abs(back.p - s.p), abs(back.q - s.q))
+    back = cd.from_action_angle(*cd.to_action_angle(states, omega), omega)
+    worst = float(np.max(np.abs(back - states), initial=0.0))
     return Check.below("action_angle_roundtrip", worst, 1e-12, f"over {len(states)} states")
 
 
@@ -96,13 +88,10 @@ def form_work_mismatch(protocol, form: ca.QuadraticWorkForm, states) -> Check:
 
     W_form = I (a + b cos 2 theta + c sin 2 theta) at the row's (I, theta).
     """
-    states = np.asarray(states, dtype=float)
     finals = cd.integrate(states, protocol, with_control=False, tol=1e-12)
     w_traj = cd.ensemble_work(states, finals, protocol)
-    root = np.sqrt(form.omega_i)
-    two = 2.0 * np.arctan2(states[:, 1] * root, states[:, 0] / root)
-    angular = form.a + form.b * np.cos(two) + form.c * np.sin(two)
-    w_form = _actions(states, form.omega_i) * angular
+    action, theta = cd.to_action_angle(states, form.omega_i)
+    w_form = action * (form.a + form.b * np.cos(2.0 * theta) + form.c * np.sin(2.0 * theta))
     worst = float(np.max(np.abs(w_traj - w_form) / np.maximum(np.abs(w_traj), 1e-12)))
     return Check.below("quadratic_form_route", worst, 1e-6, f"over {len(states)} trajectories")
 

@@ -114,6 +114,13 @@ class OttoCycleSpec:
             )
         if self.omega_f is not None and self.omega_f <= self.omega_i:
             raise ValueError("omega_f must exceed omega_i")
+        if self.relaxation_times is not None:
+            times = np.asarray(self.relaxation_times, dtype=float)
+            if times.shape != (2,) or not np.all(np.isfinite(times) & (times > 0.0)):
+                raise ValueError(
+                    "relaxation_times must be two positive finite numbers, "
+                    f"got {self.relaxation_times!r}"
+                )
 
 
 @dataclass(frozen=True)

@@ -88,31 +88,6 @@ class FockBasisConfig:
                 raise ValueError(f"{name} must be positive and finite")
 
 
-@dataclass
-class QuantumState:
-    """Normalized state vector in the reference number basis."""
-
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        amp = np.asarray(self.amplitudes, dtype=complex)
-        if amp.ndim != 1:
-            raise ValueError("amplitudes must be one-dimensional")
-        if not np.all(np.isfinite(amp.view(float))):
-            raise ValueError("amplitudes must be finite")
-        norm = np.linalg.norm(amp)
-        if abs(norm - 1.0) > 1e-9:
-            raise ValueError(f"state norm {norm!r} deviates from 1 beyond 1e-9")
-        tail = int(math.ceil(len(amp) * (1.0 - _LEAK_FRACTION)))
-        leak = float(np.sum(np.abs(amp[tail:]) ** 2))
-        if leak > _LEAK_TOL:
-            raise TruncationLeakageError(
-                f"top-of-basis population {leak:.3e} exceeds {_LEAK_TOL:g}; "
-                "use a larger basis dimension"
-            )
-        self.amplitudes = amp
-
-
 @cache
 def _ladder(dimension: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only 2n + 1 and sqrt((n+1)(n+2)) of the number basis."""
@@ -210,24 +185,6 @@ def _propagate_columns(
             f"basis (dimension {N}); increase the dimension"
         )
     return psi_tau
-
-
-def propagate(
-    initial: QuantumState,
-    protocol: FrequencyProtocol,
-    with_control: bool = False,
-    cfg: FockBasisConfig | None = None,
-    tol: float = 1e-10,
-) -> QuantumState:
-    """Propagate one state through the ramp, t: 0 -> tau."""
-    if cfg is None:
-        cfg = FockBasisConfig(dimension=len(initial.amplitudes))
-    if len(initial.amplitudes) != cfg.dimension:
-        raise ValueError("state length does not match basis dimension")
-    psi_tau = _propagate_columns(
-        initial.amplitudes[:, None], protocol, with_control, cfg, tol
-    )
-    return QuantumState(amplitudes=psi_tau[:, 0])
 
 
 @dataclass(frozen=True)

@@ -233,15 +233,6 @@ def delta_f_classical(beta: float, omega_i: float, omega_f: float) -> float:
     return math.log(omega_f / omega_i) / beta
 
 
-def dissipated_work(data, beta: float, delta_f: float) -> float:
-    """<W> - Delta F; non-negative on average by the second law."""
-    if isinstance(data, QuantumWorkAtoms):
-        mean = data.mean()
-    else:
-        mean = float(np.mean(data.samples))
-    return mean - delta_f
-
-
 #: 16-point Gauss-Legendre nodes and weights on [-1, 1]; one rule
 #: integrates every panel of the CDF grid.
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(16)

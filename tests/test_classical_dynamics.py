@@ -10,12 +10,8 @@ from scipy.linalg import expm
 from staosc import classical_dynamics
 from staosc.classical_analytics import adiabaticity_parameter, basic_solutions, quadratic_form
 from staosc.classical_dynamics import (
-    ActionAngle,
     EnsembleSpec,
     OscillatorParams,
-    PhaseState,
-    control_value,
-    derivative,
     ensemble_work,
     from_action_angle,
     fundamental_matrix,
@@ -24,7 +20,6 @@ from staosc.classical_dynamics import (
     propagate_ensemble,
     sample_gibbs,
     to_action_angle,
-    trajectory_work,
     work_coefficients,
 )
 from staosc.errors import IntegrationError
@@ -41,71 +36,51 @@ FAST = cosine_ramp(WI, WF, 1e-4)
 def test_action_angle_roundtrip_random():
     rng = np.random.default_rng(42)
     params = OscillatorParams(m=1.7)
-    for _ in range(300):
-        state = PhaseState(p=float(rng.normal(0, 3)), q=float(rng.normal(0, 2)))
-        omega = float(rng.uniform(0.5, 40.0))
-        aa = to_action_angle(state, omega, params)
-        back = from_action_angle(aa, omega, params)
-        assert back.p == pytest.approx(state.p, abs=1e-12 * max(1, abs(state.p)))
-        assert back.q == pytest.approx(state.q, abs=1e-12 * max(1, abs(state.q)))
+    states = rng.normal((0.0, 0.0), (3.0, 2.0), size=(300, 2))
+    for omega in rng.uniform(0.5, 40.0, size=20):
+        back = from_action_angle(*to_action_angle(states, omega, params), omega, params)
+        assert back.shape == states.shape
+        assert np.all(np.abs(back - states) <= 1e-12 * np.maximum(1.0, np.abs(states)))
 
 
 def test_action_times_omega_equals_energy():
     rng = np.random.default_rng(3)
-    for _ in range(100):
-        state = PhaseState(p=float(rng.normal()), q=float(rng.normal()))
-        omega = float(rng.uniform(0.1, 20.0))
-        aa = to_action_angle(state, omega)
-        energy = state.p**2 / 2.0 + 0.5 * omega**2 * state.q**2
-        assert aa.I * omega == pytest.approx(energy, rel=1e-12)
+    states = rng.normal(size=(100, 2))
+    for omega in rng.uniform(0.1, 20.0, size=10):
+        action, _ = to_action_angle(states, omega)
+        energy = states[:, 0] ** 2 / 2.0 + 0.5 * omega**2 * states[:, 1] ** 2
+        assert action * omega == pytest.approx(energy, rel=1e-12)
 
 
 def test_origin_maps_to_zero_action_zero_angle():
-    aa = to_action_angle(PhaseState(0.0, 0.0), 5.0)
-    assert aa.I == 0.0
-    assert aa.theta == 0.0
+    # atan2(-0.0, -0.0) = -pi: the signed-zero origin must still read theta = 0
+    action, theta = to_action_angle([[0.0, 0.0], [-0.0, -0.0]], 5.0)
+    assert np.array_equal(action, [0.0, 0.0])
+    assert np.array_equal(theta, [0.0, 0.0])
 
 
 def test_angle_convention():
     # theta = 0: pure positive momentum; theta = pi/2: pure positive q
-    aa_p = to_action_angle(PhaseState(p=2.0, q=0.0), 4.0)
-    assert aa_p.theta == pytest.approx(0.0, abs=1e-12)
-    aa_q = to_action_angle(PhaseState(p=0.0, q=2.0), 4.0)
-    assert aa_q.theta == pytest.approx(math.pi / 2.0, rel=1e-12)
-
-
-def test_derivative_values():
-    state = PhaseState(p=0.0, q=1.0)
-    proto = constant_protocol(WI, 1.0)
-    p_dot, q_dot = derivative(state, 0.0, proto)
-    assert p_dot == pytest.approx(-100.0)
-    assert q_dot == 0.0
-
-
-def test_control_vanishes_at_endpoints():
-    state = PhaseState(p=1.3, q=-0.7)
-    assert control_value(state, FAST, 0.0) == pytest.approx(0.0, abs=1e-9)
-    assert control_value(state, FAST, FAST.tau) == pytest.approx(0.0, abs=1e-9)
-    # but not in the middle of a fast ramp
-    assert abs(control_value(state, FAST, FAST.tau / 2.0)) > 1.0
+    _, theta = to_action_angle([[2.0, 0.0], [0.0, 2.0]], 4.0)
+    assert theta[0] == pytest.approx(0.0, abs=1e-12)
+    assert theta[1] == pytest.approx(math.pi / 2.0, rel=1e-12)
 
 
 def test_constant_protocol_full_period_returns_state():
     omega = 7.0
     proto = constant_protocol(omega, 2.0 * math.pi / omega)
-    state = PhaseState(p=1.1, q=-0.4)
+    state = np.array([[1.1, -0.4]])
     final = integrate(state, proto, tol=1e-12)
-    assert final.p == pytest.approx(state.p, abs=1e-8)
-    assert final.q == pytest.approx(state.q, abs=1e-8)
+    assert final == pytest.approx(state, abs=1e-8)
 
 
 def test_energy_conserved_at_constant_frequency():
     omega = 3.0
     proto = constant_protocol(omega, 1.234)
-    state = PhaseState(p=0.3, q=1.2)
-    final = integrate(state, proto, tol=1e-12)
-    e0 = state.p**2 / 2 + 0.5 * omega**2 * state.q**2
-    e1 = final.p**2 / 2 + 0.5 * omega**2 * final.q**2
+    state = np.array([[0.3, 1.2]])
+    (p1, q1), = integrate(state, proto, tol=1e-12)
+    e0 = 0.3**2 / 2 + 0.5 * omega**2 * 1.2**2
+    e1 = p1**2 / 2 + 0.5 * omega**2 * q1**2
     assert e1 == pytest.approx(e0, rel=1e-10)
 
 
@@ -117,14 +92,13 @@ def test_controlled_ramp_preserves_action():
 
 
 def test_controlled_work_is_delta_omega_times_action():
-    rng = np.random.default_rng(12)
-    for _ in range(20):
-        state = PhaseState(p=float(rng.normal(0, 2)), q=float(rng.normal(0, 0.5)))
-        final = integrate(state, FAST, with_control=True, tol=1e-12)
-        w = trajectory_work(state, final, FAST)
-        i0 = to_action_angle(state, WI).I
-        if i0 > 1e-12:
-            assert w == pytest.approx((WF - WI) * i0, rel=1e-8)
+    states = np.random.default_rng(12).normal((0.0, 0.0), (2.0, 0.5), size=(20, 2))
+    finals = integrate(states, FAST, with_control=True, tol=1e-12)
+    works = ensemble_work(states, finals, FAST)
+    i0, _ = to_action_angle(states, WI)
+    moved = i0 > 1e-12
+    assert moved.sum() == 20
+    assert works[moved] == pytest.approx((WF - WI) * i0[moved], rel=1e-8)
 
 
 def test_liouville_area_preservation():
@@ -141,14 +115,9 @@ def test_ensemble_propagation_matches_per_state_integration():
     for control in (False, True):
         finals = propagate_ensemble(states, FAST, with_control=control)
         for row0, row1 in zip(states[:10], finals[:10]):
-            single = integrate(
-                PhaseState(float(row0[0]), float(row0[1])),
-                FAST,
-                with_control=control,
-                tol=1e-12,
-            )
-            assert row1[0] == pytest.approx(single.p, rel=1e-9, abs=1e-12)
-            assert row1[1] == pytest.approx(single.q, rel=1e-9, abs=1e-12)
+            (p, q), = integrate(row0[None], FAST, with_control=control, tol=1e-12)
+            assert row1[0] == pytest.approx(p, rel=1e-9, abs=1e-12)
+            assert row1[1] == pytest.approx(q, rel=1e-9, abs=1e-12)
 
 
 def test_batched_integrate_matches_per_state_solves():
@@ -158,8 +127,8 @@ def test_batched_integrate_matches_per_state_solves():
         for control in (False, True):
             batch = integrate(states, proto, with_control=control, tol=1e-12)
             for row0, row1 in zip(states, batch):
-                single = integrate(PhaseState(*row0), proto, with_control=control, tol=1e-12)
-                assert row1 == pytest.approx((single.p, single.q), rel=1e-9, abs=1e-12)
+                single = integrate(row0[None], proto, with_control=control, tol=1e-12)
+                assert row1 == pytest.approx(single[0], rel=1e-9, abs=1e-12)
     with pytest.raises(ValueError, match=r"\(n, 2\)"):
         integrate(states.T, FAST)
 
@@ -249,10 +218,10 @@ def test_sample_gibbs_maps_the_action_angle_draw():
         np.sqrt(2.0 * action / (params.m * WI)) * np.sin(theta),
     ])
     assert np.array_equal(states, mapped)
-    for i in range(0, 1000, 97):
-        back = to_action_angle(PhaseState(*states[i]), WI, params)
-        assert back.I == pytest.approx(action[i], rel=1e-12)
-        assert back.theta == pytest.approx(theta[i], rel=1e-12, abs=1e-12)
+    assert np.array_equal(from_action_angle(action, theta, WI, params), states)
+    back_action, back_theta = to_action_angle(states, WI, params)
+    assert back_action == pytest.approx(action, rel=1e-12)
+    assert back_theta == pytest.approx(theta, rel=1e-12, abs=1e-12)
 
 
 def test_work_coefficients_closed_cases():
@@ -399,18 +368,33 @@ def test_bare_work_nonnegative_for_increasing_ramp():
 def test_sudden_ramp_leaves_state_nearly_frozen():
     # tau omega_i = 2 pi * 1e-4: the state cannot move appreciably
     proto = cosine_ramp(WI, WF, 1e-4 * 2.0 * math.pi / WI)
-    state = PhaseState(p=1.0, q=0.5)
-    final = integrate(state, proto, tol=1e-12)
+    (p, q), = integrate([[1.0, 0.5]], proto, tol=1e-12)
     # drift is O(omega tau) ~ 1e-3 over this interval
-    assert final.q == pytest.approx(state.q, rel=1e-3)
-    assert final.p == pytest.approx(state.p, rel=2e-2)
+    assert q == pytest.approx(0.5, rel=1e-3)
+    assert p == pytest.approx(1.0, rel=2e-2)
 
 
 def test_invalid_states_rejected():
-    with pytest.raises(ValueError):
-        PhaseState(p=math.nan, q=0.0)
-    with pytest.raises(ValueError):
-        ActionAngle(I=-1.0, theta=0.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        rows = [[1.0, 0.5], [bad, 0.0]]
+        for call in (
+            lambda: integrate(rows, FAST),
+            lambda: to_action_angle(rows, WI),
+            lambda: propagate_ensemble(rows, FAST),
+        ):
+            with pytest.raises(ValueError, match="finite"):
+                call()
+        for action, theta in (([1.0, -1.0], 0.0), ([1.0, bad], 0.0), (1.0, [0.0, bad])):
+            with pytest.raises(ValueError, match="non-negative"):
+                from_action_angle(action, theta, WI)
+        for omega in (bad, 0.0, -1.0):
+            for call in (
+                lambda: to_action_angle([[1.0, 0.5]], omega),
+                lambda: from_action_angle(1.0, 0.0, omega),
+                lambda: gibbs_action_angle(EnsembleSpec(beta=BETA, count=10, seed=0), omega),
+            ):
+                with pytest.raises(ValueError, match="omega must be positive and finite"):
+                    call()
     with pytest.raises(ValueError):
         EnsembleSpec(beta=-0.1, count=10, seed=0)
     with pytest.raises(ValueError):
@@ -418,6 +402,15 @@ def test_invalid_states_rejected():
 
 
 def test_angle_wraps_into_range():
-    aa = ActionAngle(I=1.0, theta=7.0 * math.pi)
-    assert 0.0 <= aa.theta < 2.0 * math.pi
-    assert aa.theta == pytest.approx(math.pi, rel=1e-12)
+    # an angle of 7 pi reads pi; the fourth-quadrant rows read 2 pi - pi/4 and 2 pi - 1e-3
+    rows = np.vstack([from_action_angle(1.0, 7.0 * math.pi, WI), [[1.0, -1.0 / WI]],
+                      from_action_angle(2.0, -1e-3, WI)])
+    _, theta = to_action_angle(rows, WI)
+    assert np.all((0.0 <= theta) & (theta < 2.0 * math.pi))
+    assert theta == pytest.approx([math.pi, 1.75 * math.pi, 2.0 * math.pi - 1e-3], rel=1e-12)
+    random_rows = np.random.default_rng(8).normal(size=(1000, 2))
+    _, theta = to_action_angle(random_rows, WI)
+    assert np.all((0.0 <= theta) & (theta < 2.0 * math.pi))
+    # -1e-17 + 2 pi rounds to 2 pi, which must read 0
+    _, theta = to_action_angle([[1.0, -1e-17], [1.0, -1e-300]], WI)
+    assert np.array_equal(theta, [0.0, 0.0])

@@ -416,6 +416,14 @@ def test_main_bad_config_returns_error(tmp_path, capsys):
     assert "$.seed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("override", [[], ["--seed", "3"]], ids=["no-seed", "seed"])
+def test_main_non_object_config_returns_error(tmp_path, capsys, override):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text("[1]")
+    assert main(["run", str(cfg_path), *override]) == 1
+    assert "$: [1] is not of type 'object'" in capsys.readouterr().err
+
+
 def test_main_missing_config_returns_error(tmp_path, capsys):
     assert main(["run", str(tmp_path / "nope.json")]) == 1
     assert "cannot read config" in capsys.readouterr().err

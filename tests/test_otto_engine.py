@@ -220,6 +220,15 @@ def test_cycle_durations_propagate():
     assert cycle.durations.total == math.inf
 
 
+@pytest.mark.parametrize(
+    "times",
+    [(-1.0, math.nan), (1.0, 0.0), (1.0, math.inf), (math.nan, 1.0), (1.0,), (1.0, 2.0, 3.0), 5.0],
+)
+def test_relaxation_times_must_be_two_positive_finite_numbers(times):
+    with pytest.raises(ValueError, match="relaxation_times"):
+        _spec(relaxation_times=times)
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         _spec(beta_2=2.0)  # colder second bath
