@@ -377,8 +377,7 @@ def ensemble_work(
     params: OscillatorParams = OscillatorParams(),
 ) -> np.ndarray:
     """Vectorized endpoint work for paired (n, 2) state arrays."""
-    initial = np.asarray(initial, dtype=float)
-    final = np.asarray(final, dtype=float)
+    initial, final = _rows(initial), _rows(final)
     if initial.shape != final.shape:
         raise ValueError("initial and final ensembles must have matching shapes")
     e_in = oscillator_energy(initial[:, 0], initial[:, 1], protocol.omega_i, params)

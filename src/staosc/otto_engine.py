@@ -112,6 +112,8 @@ class OttoCycleSpec:
                 "the engine needs a hotter second bath: beta_2 < beta_1 "
                 f"(got beta_1={self.beta_1!r}, beta_2={self.beta_2!r})"
             )
+        if self.omega_f is not None and not math.isfinite(self.omega_f):
+            raise ValueError(f"omega_f must be finite, got {self.omega_f!r}")
         if self.omega_f is not None and self.omega_f <= self.omega_i:
             raise ValueError("omega_f must exceed omega_i")
         if self.relaxation_times is not None:

@@ -53,6 +53,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .classical_analytics import adiabaticity_parameter
+from .classical_dynamics import _positive_omega
 from .errors import IntegrationError, TruncationLeakageError
 from .protocols import FrequencyProtocol, omega_at, omega_dot_at
 
@@ -122,8 +123,7 @@ def _apply_hamiltonian(psi, d, u):
 
 def h0_matrix(omega: float, cfg: FockBasisConfig) -> np.ndarray:
     """Dense bare Hamiltonian at frequency omega, in the reference basis."""
-    if omega <= 0.0:
-        raise ValueError("omega must be positive")
+    _positive_omega(omega)
     diag, off, _ = _bands(omega, 0.0, cfg)
     return _apply_hamiltonian(np.eye(cfg.dimension), diag, off)
 

@@ -381,6 +381,8 @@ def test_invalid_states_rejected():
             lambda: integrate(rows, FAST),
             lambda: to_action_angle(rows, WI),
             lambda: propagate_ensemble(rows, FAST),
+            lambda: ensemble_work(rows, [[1.0, 0.5], [1.0, 0.0]], FAST),
+            lambda: ensemble_work([[1.0, 0.5], [1.0, 0.0]], rows, FAST),
         ):
             with pytest.raises(ValueError, match="finite"):
                 call()
@@ -395,6 +397,9 @@ def test_invalid_states_rejected():
             ):
                 with pytest.raises(ValueError, match="omega must be positive and finite"):
                     call()
+    # 1-d arrays are not (n, 2) rows, even when the shapes match
+    with pytest.raises(ValueError, match=r"\(n, 2\) array"):
+        ensemble_work(np.ones(2), np.ones(2), FAST)
     with pytest.raises(ValueError):
         EnsembleSpec(beta=-0.1, count=10, seed=0)
     with pytest.raises(ValueError):

@@ -234,6 +234,9 @@ def test_spec_validation():
         _spec(beta_2=2.0)  # colder second bath
     with pytest.raises(ValueError):
         _spec(omega_f=5.0)  # compression cycle not supported
+    for omega_f in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="omega_f must be finite"):
+            _spec(omega_f=omega_f)
     with pytest.raises(ValueError):
         _spec(regime="hybrid")
     with pytest.raises(ValueError):

@@ -126,6 +126,14 @@ def test_eigenbasis_at_reference_frequency_is_fock():
     assert np.allclose(overlap, np.eye(64), atol=1e-12)
 
 
+def test_bare_hamiltonian_rejects_nonpositive_or_nonfinite_omega():
+    cfg = FockBasisConfig(dimension=8, omega_ref=WI)
+    for omega in (math.nan, math.inf, -math.inf, 0.0, -1.0):
+        for call in (h0_matrix, eigenbasis):
+            with pytest.raises(ValueError, match="omega must be positive and finite"):
+                call(omega, cfg)
+
+
 # ---------------------------------------------------------------------------
 # propagation
 # ---------------------------------------------------------------------------

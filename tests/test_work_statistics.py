@@ -21,8 +21,9 @@ from staosc.classical_dynamics import (
     gibbs_action_angle,
     propagate_ensemble,
     sample_gibbs,
+    work_coefficients,
 )
-from staosc.protocols import cosine_ramp
+from staosc.protocols import cosine_ramp, omega_at, protocol_from_table
 from staosc.quantum_dynamics import FockBasisConfig, quantum_work_atoms, transition_matrix
 from staosc.work_statistics import (
     BinnedDensity,
@@ -119,6 +120,40 @@ def test_action_angle_work_matches_propagated_phase_space(
     )
     action, _ = gibbs_action_angle(spec, omega_i)
     assert np.all(np.abs(works - oracle) <= 1e-13 * omega_i * action)
+
+
+def _unblocked_works(protocol, spec, controls):
+    """The work formula over the whole draw at once: the blocked kernel's oracle."""
+    action, theta = gibbs_action_angle(spec, protocol.omega_i)
+    t = np.tan(theta)
+    scale = 1.0 / (1.0 + t * t)
+    cos_2theta, sin_2theta = (1.0 - t * t) * scale, 2.0 * t * scale
+    works = {}
+    for with_control in controls:
+        a, b, c = work_coefficients(protocol, with_control)
+        works[with_control] = action * (a + b * cos_2theta + c * sin_2theta)
+    return works
+
+
+_B = work_statistics._BLOCK
+_TABLE_T = np.linspace(0.0, 0.3, 40)
+_BARE_TABLE = protocol_from_table(
+    list(zip(_TABLE_T, omega_at(cosine_ramp(WI, 2.0 * WI, 0.3), _TABLE_T)))
+)
+
+
+@pytest.mark.parametrize("count", [1, _B - 1, _B, _B + 1, 3 * _B + 7])
+@pytest.mark.parametrize(
+    "protocol, controls", [(FAST, (True, False)), (_BARE_TABLE, (False,))],
+    ids=["default-ramp", "bare-table"],
+)
+def test_blocked_works_are_bit_identical_to_unblocked(count, protocol, controls):
+    spec = EnsembleSpec(beta=BETA, count=count, seed=67)
+    sets = classical_work_ensembles(protocol, spec, controls=controls)
+    oracle = _unblocked_works(protocol, spec, controls)
+    assert list(sets) == list(controls)
+    for with_control in controls:
+        assert np.array_equal(sets[with_control].samples, oracle[with_control])
 
 
 def test_work_sample_set_validation():
@@ -382,6 +417,19 @@ def test_estimator_dispersion_input_guards():
         estimator_dispersion(ws, -1.0, batch_count=10)
     # non-divisible counts are allowed: the remainder is dropped
     assert estimator_dispersion(ws, BETA, batch_count=7) > 0.0
+
+
+@pytest.mark.parametrize("batch_count", [2, 3, 7, 1000, 12_000])
+def test_blocked_dispersion_equals_one_shot_expression(batch_count):
+    # 3B + 7 samples: none of these batch counts divides the count, and the
+    # batches run from 1 row per block (3) to 4096 rows per block (12 000)
+    ws = _samples(3 * _B + 7, seed=71)
+    w = ws.samples
+    per = w.size // batch_count
+    assert per * batch_count < w.size
+    trimmed = w[: per * batch_count].reshape(batch_count, per)
+    one_shot = float(np.var(np.mean(np.exp(-BETA * trimmed), axis=1), ddof=1))
+    assert estimator_dispersion(ws, BETA, batch_count) == one_shot
 
 
 # ---------------------------------------------------------------------------
