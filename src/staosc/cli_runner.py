@@ -53,13 +53,18 @@ _OUT_DIR_ENV = "STAOSC_OUT_DIR"
 
 
 def _write_csv(path: Path, meta: dict, names, columns) -> None:
-    columns = [np.asarray(c) for c in columns]
+    # Python floats and ints format through "%.17g" exactly as numpy scalars
+    # do through f"{v:.17g}", so one row template keeps every byte.
+    columns = [np.asarray(c).tolist() for c in columns]
+    lengths = [len(c) for c in columns]
+    if len(set(lengths)) > 1:
+        raise ValueError(f"CSV columns must have equal lengths, got {lengths}")
+    template = ",".join(["%.17g"] * len(columns)) + "\n"
     with open(path, "w") as fh:
         for key, value in meta.items():
             fh.write(f"# {key}={value}\n")
         fh.write(",".join(names) + "\n")
-        for row in zip(*columns):
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        fh.writelines(template % row for row in zip(*columns, strict=True))
 
 
 def _protocol_from(phys: dict):
@@ -156,6 +161,7 @@ def _run_jarzynski_trace(resolved: dict, out_dir: Path, meta: dict):
                 f"final estimate {trace.final:.5f} vs target {target:.5f}",
             )
         )
+        del samples, trace  # free 3 x 8n bytes before the next trace or draw
 
     # batched dispersion across seed replicates
     batch = num["batch_size"]

@@ -226,6 +226,16 @@ def stroke_energy_factor(
     return q_star * (omega_to / omega_from)
 
 
+def _corner_energies(spec: OttoCycleSpec, omega_f: float) -> tuple[float, float, float, float]:
+    """Mean energies at corners A, B, C, D of the cycle run up to omega_f."""
+    wi = spec.omega_i
+    e_a = thermal_energy(spec.beta_1, wi, spec.regime, spec.hbar)
+    e_b = stroke_energy_factor(spec.stroke_1, wi, omega_f, spec.regime, spec.hbar) * e_a
+    e_c = thermal_energy(spec.beta_2, omega_f, spec.regime, spec.hbar)
+    e_d = stroke_energy_factor(spec.stroke_3, omega_f, wi, spec.regime, spec.hbar) * e_c
+    return e_a, e_b, e_c, e_d
+
+
 def evaluate_cycle(spec: OttoCycleSpec) -> CycleResult:
     """Run the energy bookkeeping of one full cycle.
 
@@ -235,14 +245,7 @@ def evaluate_cycle(spec: OttoCycleSpec) -> CycleResult:
     """
     if spec.omega_f is None:
         raise ValueError("omega_f is unset; call optimize_frequency instead")
-    wi, wf = spec.omega_i, spec.omega_f
-    e_a = thermal_energy(spec.beta_1, wi, spec.regime, spec.hbar)
-    factor_1 = stroke_energy_factor(spec.stroke_1, wi, wf, spec.regime, spec.hbar)
-    e_b = factor_1 * e_a
-    e_c = thermal_energy(spec.beta_2, wf, spec.regime, spec.hbar)
-    factor_3 = stroke_energy_factor(spec.stroke_3, wf, wi, spec.regime, spec.hbar)
-    e_d = factor_3 * e_c
-
+    e_a, e_b, e_c, e_d = _corner_energies(spec, spec.omega_f)
     work_in_1 = e_b - e_a
     heat_in_2 = e_c - e_b
     work_in_3 = e_d - e_c
@@ -301,12 +304,17 @@ def optimize_frequency(
         ratio = spec.beta_1 / spec.beta_2
         hi = spec.omega_i * max(10.0, 3.0 * math.sqrt(ratio))
         bracket = (spec.omega_i * (1.0 + 1e-6), hi)
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     lo, hi = bracket
-    if not (spec.omega_i < lo < hi):
-        raise ValueError(f"bracket {bracket!r} must satisfy omega_i < lo < hi")
+    if not (spec.omega_i < lo < hi < math.inf):
+        raise ValueError(f"bracket {bracket!r} must be finite with omega_i < lo < hi")
 
+    # the operations of evaluate_cycle's w_net, without building a cycle per
+    # probe; every probe lies inside the checked bracket, so it is a valid omega_f
     def w_net(omega_f: float) -> float:
-        return evaluate_cycle(replace(spec, omega_f=omega_f)).w_net
+        e_a, e_b, e_c, e_d = _corner_energies(spec, omega_f)
+        return -((e_b - e_a) + (e_d - e_c))
 
     # golden-section: iteration count fixed by the bracket and tolerance
     span = hi - lo
@@ -337,15 +345,15 @@ def eta_adiabatic_max_power(beta_ratio: float) -> float:
     1 - sqrt(beta_2/beta_1), with beta_ratio = beta_1/beta_2 > 1 (the
     Curzon-Ahlborn value for this cycle).
     """
-    if beta_ratio <= 1.0:
-        raise ValueError("beta_ratio = beta_1/beta_2 must exceed 1")
+    if not (1.0 < beta_ratio < math.inf):
+        raise ValueError(f"beta_ratio = beta_1/beta_2 must be finite and > 1, got {beta_ratio!r}")
     return 1.0 - math.sqrt(1.0 / beta_ratio)
 
 
 def eta_sudden_max_power(beta_ratio: float) -> float:
     """Classical maximum-power efficiency with sudden jumps: (1-s)/(2+s)."""
-    if beta_ratio <= 1.0:
-        raise ValueError("beta_ratio = beta_1/beta_2 must exceed 1")
+    if not (1.0 < beta_ratio < math.inf):
+        raise ValueError(f"beta_ratio = beta_1/beta_2 must be finite and > 1, got {beta_ratio!r}")
     s = math.sqrt(1.0 / beta_ratio)
     return (1.0 - s) / (2.0 + s)
 
@@ -379,8 +387,8 @@ def efficiency_curves(
         if kind not in (STA, QUASISTATIC, SUDDEN):
             raise ValueError(f"strokes must be sta, quasistatic or sudden, got {kind!r}")
     ratios = np.asarray(beta_ratios, dtype=float)
-    if np.any(ratios <= 1.0):
-        raise ValueError("every beta_1/beta_2 ratio must exceed 1")
+    if not np.all((1.0 < ratios) & (ratios < np.inf)):
+        raise ValueError(f"every beta_1/beta_2 ratio must be finite and > 1, got {ratios!r}")
     table: dict[str, np.ndarray] = {}
     for kind in stroke_kinds:
         values = np.empty_like(ratios)

@@ -238,9 +238,13 @@ def jarzynski(data, beta: float, delta_f: float) -> JarzynskiTrace:
             target=target,
         )
     w = data.samples
-    running = np.cumsum(np.exp(-beta * w)) / np.arange(1, w.size + 1)
+    counts = np.arange(1, w.size + 1)
+    running = np.multiply(w, -beta)
+    np.exp(running, out=running)
+    np.cumsum(running, out=running)
+    np.divide(running, counts, out=running)
     return JarzynskiTrace(
-        counts=np.arange(1, w.size + 1),
+        counts=counts,
         running=running,
         final=float(running[-1]),
         target=target,

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from jsonschema import Draft202012Validator
 
+import staosc.cli_runner as cli_runner
 import staosc.invariants as invariants
 import staosc.work_statistics as work_statistics
 from staosc.cli_runner import (
@@ -354,6 +355,53 @@ def test_runs_are_deterministic(tmp_path):
     for name in ("classical_work_sta_hist.csv", "classical_work_bare_density.csv",
                  "summary.json"):
         assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
+
+
+def _write_csv_per_value(path, meta, names, columns):
+    """The per-value f-string writer that the row template replaced."""
+    columns = [np.asarray(c) for c in columns]
+    with open(path, "w") as fh:
+        for key, value in meta.items():
+            fh.write(f"# {key}={value}\n")
+        fh.write(",".join(names) + "\n")
+        for row in zip(*columns):
+            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+
+
+_SPECIAL = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+            1.7976931348623157e308, 0.1, 1.0 / 3.0, -123456.789, 1e16, 1e17, 2.0**53 + 2.0]
+
+
+@pytest.mark.parametrize(
+    "columns",
+    [
+        [np.array(_SPECIAL), np.linspace(-1.0, 1.0, len(_SPECIAL))],
+        [np.array([math.nan, math.inf, -math.inf, 0.0, -0.0, 1e-45, 3.4028235e38, 0.1, 1 / 3],
+                  dtype=np.float32), -np.arange(9.0)],
+        [np.array([0, 1, -1, 2**53, 2**53 + 1, -(2**53) - 1, 2**62, -(2**63)], dtype=np.int64),
+         np.random.default_rng(3).normal(size=8) * 10.0 ** np.arange(-300, 300, 75)],
+        [np.random.default_rng(5).standard_cauchy(1000)],
+        [[1.5, 2.5], (3, 4), np.array([5.0, 6.0])],
+        [np.array([]), np.array([], dtype=np.int64)],
+        [],
+    ],
+    ids=["special", "float32", "int64", "one-column", "sequences", "zero-rows", "no-columns"],
+)
+def test_write_csv_matches_the_per_value_writer(tmp_path, columns):
+    meta = {"seed": 7, "config_sha256": "ab" * 32}
+    names = [f"c{i}" for i in range(len(columns))]
+    cli_runner._write_csv(tmp_path / "new.csv", meta, names, columns)
+    _write_csv_per_value(tmp_path / "old.csv", meta, names, columns)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_write_csv_rejects_columns_of_unequal_length(tmp_path):
+    # the per-value writer silently cut every column to the shortest one
+    with pytest.raises(ValueError, match=r"equal lengths, got \[3, 2, 3\]"):
+        cli_runner._write_csv(
+            tmp_path / "t.csv", {}, ["a", "b", "c"], [np.ones(3), np.ones(2), np.ones(3)]
+        )
+    assert not (tmp_path / "t.csv").exists()
 
 
 def test_seed_changes_outputs(tmp_path):

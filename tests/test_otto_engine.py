@@ -1,7 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from staosc.otto_engine import (
     BARE,
@@ -9,6 +12,8 @@ from staosc.otto_engine import (
     QUANTUM,
     STA,
     SUDDEN,
+    QUASISTATIC,
+    OptimizationResult,
     OttoCycleSpec,
     StrokeKind,
     efficiency_curves,
@@ -299,6 +304,95 @@ def test_optimizer_boundary_flag():
     assert result.at_boundary
     with pytest.raises(ValueError):
         optimize_frequency(spec, bracket=(WI * 2.0, WI * 1.5))
+
+
+def _optimize_frequency_by_cycles(spec, bracket=None, tol=1e-8):
+    """The optimizer as it was, evaluating a full cycle at every probe."""
+    golden = (math.sqrt(5.0) - 1.0) / 2.0
+    if bracket is None:
+        ratio = spec.beta_1 / spec.beta_2
+        hi = spec.omega_i * max(10.0, 3.0 * math.sqrt(ratio))
+        bracket = (spec.omega_i * (1.0 + 1e-6), hi)
+    lo, hi = bracket
+
+    def w_net(omega_f):
+        return evaluate_cycle(dataclasses.replace(spec, omega_f=omega_f)).w_net
+
+    span = hi - lo
+    steps = max(1, math.ceil(math.log(tol * spec.omega_i / span) / math.log(golden)))
+    a, b = lo, hi
+    c = b - golden * (b - a)
+    d = a + golden * (b - a)
+    fc, fd = w_net(c), w_net(d)
+    for _ in range(steps):
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - golden * (b - a)
+            fc = w_net(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + golden * (b - a)
+            fd = w_net(d)
+    omega_star = 0.5 * (a + b)
+    cycle = evaluate_cycle(dataclasses.replace(spec, omega_f=omega_star))
+    edge = 10.0 * max(tol * spec.omega_i, 1e-12 * span)
+    at_boundary = (omega_star - lo) < edge or (hi - omega_star) < edge
+    return OptimizationResult(omega_f=omega_star, cycle=cycle, at_boundary=at_boundary)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    regime=st.sampled_from([CLASSICAL, QUANTUM]),
+    kind_1=st.sampled_from([STA, QUASISTATIC, SUDDEN]),
+    kind_3=st.sampled_from([STA, QUASISTATIC, SUDDEN]),
+    beta_1=st.floats(1e-3, 20.0),
+    ratio=st.floats(1.01, 200.0),
+    omega_i=st.floats(0.1, 100.0),
+    hbar=st.floats(1e-3, 2.0),
+    tol=st.sampled_from([1e-8, 1e-5]),
+)
+def test_optimizer_matches_the_full_cycle_objective(
+    regime, kind_1, kind_3, beta_1, ratio, omega_i, hbar, tol
+):
+    # every probe, comparison and omega* is bit-identical to the optimizer
+    # that built and evaluated a whole cycle per probe
+    spec = OttoCycleSpec(
+        beta_1=beta_1, beta_2=beta_1 / ratio, omega_i=omega_i, omega_f=None,
+        regime=regime, stroke_1=StrokeKind(kind_1), stroke_3=StrokeKind(kind_3),
+        hbar=hbar,
+    )
+    new, old = optimize_frequency(spec, tol=tol), _optimize_frequency_by_cycles(spec, tol=tol)
+    assert new.omega_f == old.omega_f
+    assert new.at_boundary == old.at_boundary
+    np.testing.assert_equal(dataclasses.astuple(new.cycle), dataclasses.astuple(old.cycle))
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+def test_optimizer_rejects_bad_tolerance(tol):
+    # 0 and -1 used to fail with "math domain error", nan with a conversion error
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        optimize_frequency(_spec(omega_f=None), tol=tol)
+
+
+@pytest.mark.parametrize(
+    "bracket",
+    [(10.5, math.inf), (10.5, math.nan), (math.nan, 20.0), (-math.inf, 20.0), (math.inf, math.inf)],
+)
+def test_optimizer_rejects_non_finite_bracket(bracket):
+    with pytest.raises(ValueError, match="must be finite with omega_i < lo < hi"):
+        optimize_frequency(_spec(omega_f=None), bracket=bracket)
+
+
+@pytest.mark.parametrize("ratio", [math.nan, math.inf, -math.inf])
+def test_bath_ratios_must_be_finite(ratio):
+    # eta_sudden_max_power(inf) used to return 0.5, and a classical table
+    # with a nan ratio held nan
+    for eta in (eta_adiabatic_max_power, eta_sudden_max_power):
+        with pytest.raises(ValueError, match="must be finite and > 1"):
+            eta(ratio)
+    for regime in (CLASSICAL, QUANTUM):
+        with pytest.raises(ValueError, match="must be finite and > 1"):
+            efficiency_curves(regime, beta_1=1.0, beta_ratios=[ratio, 2.0])
 
 
 def test_efficiency_below_carnot_over_random_specs():

@@ -251,6 +251,11 @@ def test_jarzynski_running_mean_prefix_property():
         float(np.mean(np.exp(-BETA * ws.samples))), rel=1e-12
     )
     assert trace.final_error == pytest.approx(abs(trace.final - trace.target), rel=1e-12)
+    # the one-buffer trace keeps the bits and dtypes of the expression it replaced
+    counts = np.arange(1, ws.samples.size + 1)
+    running = np.cumsum(np.exp(-BETA * ws.samples)) / counts
+    assert trace.running.dtype == running.dtype and np.array_equal(trace.running, running)
+    assert trace.counts.dtype == counts.dtype and np.array_equal(trace.counts, counts)
 
 
 def test_jarzynski_converges_for_both_drives():
