@@ -36,6 +36,7 @@ from scipy import special
 from scipy.integrate import solve_ivp  # noqa: F401
 
 from .classical_dynamics import fundamental_matrix, work_coefficients
+from .errors import require_positive
 from .protocols import FrequencyProtocol
 
 #: Below mu_minus/mu_plus = this ratio the Bessel form is numerically
@@ -116,8 +117,7 @@ def quadratic_form(protocol: FrequencyProtocol, beta: float) -> QuadraticWorkFor
     below -1e-12*mu_plus is clamped to zero; a genuinely negative mu_minus
     (decreasing ramp) is preserved so the caller can detect it.
     """
-    if beta <= 0.0:
-        raise ValueError("beta must be positive")
+    require_positive(beta=beta)
     a, b, c = work_coefficients(protocol)
     scale = beta * protocol.omega_i
     r = math.hypot(b, c)
@@ -150,11 +150,10 @@ def moments_from_form(form: QuadraticWorkForm) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 def _require_increasing(beta: float, omega_i: float, omega_f: float):
-    if beta <= 0.0:
-        raise ValueError("beta must be positive")
-    if omega_i <= 0.0 or omega_f <= omega_i:
+    require_positive(beta=beta, omega_i=omega_i, omega_f=omega_f)
+    if omega_f <= omega_i:
         raise ValueError(
-            "closed-form work densities require omega_f > omega_i > 0 "
+            "closed-form work densities require omega_f > omega_i "
             f"(got omega_i={omega_i!r}, omega_f={omega_f!r}); decreasing ramps "
             "have no non-negative work form"
         )
@@ -211,14 +210,10 @@ def pdf_nonadiabatic(W, form: QuadraticWorkForm):
     instead.
     """
     mu_p, mu_m = form.mu_plus, form.mu_minus
-    if not (math.isfinite(mu_p) and math.isfinite(mu_m)):
-        raise ValueError("quadratic form coefficients must be finite")
-    if mu_p <= 0.0:
-        raise ValueError(f"mu_plus must be positive, got {mu_p!r}")
-    if mu_m < 0.0:
+    require_positive(mu_plus=mu_p)
+    if not 0.0 <= mu_m < math.inf:
         raise ValueError(
-            f"mu_minus = {mu_m!r} is negative: the ramp is not monotonically "
-            "increasing and this density does not apply"
+            f"mu_minus must be finite and >= 0, got {mu_m!r}: the density needs an increasing ramp"
         )
     W = np.asarray(W, dtype=float)
     scalar = W.ndim == 0

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .errors import IntegrationError
+from .errors import IntegrationError, require_int, require_positive
 from .protocols import TABLE, FrequencyProtocol, omega_at, omega_dot_at, total_phase
 
 _TWO_PI = 2.0 * math.pi
@@ -62,8 +62,7 @@ class OscillatorParams:
     m: float = 1.0
 
     def __post_init__(self):
-        if not math.isfinite(self.m) or self.m <= 0.0:
-            raise ValueError(f"mass must be positive, got {self.m!r}")
+        require_positive(m=self.m)
 
 
 @dataclass(frozen=True)
@@ -75,21 +74,14 @@ class EnsembleSpec:
     seed: int
 
     def __post_init__(self):
-        if not math.isfinite(self.beta) or self.beta <= 0.0:
-            raise ValueError(f"beta must be positive, got {self.beta!r}")
-        if self.count < 1:
-            raise ValueError(f"count must be >= 1, got {self.count!r}")
+        require_positive(beta=self.beta)
+        require_int(1, count=self.count)
+        require_int(0, seed=self.seed)
 
 
 def oscillator_energy(p, q, omega, params: OscillatorParams = OscillatorParams()):
     """Bare oscillator energy p**2/(2m) + m omega**2 q**2/2 (vectorized)."""
     return np.asarray(p) ** 2 / (2.0 * params.m) + 0.5 * params.m * omega**2 * np.asarray(q) ** 2
-
-
-def _positive_omega(omega: float) -> None:
-    """Raise ValueError unless omega is finite and positive."""
-    if not (math.isfinite(omega) and omega > 0.0):
-        raise ValueError(f"omega must be positive and finite, got {omega!r}")
 
 
 def _rows(states) -> np.ndarray:
@@ -111,7 +103,7 @@ def to_action_angle(
     p = sqrt(2 m omega I) cos(theta), so I = H0/omega.  theta lies in
     [0, 2 pi), and a row at the origin gets theta = 0.
     """
-    _positive_omega(omega)
+    require_positive(omega=omega)
     p, q = _rows(states).T
     action = oscillator_energy(p, q, omega, params) / omega
     root_momega = math.sqrt(params.m * omega)
@@ -124,7 +116,7 @@ def from_action_angle(
     action, theta, omega: float, params: OscillatorParams = OscillatorParams()
 ) -> np.ndarray:
     """Inverse of :func:`to_action_angle` at the same omega: the (n, 2) rows of (p, q)."""
-    _positive_omega(omega)
+    require_positive(omega=omega)
     action, theta = np.asarray(action, dtype=float), np.asarray(theta, dtype=float)
     if not (np.all((action >= 0.0) & (action < math.inf)) and np.all(np.isfinite(theta))):
         raise ValueError("actions must be finite and non-negative, and angles finite")
@@ -313,7 +305,7 @@ def gibbs_action_angle(spec: EnsembleSpec, omega: float) -> tuple[np.ndarray, np
     by the seed), so a given (seed, count) always yields the same arrays
     regardless of platform or call history.
     """
-    _positive_omega(omega)
+    require_positive(omega=omega)
     rng = np.random.Generator(np.random.Philox(key=spec.seed))
     action = rng.exponential(scale=1.0 / (spec.beta * omega), size=spec.count)
     theta = rng.uniform(0.0, _TWO_PI, size=spec.count)

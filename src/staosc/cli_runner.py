@@ -37,7 +37,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
-from jsonschema import Draft202012Validator
+from jsonschema import Draft202012Validator, validators
 
 from . import classical_analytics as ca
 from . import classical_dynamics as cd
@@ -59,6 +59,8 @@ def _write_csv(path: Path, meta: dict, names, columns) -> None:
     lengths = [len(c) for c in columns]
     if len(set(lengths)) > 1:
         raise ValueError(f"CSV columns must have equal lengths, got {lengths}")
+    if len(names) != len(columns):
+        raise ValueError(f"CSV has {len(names)} names for {len(columns)} columns")
     template = ",".join(["%.17g"] * len(columns)) + "\n"
     with open(path, "w") as fh:
         for key, value in meta.items():
@@ -455,7 +457,12 @@ CONFIG_SCHEMA = {
         for name, entry in _EXPERIMENTS.items()
     ],
 }
-_VALIDATOR = Draft202012Validator(CONFIG_SCHEMA)
+# json.load parses NaN and Infinity, so a config "number" must also be finite.
+_TYPES = Draft202012Validator.TYPE_CHECKER
+_FINITE = _TYPES.redefine(
+    "number", lambda _, v: _TYPES.is_type(v, "number") and -math.inf < v < math.inf
+)
+_VALIDATOR = validators.extend(Draft202012Validator, type_checker=_FINITE)(CONFIG_SCHEMA)
 
 
 class ConfigError(ValueError):

@@ -30,6 +30,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .classical_analytics import adiabaticity_parameter
+from .errors import require_positive
 from .protocols import FrequencyProtocol
 from .quantum_dynamics import FockBasisConfig, transition_matrix
 
@@ -103,10 +104,9 @@ class OttoCycleSpec:
     def __post_init__(self):
         if self.regime not in (CLASSICAL, QUANTUM):
             raise ValueError(f"regime must be 'classical' or 'quantum', got {self.regime!r}")
-        for name in ("beta_1", "beta_2", "omega_i", "hbar"):
-            value = getattr(self, name)
-            if not math.isfinite(value) or value <= 0.0:
-                raise ValueError(f"{name} must be positive and finite")
+        require_positive(
+            beta_1=self.beta_1, beta_2=self.beta_2, omega_i=self.omega_i, hbar=self.hbar
+        )
         if self.beta_2 >= self.beta_1:
             raise ValueError(
                 "the engine needs a hotter second bath: beta_2 < beta_1 "
@@ -164,8 +164,7 @@ def thermal_energy(beta: float, omega: float, regime: str, hbar: float = 1.0) ->
     evaluated through tanh, which neither overflows deep in the quantum
     regime nor loses the classical limit.
     """
-    if beta <= 0.0 or omega <= 0.0 or hbar <= 0.0:
-        raise ValueError("beta, omega, hbar must be positive")
+    require_positive(beta=beta, omega=omega, hbar=hbar)
     if regime == CLASSICAL:
         return 1.0 / beta
     if regime == QUANTUM:
@@ -203,8 +202,7 @@ def stroke_energy_factor(
     hbar: float = 1.0,
 ) -> float:
     """Mean-energy multiplier of an isolated stroke, Q* omega_to/omega_from."""
-    if omega_from <= 0.0 or omega_to <= 0.0:
-        raise ValueError("frequencies must be positive")
+    require_positive(omega_from=omega_from, omega_to=omega_to, hbar=hbar)
     if stroke.kind in (STA, QUASISTATIC):
         q_star = 1.0
     elif stroke.kind == SUDDEN:
@@ -304,8 +302,7 @@ def optimize_frequency(
         ratio = spec.beta_1 / spec.beta_2
         hi = spec.omega_i * max(10.0, 3.0 * math.sqrt(ratio))
         bracket = (spec.omega_i * (1.0 + 1e-6), hi)
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    require_positive(tol=tol)
     lo, hi = bracket
     if not (spec.omega_i < lo < hi < math.inf):
         raise ValueError(f"bracket {bracket!r} must be finite with omega_i < lo < hi")

@@ -34,6 +34,8 @@ import numpy as np
 from scipy import special
 from scipy.interpolate import PchipInterpolator
 
+from .errors import require_positive
+
 COSINE_RAMP = "cosine-ramp"
 CONSTANT = "constant"
 TABLE = "table"
@@ -65,10 +67,7 @@ class FrequencyProtocol:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown protocol kind {self.kind!r}")
-        for name in ("omega_i", "omega_f", "tau"):
-            value = getattr(self, name)
-            if not np.isfinite(value) or value <= 0.0:
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        require_positive(omega_i=self.omega_i, omega_f=self.omega_f, tau=self.tau)
         if self.kind == CONSTANT and self.omega_f != self.omega_i:
             raise ValueError("constant protocol requires omega_f == omega_i")
         if self.kind == TABLE:
@@ -78,10 +77,10 @@ class FrequencyProtocol:
             w = np.array([s[1] for s in self.samples], dtype=float)
             if t[0] != 0.0:
                 raise ValueError("table must start at t = 0")
-            if np.any(np.diff(t) <= 0.0):
+            if not np.all(np.diff(t) > 0.0):
                 raise ValueError("table times must be strictly increasing")
-            if np.any(w <= 0.0):
-                raise ValueError("table frequencies must be positive")
+            if not np.all((w > 0.0) & (w < np.inf)):
+                raise ValueError("table frequencies must be positive and finite")
         elif self.samples is not None:
             raise ValueError("samples are only meaningful for kind='table'")
 

@@ -53,8 +53,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .classical_analytics import adiabaticity_parameter
-from .classical_dynamics import _positive_omega
-from .errors import IntegrationError, TruncationLeakageError
+from .errors import IntegrationError, TruncationLeakageError, require_int, require_positive
 from .protocols import FrequencyProtocol, omega_at, omega_dot_at
 
 #: Fraction of the top of the basis watched for truncation leakage.
@@ -81,12 +80,10 @@ class FockBasisConfig:
     hbar: float = 1.0
 
     def __post_init__(self):
-        if self.dimension < 4 or self.dimension % 2:
-            raise ValueError("dimension must be an even integer >= 4")
-        for name in ("omega_ref", "hbar"):
-            value = getattr(self, name)
-            if not math.isfinite(value) or value <= 0.0:
-                raise ValueError(f"{name} must be positive and finite")
+        require_int(4, dimension=self.dimension)
+        if self.dimension % 2:
+            raise ValueError(f"dimension must be even, got {self.dimension!r}")
+        require_positive(omega_ref=self.omega_ref, hbar=self.hbar)
 
 
 @cache
@@ -123,7 +120,7 @@ def _apply_hamiltonian(psi, d, u):
 
 def h0_matrix(omega: float, cfg: FockBasisConfig) -> np.ndarray:
     """Dense bare Hamiltonian at frequency omega, in the reference basis."""
-    _positive_omega(omega)
+    require_positive(omega=omega)
     diag, off, _ = _bands(omega, 0.0, cfg)
     return _apply_hamiltonian(np.eye(cfg.dimension), diag, off)
 
@@ -221,8 +218,7 @@ def _basis_for(
     """Default basis for the protocol; n_max must lie in [1, dimension/4]."""
     if cfg is None:
         cfg = FockBasisConfig(omega_ref=protocol.omega_i)
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
+    require_int(1, n_max=n_max)
     if n_max > cfg.dimension // 4:
         raise ValueError(
             f"n_max = {n_max} exceeds dimension/4 = {cfg.dimension // 4}; "
@@ -368,10 +364,12 @@ class QuantumWorkAtoms:
         probs = np.asarray(self.probs, dtype=float)
         if works.shape != probs.shape or works.ndim != 1:
             raise ValueError("works and probs must be matching 1-d arrays")
+        if not np.all(np.isfinite(works)):
+            raise ValueError("works must be finite")
         if np.any(np.diff(works) < 0.0):
             raise ValueError("works must be sorted ascending")
-        if np.any(probs < 0.0):
-            raise ValueError("probabilities must be non-negative")
+        if not np.all((probs >= 0.0) & (probs < np.inf)):
+            raise ValueError("probs must be finite and non-negative")
         total = probs.sum()
         if abs(total - 1.0) > 1e-6:
             raise ValueError(f"atom probabilities sum to {total!r}, not 1 within 1e-6")
@@ -419,8 +417,7 @@ def quantum_work_atoms(tm: TransitionMatrix, beta: float) -> QuantumWorkAtoms:
     proportional to exp(-n beta hbar omega_i); each (n, m) pair contributes
     an atom at W = hbar omega_f (m + 1/2) - hbar omega_i (n + 1/2).
     """
-    if beta <= 0.0:
-        raise ValueError("beta must be positive")
+    require_positive(beta=beta)
     omega_i, omega_f, hbar = tm.omega_i, tm.omega_f, tm.hbar
     n_max, m_max = tm.probs.shape
     x = math.exp(-beta * hbar * omega_i)
@@ -446,10 +443,7 @@ def pdf_quantum_adiabatic(
     (1 - x) x^n, x = exp(-beta hbar omega_i).  n_max must leave a raw
     geometric tail below 1e-10.
     """
-    if beta <= 0.0 or hbar <= 0.0:
-        raise ValueError("beta and hbar must be positive")
-    if omega_i <= 0.0 or omega_f <= 0.0:
-        raise ValueError("frequencies must be positive")
+    require_positive(beta=beta, omega_i=omega_i, omega_f=omega_f, hbar=hbar)
     x = math.exp(-beta * hbar * omega_i)
     tail = x**n_max
     if tail >= 1e-10:
@@ -480,8 +474,7 @@ def delta_f_quantum(beta: float, omega_i: float, omega_f: float, hbar: float = 1
     evaluated through log-sinh so that deep-quantum arguments cannot
     overflow.
     """
-    if beta <= 0.0 or hbar <= 0.0 or omega_i <= 0.0 or omega_f <= 0.0:
-        raise ValueError("all arguments must be positive")
+    require_positive(beta=beta, omega_i=omega_i, omega_f=omega_f, hbar=hbar)
     a = 0.5 * beta * hbar * omega_f
     b = 0.5 * beta * hbar * omega_i
     return (_log_sinh(a) - _log_sinh(b)) / beta

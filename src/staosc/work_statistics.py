@@ -28,6 +28,7 @@ from .classical_dynamics import (
     gibbs_action_angle,
     work_coefficients,
 )
+from .errors import require_int, require_positive
 from .protocols import FrequencyProtocol
 from .quantum_dynamics import QuantumWorkAtoms
 
@@ -226,8 +227,7 @@ def jarzynski(data, beta: float, delta_f: float) -> JarzynskiTrace:
     k uses exactly the first k samples).  For a discrete atom set the
     expectation is exact and the trace collapses to a single point.
     """
-    if beta <= 0.0:
-        raise ValueError("beta must be positive")
+    require_positive(beta=beta)
     target = math.exp(-beta * delta_f)
     if isinstance(data, QuantumWorkAtoms):
         final = float(np.dot(data.probs, np.exp(-beta * data.works)))
@@ -253,8 +253,7 @@ def jarzynski(data, beta: float, delta_f: float) -> JarzynskiTrace:
 
 def delta_f_classical(beta: float, omega_i: float, omega_f: float) -> float:
     """Classical-oscillator free-energy difference (1/beta) log(omega_f/omega_i)."""
-    if beta <= 0.0 or omega_i <= 0.0 or omega_f <= 0.0:
-        raise ValueError("all arguments must be positive")
+    require_positive(beta=beta, omega_i=omega_i, omega_f=omega_f)
     return math.log(omega_f / omega_i) / beta
 
 
@@ -300,6 +299,7 @@ def _cdf_on_grid(density, w_max: float, nodes: int = 513):
     (to rounding for the package's work densities).  Returns
     (w_grid, cdf_values).
     """
+    require_positive(w_max=w_max)
     u_grid = np.linspace(0.0, math.sqrt(w_max), nodes)
     first = u_grid[1] * np.exp2(-np.arange(_FIRST_PANEL_HALVINGS, -1, -1.0))
     lo = np.concatenate(([0.0], first[:-1], u_grid[1:-1]))
@@ -361,10 +361,8 @@ def estimator_dispersion(samples: WorkSampleSet, beta: float, batch_count: int) 
     about ``_BLOCK`` samples (at least one batch) at a time; each batch is
     summed as ``np.mean`` sums it, so the blocks change no bit of the result.
     """
-    if beta <= 0.0:
-        raise ValueError("beta must be positive")
-    if batch_count < 2:
-        raise ValueError("need at least 2 batches")
+    require_positive(beta=beta)
+    require_int(2, batch_count=batch_count)
     w = samples.samples
     per = w.size // batch_count
     if per < 1:

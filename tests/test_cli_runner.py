@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -172,12 +173,19 @@ PAIRS = [
     for section, values in VALID.items()
     for key in values
 ]
+#: Every (experiment, section, key) that an experiment reads as a positive number.
+POSITIVE_PAIRS = [
+    (experiment, section, key)
+    for experiment, section, key in PAIRS
+    if key in READS[experiment][section] and isinstance(VALID[section][key], float)
+]
 
 
 def test_pairs_cover_every_experiment_and_key():
     assert len(PAIRS) == 100
     assert set(READS) == set(EXPERIMENTS)
     assert sum(key in READS[e][s] for e, s, key in PAIRS) == 34
+    assert len(POSITIVE_PAIRS) == 23
 
 
 @pytest.mark.parametrize("experiment,section,key", PAIRS)
@@ -203,6 +211,31 @@ def test_classical_engine_curves_rejects_the_quantum_keys(key):
     validate_config(_config("engine-curves", physical={"regime": "quantum", key: 2.0}))
     resolved = resolve_config(_config("engine-curves", physical={"regime": "classical"}))
     assert {"omega_i", "hbar"} <= set(resolved["physical"])  # defaults still resolve
+
+
+@pytest.mark.parametrize("text", ["Infinity", "-Infinity", "NaN"])
+@pytest.mark.parametrize("experiment,section,key", POSITIVE_PAIRS)
+def test_config_rejects_non_finite_numbers(experiment, section, key, text):
+    # json.load parses these; numeric.w_max = Infinity used to pass validation
+    # and then fail inside scipy
+    with pytest.raises(ConfigError, match=re.escape(f"$.{section}.{key}: ")):
+        validate_config(_config(experiment, **{section: {key: json.loads(text)}}))
+
+
+@pytest.mark.parametrize("text", ["Infinity", "-Infinity", "NaN"])
+def test_config_rejects_non_finite_ratios(text):
+    ratios = [2.0, json.loads(text)]
+    with pytest.raises(ConfigError, match=re.escape("$.numeric.ratios[1]: ")):
+        validate_config(_config("engine-curves", numeric={"ratios": ratios}))
+
+
+def test_main_rejects_a_config_file_with_infinity(tmp_path, capsys):
+    path = tmp_path / "inf.json"
+    path.write_text('{"schema_version": 1, "experiment": "classical-work-dist", '
+                    '"numeric": {"w_max": Infinity}}')
+    assert main(["run", str(path), "--out-dir", str(tmp_path)]) == 1
+    assert "$.numeric.w_max" in capsys.readouterr().err
+    assert not (tmp_path / "summary.json").exists()
 
 
 def test_accepted_configs_hash_as_before():
@@ -401,6 +434,10 @@ def test_write_csv_rejects_columns_of_unequal_length(tmp_path):
         cli_runner._write_csv(
             tmp_path / "t.csv", {}, ["a", "b", "c"], [np.ones(3), np.ones(2), np.ones(3)]
         )
+    # one name above two columns wrote the header "a" over the rows "1,3" and "2,4"
+    for names in (["a"], ["a", "b", "c"]):
+        with pytest.raises(ValueError, match=rf"{len(names)} names for 2 columns"):
+            cli_runner._write_csv(tmp_path / "t.csv", {}, names, [[1, 2], [3, 4]])
     assert not (tmp_path / "t.csv").exists()
 
 

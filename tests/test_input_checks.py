@@ -1,0 +1,209 @@
+"""Every physical input is checked where it enters the package.
+
+A scalar that must be positive goes through ``errors.require_positive``,
+which raises ``ValueError("<name> must be positive and finite, got ...")``
+for NaN, +-inf, zero and negatives alike.  Counts, seeds and basis sizes
+must be ints, and arrays of frequencies or probabilities must be finite.
+"""
+
+import math
+import re
+
+import numpy as np
+import pytest
+
+from staosc import classical_analytics as ca
+from staosc import classical_dynamics as cd
+from staosc import otto_engine as oe
+from staosc import quantum_dynamics as qd
+from staosc import work_statistics as ws
+from staosc.errors import require_int, require_positive
+from staosc.protocols import FrequencyProtocol, protocol_from_table
+
+STATES = np.array([[1.0, 0.5], [-0.2, 0.3]])
+SPEC = cd.EnsembleSpec(beta=0.2, count=4, seed=1)
+ATOMS = qd.QuantumWorkAtoms(works=np.array([0.0, 1.0]), probs=np.array([0.5, 0.5]))
+SAMPLES = ws.WorkSampleSet(
+    samples=np.linspace(0.1, 2.0, 40),
+    provenance=ws.SampleProvenance(
+        kind="cosine-ramp", omega_i=10.0, omega_f=20.0, tau=0.1,
+        with_control=False, beta=0.2, mass=1.0, count=40, seed=1,
+    ),
+)
+SPEC_ARGS = {"beta_1": 1.0, "beta_2": 0.5, "omega_i": 10.0, "hbar": 1.0}
+
+
+def _density(w):
+    return np.exp(-w)
+
+
+#: Per public entry point: a call taking the positive arguments by name,
+#: and a valid value of each.  Every other argument is fixed and valid.
+ENTRY_POINTS = {
+    "FrequencyProtocol": (
+        lambda **kw: FrequencyProtocol(**kw), {"omega_i": 10.0, "omega_f": 20.0, "tau": 0.1}
+    ),
+    "OscillatorParams": (lambda **kw: cd.OscillatorParams(**kw), {"m": 1.0}),
+    "EnsembleSpec": (lambda **kw: cd.EnsembleSpec(count=4, seed=1, **kw), {"beta": 0.2}),
+    "to_action_angle": (lambda **kw: cd.to_action_angle(STATES, **kw), {"omega": 10.0}),
+    "from_action_angle": (
+        lambda **kw: cd.from_action_angle([1.0], [0.5], **kw), {"omega": 10.0}
+    ),
+    "gibbs_action_angle": (lambda **kw: cd.gibbs_action_angle(SPEC, **kw), {"omega": 10.0}),
+    "sample_gibbs": (lambda **kw: cd.sample_gibbs(SPEC, **kw), {"omega": 10.0}),
+    "quadratic_form": (
+        lambda **kw: ca.quadratic_form(FrequencyProtocol(10.0, 20.0, 0.1), **kw), {"beta": 0.2}
+    ),
+    "pdf_adiabatic": (
+        lambda **kw: ca.pdf_adiabatic(1.0, **kw), {"beta": 0.2, "omega_i": 10.0, "omega_f": 20.0}
+    ),
+    "pdf_sudden": (
+        lambda **kw: ca.pdf_sudden(1.0, **kw), {"beta": 0.2, "omega_i": 10.0, "omega_f": 20.0}
+    ),
+    "pdf_nonadiabatic": (
+        lambda mu_plus: ca.pdf_nonadiabatic(1.0, ca.QuadraticWorkForm(
+            a=1.0, b=0.5, c=0.0, mu_plus=mu_plus, mu_minus=0.1,
+            beta=0.2, omega_i=10.0, omega_f=20.0,
+        )),
+        {"mu_plus": 1.0},
+    ),
+    "FockBasisConfig": (
+        lambda **kw: qd.FockBasisConfig(dimension=8, **kw), {"omega_ref": 10.0, "hbar": 1.0}
+    ),
+    "h0_matrix": (lambda **kw: qd.h0_matrix(cfg=qd.FockBasisConfig(8), **kw), {"omega": 10.0}),
+    "quantum_work_atoms": (
+        lambda **kw: qd.quantum_work_atoms(qd.TransitionMatrix(np.eye(2, 4), 10.0, 20.0), **kw),
+        {"beta": 1.0},
+    ),
+    "pdf_quantum_adiabatic": (
+        lambda **kw: qd.pdf_quantum_adiabatic(**kw),
+        {"beta": 1.0, "omega_i": 10.0, "omega_f": 20.0, "hbar": 1.0},
+    ),
+    "delta_f_quantum": (
+        lambda **kw: qd.delta_f_quantum(**kw),
+        {"beta": 1.0, "omega_i": 10.0, "omega_f": 20.0, "hbar": 1.0},
+    ),
+    "jarzynski": (lambda **kw: ws.jarzynski(ATOMS, delta_f=0.0, **kw), {"beta": 1.0}),
+    "delta_f_classical": (
+        lambda **kw: ws.delta_f_classical(**kw), {"beta": 0.2, "omega_i": 10.0, "omega_f": 20.0}
+    ),
+    "estimator_dispersion": (
+        lambda **kw: ws.estimator_dispersion(SAMPLES, batch_count=4, **kw), {"beta": 0.2}
+    ),
+    "integrate_density": (lambda **kw: ws.integrate_density(_density, **kw), {"w_max": 30.0}),
+    "ks_distance": (lambda **kw: ws.ks_distance(SAMPLES, _density, **kw), {"w_max": 30.0}),
+    "OttoCycleSpec": (lambda **kw: oe.OttoCycleSpec(omega_f=None, **kw), SPEC_ARGS),
+    "thermal_energy": (
+        lambda **kw: oe.thermal_energy(regime=oe.QUANTUM, **kw),
+        {"beta": 0.2, "omega": 10.0, "hbar": 1.0},
+    ),
+    "stroke_energy_factor": (
+        lambda **kw: oe.stroke_energy_factor(oe.StrokeKind.sudden(), regime=oe.CLASSICAL, **kw),
+        {"omega_from": 10.0, "omega_to": 20.0, "hbar": 1.0},
+    ),
+    "optimize_frequency": (
+        lambda **kw: oe.optimize_frequency(oe.OttoCycleSpec(omega_f=None, **SPEC_ARGS), **kw),
+        {"tol": 1e-6},
+    ),
+}
+BAD = [math.nan, math.inf, -math.inf, 0.0, -1.0]
+CASES = [
+    (entry, name, bad)
+    for entry, (_, valid) in ENTRY_POINTS.items()
+    for name in valid
+    for bad in BAD
+]
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_entry_points_accept_their_valid_inputs(entry):
+    call, valid = ENTRY_POINTS[entry]
+    call(**valid)
+
+
+@pytest.mark.parametrize("entry,name,bad", CASES, ids=[f"{e}-{n}-{b}" for e, n, b in CASES])
+def test_entry_points_reject_non_positive_or_non_finite_inputs(entry, name, bad):
+    # nan and inf used to pass most of these, which checked only `<= 0.0`:
+    # thermal_energy(nan, ...) returned nan and thermal_energy(inf, ...) 5.0
+    call, valid = ENTRY_POINTS[entry]
+    with pytest.raises(ValueError, match=rf"^{name} must be positive and finite, got {bad!r}$"):
+        call(**{**valid, name: bad})
+
+
+def test_require_positive_names_the_first_bad_value_and_passes_good_ones():
+    require_positive(a=1e-300, b=np.float64(2.0), c=3)
+    with pytest.raises(ValueError, match=r"^b must be positive and finite, got nan$"):
+        require_positive(a=1.0, b=math.nan, c=-1.0)
+
+
+@pytest.mark.parametrize("value", [1.5, 4.0, True, np.float64(4.0), "4", 3])
+def test_require_int_rejects_non_integers_and_small_values(value):
+    message = rf"^n must be an integer >= 4, got {re.escape(repr(value))}$"
+    with pytest.raises(ValueError, match=message):
+        require_int(4, n=value)
+
+
+def test_require_int_accepts_python_and_numpy_integers():
+    require_int(0, a=0, b=np.int64(7), c=2**70)
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [("seed", 1.5), ("seed", 1.9), ("seed", -1), ("seed", True), ("seed", 1.0),
+     ("count", 2.5), ("count", True), ("count", 0), ("count", 10.0)],
+)
+def test_ensemble_spec_integer_fields(field, value):
+    # seed 1.5 drew exactly the stream of seed 1 while the provenance said 1.5
+    kwargs = {"beta": 0.2, "count": 4, "seed": 1, field: value}
+    with pytest.raises(ValueError, match=rf"^{field} must be an integer"):
+        cd.EnsembleSpec(**kwargs)
+
+
+@pytest.mark.parametrize("dimension", [64.0, True, 2, 5, "64"])
+def test_fock_basis_dimension_is_an_even_int(dimension):
+    with pytest.raises(ValueError, match=r"^dimension must be"):
+        qd.FockBasisConfig(dimension=dimension)
+
+
+@pytest.mark.parametrize("n_max", [0, 2.0, True])
+def test_transition_matrix_n_max_is_an_int(n_max):
+    with pytest.raises(ValueError, match=r"^n_max must be an integer >= 1"):
+        qd.transition_matrix(FrequencyProtocol(10.0, 20.0, 0.1), n_max=n_max)
+
+
+@pytest.mark.parametrize("batch_count", [1, 4.0, True])
+def test_estimator_dispersion_batch_count_is_an_int(batch_count):
+    with pytest.raises(ValueError, match=r"^batch_count must be an integer >= 2"):
+        ws.estimator_dispersion(SAMPLES, 0.2, batch_count)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0, 0.0])
+def test_table_frequencies_must_be_positive_and_finite(bad):
+    # a nan omega used to pass and then fail inside PCHIP
+    samples = [(0.0, 10.0), (0.1, 12.0), (0.2, 15.0), (0.3, 18.0), (0.4, 20.0)]
+    samples[2] = (0.2, bad)
+    with pytest.raises(ValueError, match="table frequencies must be positive and finite"):
+        protocol_from_table(samples)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_table_times_must_be_finite(bad):
+    samples = [(0.0, 10.0), (bad, 12.0), (0.2, 15.0), (0.3, 18.0), (0.4, 20.0)]
+    with pytest.raises(ValueError, match="table times must be strictly increasing"):
+        protocol_from_table(samples)
+
+
+@pytest.mark.parametrize(
+    "works,probs,message",
+    [
+        ([0.0], [math.nan], "probs must be finite and non-negative"),
+        ([0.0, 1.0], [math.inf, 0.0], "probs must be finite and non-negative"),
+        ([0.0, 1.0], [0.5, -0.5], "probs must be finite and non-negative"),
+        ([0.0, math.inf], [0.5, 0.5], "works must be finite"),
+        ([math.nan], [1.0], "works must be finite"),
+    ],
+)
+def test_atom_sets_must_be_finite(works, probs, message):
+    # probs [nan] used to pass, since its sum check is false for nan
+    with pytest.raises(ValueError, match=message):
+        qd.QuantumWorkAtoms(works=np.array(works), probs=np.array(probs))
