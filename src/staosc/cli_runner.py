@@ -169,19 +169,11 @@ def _run_jarzynski_trace(resolved: dict, out_dir: Path, meta: dict):
     batch = num["batch_size"]
     reps = num["replicates"]
     per_rep = max(batch * 100, batch * 2)
-    wins = 0
-    var_sta, var_bare = [], []
-    for r in range(reps):
-        rep_seed = seed + 1 + r
-        spec = cd.EnsembleSpec(beta=beta, count=per_rep, seed=rep_seed)
-        # unbound, so this replicate's samples are freed before the next draw
-        v = {
-            control: ws.estimator_dispersion(s, beta, per_rep // batch)
-            for control, s in ws.classical_work_ensembles(protocol, spec, params).items()
-        }
-        var_sta.append(v[True])
-        var_bare.append(v[False])
-        wins += v[True] < v[False]
+    specs = [cd.EnsembleSpec(beta=beta, count=per_rep, seed=seed + 1 + r) for r in range(reps)]
+    dispersions = ws.replicate_dispersions(protocol, specs, per_rep // batch, params)
+    var_sta = [v[True] for v in dispersions]
+    var_bare = [v[False] for v in dispersions]
+    wins = sum(v[True] < v[False] for v in dispersions)
     derived["dispersion"] = {
         "replicates": reps,
         "batch_size": batch,
@@ -491,8 +483,13 @@ def resolve_config(config: dict) -> dict:
     }
     for section in _SECTIONS:
         defaults = _EXPERIMENTS[experiment][section]
-        resolved[section] = {k: v for k, v in defaults.items() if v is not None}
-        resolved[section].update(config.get(section, {}))
+        values = {k: v for k, v in defaults.items() if v is not None}
+        values.update(config.get(section, {}))
+        # the schema's "integer" admits 1000.0; the runs and the hash get 1000
+        resolved[section] = {
+            k: int(v) if _KEY_TYPES[section][k].get("type") == "integer" else v
+            for k, v in values.items()
+        }
     if "output_dir" in config:
         resolved["output_dir"] = config["output_dir"]
     phys = resolved["physical"]

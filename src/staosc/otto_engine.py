@@ -219,8 +219,10 @@ def stroke_energy_factor(
             )
         if regime == CLASSICAL:
             q_star = adiabaticity_parameter(proto)
-        else:
+        elif regime == QUANTUM:
             q_star = _bare_q_star_quantum(proto, hbar)
+        else:
+            raise ValueError(f"unknown regime {regime!r}")
     return q_star * (omega_to / omega_from)
 
 

@@ -444,6 +444,7 @@ def pdf_quantum_adiabatic(
     geometric tail below 1e-10.
     """
     require_positive(beta=beta, omega_i=omega_i, omega_f=omega_f, hbar=hbar)
+    require_int(1, n_max=n_max)
     x = math.exp(-beta * hbar * omega_i)
     tail = x**n_max
     if tail >= 1e-10:

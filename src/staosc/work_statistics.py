@@ -17,6 +17,8 @@ by each ramp's closed-form quadratic form, with no phase-space arrays.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -25,6 +27,7 @@ from scipy.interpolate import PchipInterpolator
 from .classical_dynamics import (
     EnsembleSpec,
     OscillatorParams,
+    _draw_action_angle,
     gibbs_action_angle,
     work_coefficients,
 )
@@ -68,9 +71,13 @@ class WorkSampleSet:
         samples = np.asarray(self.samples, dtype=float)
         if samples.ndim != 1 or samples.size == 0:
             raise ValueError("samples must be a non-empty 1-d array")
-        if not np.all(np.isfinite(samples)):
-            raise ValueError("work samples must be finite")
+        _require_finite(samples)
         object.__setattr__(self, "samples", samples)
+
+
+def _require_finite(works: np.ndarray) -> None:
+    if not np.isfinite(works).all():
+        raise ValueError("work samples must be finite")
 
 
 def classical_work_ensembles(
@@ -104,20 +111,10 @@ def classical_work_ensembles(
     scratch = np.empty((6, min(spec.count, _BLOCK)))
     for start in range(0, spec.count, _BLOCK):
         stop = min(start + _BLOCK, spec.count)
-        t, t2, scale, cos_2theta, sin_2theta, term = scratch[:, : stop - start]
-        # one transcendental per sample instead of a cosine and a sine: with
-        # t = tan(theta), cos 2 theta = (1 - t^2)/(1 + t^2), sin 2 theta = 2 t/(1 + t^2)
-        np.tan(theta[start:stop], out=t)
-        np.multiply(t, t, out=t2)
-        np.divide(1.0, np.add(1.0, t2, out=scale), out=scale)
-        np.multiply(np.subtract(1.0, t2, out=cos_2theta), scale, out=cos_2theta)
-        np.multiply(np.multiply(2.0, t, out=sin_2theta), scale, out=sin_2theta)
-        for (a, b, c), out in zip(coefficients, works):
-            # W = I ((a + b cos 2 theta) + c sin 2 theta), in that order
-            w = out[start:stop]
-            np.add(a, np.multiply(b, cos_2theta, out=w), out=w)
-            w += np.multiply(c, sin_2theta, out=term)
-            w *= action[start:stop]
+        _work_block(
+            action[start:stop], theta[start:stop], coefficients,
+            [w[start:stop] for w in works], scratch,
+        )
     sets = {}
     for with_control, samples in zip(controls, works):
         prov = SampleProvenance(
@@ -133,6 +130,28 @@ def classical_work_ensembles(
         )
         sets[with_control] = WorkSampleSet(samples=samples, provenance=prov)
     return sets
+
+
+def _work_block(action, theta, coefficients, works, scratch) -> None:
+    """Write W = I ((a + b cos 2 theta) + c sin 2 theta) of one block into ``works``.
+
+    ``coefficients`` and ``works`` pair each ramp's (a, b, c) with its
+    output array of the block's length; ``scratch`` has 6 rows at least
+    that long.
+    """
+    t, t2, scale, cos_2theta, sin_2theta, term = scratch[:, : action.size]
+    # one transcendental per sample instead of a cosine and a sine: with
+    # t = tan(theta), cos 2 theta = (1 - t^2)/(1 + t^2), sin 2 theta = 2 t/(1 + t^2)
+    np.tan(theta, out=t)
+    np.multiply(t, t, out=t2)
+    np.divide(1.0, np.add(1.0, t2, out=scale), out=scale)
+    np.multiply(np.subtract(1.0, t2, out=cos_2theta), scale, out=cos_2theta)
+    np.multiply(np.multiply(2.0, t, out=sin_2theta), scale, out=sin_2theta)
+    for (a, b, c), w in zip(coefficients, works):
+        # in that order: (a + b cos 2 theta), then + c sin 2 theta, then * I
+        np.add(a, np.multiply(b, cos_2theta, out=w), out=w)
+        w += np.multiply(c, sin_2theta, out=term)
+        w *= action
 
 
 def classical_work_ensemble(
@@ -198,10 +217,9 @@ def histogram(samples: WorkSampleSet, bins=None) -> BinnedDensity:
         edges = np.asarray(bins, dtype=float)
         if np.any(np.diff(edges) <= 0.0):
             raise ValueError("histogram bin edges must be strictly increasing")
-    elif int(bins) < 1:
-        raise ValueError("bin count must be >= 1")
     else:
-        edges = int(bins)
+        require_int(1, bins=bins)
+        edges = bins
     density, edges = np.histogram(w, bins=edges, density=True)
     return BinnedDensity(edges=edges, density=density)
 
@@ -371,12 +389,103 @@ def estimator_dispersion(samples: WorkSampleSet, beta: float, batch_count: int) 
         )
     trimmed = w[: per * batch_count].reshape(batch_count, per)
     rows = max(1, _BLOCK // per)
-    means = np.empty(batch_count)
+    sums = np.empty(batch_count)
     factors = np.empty((min(rows, batch_count), per))
     for start in range(0, batch_count, rows):
         stop = min(start + rows, batch_count)
-        block = factors[: stop - start]
-        np.exp(np.multiply(-beta, trimmed[start:stop], out=block), out=block)
-        np.add.reduce(block, axis=1, out=means[start:stop])
-    means /= per  # np.mean's row sums and division, one step at a time
-    return float(np.var(means, ddof=1))
+        _batch_sums(beta, trimmed[start:stop], factors[: stop - start], sums[start:stop])
+    return _dispersion_of_sums(sums, per)
+
+
+def _batch_sums(beta: float, works, factors, sums) -> None:
+    """Write each row's sum of exp(-beta W) into ``sums``, summed as ``np.mean`` sums it.
+
+    ``factors`` has the shape of ``works`` and receives exp(-beta W); it may
+    be ``works`` itself.
+    """
+    np.exp(np.multiply(-beta, works, out=factors), out=factors)
+    np.add.reduce(factors, axis=1, out=sums)
+
+
+def _dispersion_of_sums(sums: np.ndarray, per: int) -> float:
+    """ddof=1 variance of the batch means, given each batch's sum over ``per`` samples."""
+    sums /= per  # np.mean's row sums and division, one step at a time
+    return float(np.var(sums, ddof=1))
+
+
+def replicate_dispersions(
+    protocol: FrequencyProtocol,
+    specs: Sequence[EnsembleSpec],
+    batch_count: int,
+    params: OscillatorParams = OscillatorParams(),
+) -> list[dict[bool, float]]:
+    """:func:`estimator_dispersion` of the controlled and the bare ramp for a run of replicates.
+
+    Entry r is ``{c: estimator_dispersion(sets[c], specs[r].beta,
+    batch_count)}`` with ``sets = classical_work_ensembles(protocol,
+    specs[r], params)``, bit for bit, and every check of those calls is
+    made before the first draw.  Each ramp's (a, b, c) is computed once for
+    all replicates.
+
+    Replicates 0, 2, 4, ... run on the calling thread and 1, 3, 5, ... on
+    one worker thread; numpy releases the GIL in the draw and the ufuncs,
+    so the two lanes overlap.  Each lane draws into its own action and
+    theta arrays, allocated here once (allocated on the worker thread they
+    would grow a second malloc arena), and walks the draw in whole batches:
+    the work formula, exp(-beta W) and each batch's sum, with no
+    full-length work array.  The worker calls only private helpers.
+    """
+    require_int(2, batch_count=batch_count)
+    for spec in specs:
+        require_positive(beta=spec.beta)
+        if spec.count < batch_count:
+            raise ValueError(
+                f"cannot split {spec.count} samples into {batch_count} non-empty batches"
+            )
+    if not specs:
+        return []
+    coefficients = [work_coefficients(protocol, c, params) for c in (True, False)]
+    count = max(spec.count for spec in specs)
+    step = max(_batch_step(spec.count // batch_count) for spec in specs)
+    lanes = [
+        (np.empty(count), np.empty(count), np.empty((2, step)), np.empty((6, step)))
+        for _ in specs[:2]
+    ]
+    args = (protocol.omega_i, batch_count, coefficients)
+    results = [None] * len(specs)
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        # with a single spec the worker gets no replicate and leaves lanes[-1] alone
+        odd = worker.submit(_dispersion_lane, specs[1::2], *args, *lanes[-1])
+        results[0::2] = _dispersion_lane(specs[0::2], *args, *lanes[0])
+        results[1::2] = odd.result()
+    return [{True: sta, False: bare} for sta, bare in results]
+
+
+def _batch_step(per: int) -> int:
+    """Samples per step of the dispersion loops: whole batches, about ``_BLOCK``."""
+    return max(1, _BLOCK // per) * per
+
+
+def _dispersion_lane(
+    specs, omega_i, batch_count, coefficients, action, theta, works, scratch
+) -> list[tuple[float, float]]:
+    """Each spec's (controlled, bare) dispersion, drawn and reduced in the given buffers."""
+    results = []
+    for spec in specs:
+        n, per = spec.count, spec.count // batch_count
+        step = _batch_step(per)
+        _draw_action_angle(spec, omega_i, action[:n], theta[:n])
+        sums = np.empty((2, batch_count))
+        for first in range(0, n, step):
+            stop = min(first + step, n)
+            block_works = works[:, : stop - first]
+            _work_block(action[first:stop], theta[first:stop], coefficients, block_works, scratch)
+            _require_finite(block_works)
+            # whole batches only: the remainder past batch_count * per is
+            # checked above but enters no batch, and may span whole steps
+            rows = slice(min(first // per, batch_count), min(stop // per, batch_count))
+            for w, row_sums in zip(block_works, sums):
+                block = w[: (rows.stop - rows.start) * per].reshape(-1, per)
+                _batch_sums(spec.beta, block, block, row_sums[rows])
+        results.append(tuple(_dispersion_of_sums(row_sums, per) for row_sums in sums))
+    return results

@@ -206,6 +206,25 @@ def test_sample_gibbs_deterministic_and_seed_sensitive():
     assert not np.array_equal(a, c)
 
 
+@pytest.mark.parametrize(
+    "seed,count,beta,omega", [(7, 100_000, 0.2, 10.0), (12345, 30_001, 1.3, 0.7), (3, 1, 2.0, 3.0)]
+)
+def test_draw_into_reused_buffers_is_bit_identical(seed, count, beta, omega):
+    # the draw as Generator.exponential(scale) and uniform(0, 2 pi) made it
+    spec = EnsembleSpec(beta=beta, count=count, seed=seed)
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    oracle_action = rng.exponential(scale=1.0 / (beta * omega), size=count)
+    oracle_theta = rng.uniform(0.0, 2.0 * math.pi, size=count)
+    action, theta = gibbs_action_angle(spec, omega)
+    assert np.array_equal(action, oracle_action) and np.array_equal(theta, oracle_theta)
+    # a reused buffer's old contents and extra length leave no trace
+    buffers = np.full(count + 5, math.nan), np.full(count + 5, -1.0)
+    for _ in range(2):
+        classical_dynamics._draw_action_angle(spec, omega, buffers[0][:count], buffers[1][:count])
+        assert np.array_equal(buffers[0][:count], oracle_action)
+        assert np.array_equal(buffers[1][:count], oracle_theta)
+
+
 def test_sample_gibbs_maps_the_action_angle_draw():
     spec = EnsembleSpec(beta=BETA, count=1000, seed=31)
     params = OscillatorParams(m=1.7)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from jsonschema import Draft202012Validator
 
+import staosc.classical_dynamics as classical_dynamics
 import staosc.cli_runner as cli_runner
 import staosc.invariants as invariants
 import staosc.work_statistics as work_statistics
@@ -36,15 +37,21 @@ def _config(experiment, **overrides):
 
 
 def _count_gibbs_draws(monkeypatch) -> list:
-    """Record the seed of every Gibbs draw the sample-set estimators make."""
+    """Record the seed of every Gibbs draw the sample-set estimators make.
+
+    Every draw goes through the private ``_draw_action_angle``: from
+    ``gibbs_action_angle`` in ``classical_dynamics`` and from the replicate
+    lanes of ``replicate_dispersions`` in ``work_statistics``.
+    """
     seeds = []
-    gibbs_action_angle = work_statistics.gibbs_action_angle
+    draw = classical_dynamics._draw_action_angle
 
     def counted(spec, *args, **kwargs):
         seeds.append(spec.seed)
-        return gibbs_action_angle(spec, *args, **kwargs)
+        return draw(spec, *args, **kwargs)
 
-    monkeypatch.setattr(work_statistics, "gibbs_action_angle", counted)
+    for module in (classical_dynamics, work_statistics):
+        monkeypatch.setattr(module, "_draw_action_angle", counted)
     return seeds
 
 
@@ -388,6 +395,31 @@ def test_runs_are_deterministic(tmp_path):
     for name in ("classical_work_sta_hist.csv", "classical_work_bare_density.csv",
                  "summary.json"):
         assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "experiment,numeric",
+    [
+        ("jarzynski-trace",
+         {"samples": 1000, "batch_size": 10, "replicates": 3, "trace_points": 20}),
+        ("classical-work-dist", {"samples": 1000, "bins": 12, "grid_points": 16}),
+        ("quantum-work-atoms", {"basis_size": 64, "n_max": 4}),
+    ],
+)
+def test_integral_floats_in_integer_keys_run_as_ints(tmp_path, experiment, numeric):
+    # "samples": 1000.0 passed the schema and then raised a traceback
+    as_floats = {key: float(value) for key, value in numeric.items()}
+    runs = {}
+    for label, values in (("int", numeric), ("float", as_floats)):
+        config = _config(experiment, seed=7, numeric=values)
+        runs[label] = run_experiment(config, out_dir=tmp_path / label)
+        resolved = resolve_config(config)["numeric"]
+        assert [type(resolved[key]) for key in numeric] == [int] * len(numeric)
+    assert runs["int"]["config_sha256"] == runs["float"]["config_sha256"]
+    names = sorted(p.name for p in (tmp_path / "int").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "float").iterdir())
+    for name in names:
+        assert (tmp_path / "int" / name).read_bytes() == (tmp_path / "float" / name).read_bytes()
 
 
 def _write_csv_per_value(path, meta, names, columns):

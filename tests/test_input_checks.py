@@ -177,6 +177,20 @@ def test_estimator_dispersion_batch_count_is_an_int(batch_count):
         ws.estimator_dispersion(SAMPLES, 0.2, batch_count)
 
 
+@pytest.mark.parametrize("bins", [10.5, 10.0, True, 0, "10"])
+def test_histogram_bin_count_is_an_int(bins):
+    # bins=10.5 used to make 10 bins without a word
+    with pytest.raises(ValueError, match=r"^bins must be an integer >= 1"):
+        ws.histogram(SAMPLES, bins)
+
+
+@pytest.mark.parametrize("n_max", [64.5, 64.0, True, 0])
+def test_pdf_quantum_adiabatic_n_max_is_an_int(n_max):
+    # n_max=64.5 used to return 65 atoms
+    with pytest.raises(ValueError, match=r"^n_max must be an integer >= 1"):
+        qd.pdf_quantum_adiabatic(1.0, 10.0, 20.0, n_max=n_max)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0, 0.0])
 def test_table_frequencies_must_be_positive_and_finite(bad):
     # a nan omega used to pass and then fail inside PCHIP

@@ -137,6 +137,15 @@ def test_bare_stroke_endpoint_mismatch_rejected():
         stroke_energy_factor(StrokeKind.bare(proto), WF, WI, CLASSICAL)
 
 
+def test_bare_stroke_rejects_an_unknown_regime():
+    # any regime but "classical" used to take the quantum route (Q* 1.16)
+    bare = StrokeKind.bare(cosine_ramp(10.0, 20.0, 0.1))
+    with pytest.raises(ValueError, match=r"^unknown regime 'nonsense'$"):
+        stroke_energy_factor(bare, 10.0, 20.0, "nonsense")
+    for regime in (CLASSICAL, QUANTUM):
+        assert stroke_energy_factor(bare, 10.0, 20.0, regime) > 2.0
+
+
 def test_stroke_kind_validation():
     with pytest.raises(ValueError):
         StrokeKind("warp")

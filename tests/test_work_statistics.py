@@ -1,5 +1,6 @@
 import json
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -39,6 +40,7 @@ from staosc.work_statistics import (
     integrate_density,
     jarzynski,
     ks_distance,
+    replicate_dispersions,
     summary,
 )
 
@@ -435,6 +437,80 @@ def test_blocked_dispersion_equals_one_shot_expression(batch_count):
     trimmed = w[: per * batch_count].reshape(batch_count, per)
     one_shot = float(np.var(np.mean(np.exp(-BETA * trimmed), axis=1), ddof=1))
     assert estimator_dispersion(ws, BETA, batch_count) == one_shot
+
+
+def _replicate_loop(protocol, specs, batch_count, params=OscillatorParams()):
+    """The per-replicate loop :func:`replicate_dispersions` replaces."""
+    return [
+        {
+            control: estimator_dispersion(s, spec.beta, batch_count)
+            for control, s in classical_work_ensembles(protocol, spec, params).items()
+        }
+        for spec in specs
+    ]
+
+
+@pytest.mark.parametrize(
+    "count,batch_count,replicates",
+    [
+        (30_000, 100, 4),  # even replicate count
+        (30_001, 7, 5),  # odd, and count not a multiple of batch_count
+        (20_000, 1000, 1),  # one replicate: the worker lane gets none
+        (3 * _B + 7, 2, 3),  # batches larger than _BLOCK
+        (2 * _B + 1, 2 * _B, 2),  # one sample per batch, a remainder of one
+        (2 * (3 * _B + 5) - 1, 3 * _B + 5, 1),  # a remainder spanning whole steps
+    ],
+)
+def test_replicate_dispersions_equal_the_replicate_loop(count, batch_count, replicates):
+    params = OscillatorParams(m=1.3)
+    specs = [EnsembleSpec(beta=BETA * (1 + r), count=count, seed=300 + r) for r in range(replicates)]
+    before = threading.active_count()
+    result = replicate_dispersions(FAST, specs, batch_count, params)
+    assert threading.active_count() == before
+    assert result == _replicate_loop(FAST, specs, batch_count, params)
+
+
+def test_replicate_dispersions_with_mixed_counts():
+    slow = cosine_ramp(WI, 2.0 * WI, 0.3)
+    specs = [EnsembleSpec(BETA, count, seed) for count, seed in ((5000, 1), (20_001, 2), (999, 3))]
+    assert replicate_dispersions(slow, specs, 9) == _replicate_loop(slow, specs, 9)
+    assert replicate_dispersions(FAST, [], 9) == []
+
+
+def test_replicate_dispersions_check_before_drawing(monkeypatch):
+    draws = []
+    monkeypatch.setattr(work_statistics, "_draw_action_angle", lambda spec, *a: draws.append(spec))
+    specs = [EnsembleSpec(BETA, 1000, 1), EnsembleSpec(BETA, 10, 2)]
+    with pytest.raises(ValueError, match="^cannot split 10 samples into 11 non-empty batches$"):
+        replicate_dispersions(FAST, specs, 11)
+    with pytest.raises(ValueError, match="^batch_count must be an integer >= 2, got 4.0$"):
+        replicate_dispersions(FAST, specs, 4.0)
+    assert draws == []
+
+
+@pytest.mark.parametrize("failing", [0, 1, 2])
+def test_replicate_dispersions_raise_from_either_lane_and_leave_no_thread(monkeypatch, failing):
+    draw = work_statistics._draw_action_angle
+
+    def draw_or_fail(spec, *args):
+        if spec.seed == failing:
+            raise RuntimeError(f"draw {spec.seed} failed")
+        draw(spec, *args)
+
+    monkeypatch.setattr(work_statistics, "_draw_action_angle", draw_or_fail)
+    specs = [EnsembleSpec(BETA, 2000, seed) for seed in range(4)]
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match=f"^draw {failing} failed$"):
+        replicate_dispersions(FAST, specs, 10)
+    assert threading.active_count() == before
+
+
+def test_replicate_dispersions_keep_the_finite_work_check(monkeypatch):
+    monkeypatch.setattr(
+        work_statistics, "work_coefficients", lambda protocol, c, params: (math.inf, 0.0, 0.0)
+    )
+    with pytest.raises(ValueError, match="^work samples must be finite$"):
+        replicate_dispersions(FAST, [EnsembleSpec(BETA, 100, 1)], 10)
 
 
 # ---------------------------------------------------------------------------
