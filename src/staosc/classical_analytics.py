@@ -30,12 +30,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
-
-# Unused: perfbench/layers.py counts solver calls through module.solve_ivp
-from scipy.integrate import solve_ivp  # noqa: F401
 
 from .classical_dynamics import fundamental_matrix, work_coefficients
+# Unused: perfbench/layers.py counts solver calls through module.solve_ivp
+from .classical_dynamics import solve_ivp  # noqa: F401
 from .errors import require_positive
 from .protocols import FrequencyProtocol
 
@@ -224,6 +222,8 @@ def pdf_nonadiabatic(W, form: QuadraticWorkForm):
         out[pos] = np.exp(-W[pos] / mu_p) / np.sqrt(np.pi * W[pos] * mu_p)
         out[W == 0.0] = np.inf
     else:
+        from scipy import special
+
         # exp(-(mu_+ + mu_-) W / (2 mu_+ mu_-)) * I0(arg) with
         # arg = (mu_+ - mu_-) W / (2 mu_+ mu_-)  ==  exp(-W/mu_+) * i0e(arg)
         arg = (mu_p - mu_m) * W[pos] / (2.0 * mu_p * mu_m)

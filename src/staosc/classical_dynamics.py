@@ -37,7 +37,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import IntegrationError, require_int, require_positive
 from .protocols import TABLE, FrequencyProtocol, omega_at, omega_dot_at, total_phase
@@ -135,6 +134,17 @@ def _field(t, y, protocol, with_control, m):
     w = omega_at(protocol, t)
     g = omega_dot_at(protocol, t) / (2.0 * w) if with_control else 0.0
     return (np.array(((g, -m * w * w), (1.0 / m, -g))) @ y.reshape(2, -1)).ravel()
+
+
+def solve_ivp(*args, **kwargs):
+    """``scipy.integrate.solve_ivp``, with scipy.integrate imported on the first call.
+
+    Every DOP853 solve of this module calls this binding, which
+    perfbench/layers.py replaces to count the solves of this layer.
+    """
+    from scipy.integrate import solve_ivp
+
+    return solve_ivp(*args, **kwargs)
 
 
 def _knots(protocol: FrequencyProtocol) -> list[float]:

@@ -29,12 +29,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import special
-from scipy.interpolate import PchipInterpolator
 
 from .errors import require_positive
+
+if TYPE_CHECKING:
+    from scipy.interpolate import PchipInterpolator
 
 COSINE_RAMP = "cosine-ramp"
 CONSTANT = "constant"
@@ -86,6 +88,8 @@ class FrequencyProtocol:
 
     @cached_property
     def _table_interp(self) -> PchipInterpolator:
+        from scipy.interpolate import PchipInterpolator
+
         t = np.array([s[0] for s in self.samples], dtype=float)
         w = np.array([s[1] for s in self.samples], dtype=float)
         return PchipInterpolator(t, w, extrapolate=False)
@@ -200,6 +204,8 @@ def total_phase(protocol: FrequencyProtocol) -> float:
     if protocol.kind == CONSTANT:
         return protocol.omega_i * protocol.tau
     if protocol.kind == COSINE_RAMP:
+        from scipy import special
+
         k = 1.0 - (protocol.omega_i / protocol.omega_f) ** 2
         return 2.0 * protocol.tau * protocol.omega_f / math.pi * float(special.ellipe(k))
     return float(protocol._table_interp.antiderivative()(protocol.tau))

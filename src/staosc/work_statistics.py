@@ -22,7 +22,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, asdict
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .classical_dynamics import (
     EnsembleSpec,
@@ -356,6 +355,8 @@ def ks_distance(samples: WorkSampleSet, density, w_max: float | None = None) -> 
     w = np.sort(samples.samples)
     if w_max is None:
         w_max = max(float(w[-1]) * 1.05, 1e-12)
+    from scipy.interpolate import PchipInterpolator
+
     grid, cdf = _cdf_on_grid(density, w_max)
     interp = PchipInterpolator(np.sqrt(grid + 0.0), cdf, extrapolate=False)
 
