@@ -35,7 +35,6 @@ from .protocols import (
 )
 from .classical_dynamics import (
     EnsembleSpec,
-    OscillatorParams,
     ensemble_work,
     from_action_angle,
     fundamental_matrix,

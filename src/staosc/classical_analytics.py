@@ -15,13 +15,15 @@ with r = hypot(b, c) the work is the Gaussian two-mode form
 
 Its trace gives Husimi's adiabaticity factor Q* = (a + omega_i)/omega_f
 (Prog. Theor. Phys. 9, 381 (1953)), which also fixes the quantum transition
-probabilities and the bare Otto stroke.  The mass never appears.
+probabilities and the bare Otto stroke.
 
 mu_plus >= mu_minus >= 0 whenever omega increases monotonically.  The work
 density is then an exponential-times-Bessel law; its two degenerate limits
 are the adiabatic exponential (mu_plus = mu_minus) and the sudden
-inverse-square-root law (mu_minus = 0).  The basic solutions C, S of
-x'' + omega(t)**2 x = 0 are the entries of the bare Phi at unit mass.
+inverse-square-root law (mu_minus = 0).  The oscillator has unit mass, as
+in :mod:`staosc.classical_dynamics` (a mass only rescales phase space and
+cancels from every result here), so the basic solutions C, S of
+x'' + omega(t)**2 x = 0 are the entries of the bare Phi.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ class BasicSolutions:
 def basic_solutions(protocol: FrequencyProtocol) -> BasicSolutions:
     """Endpoint data of C and S, read off the bare fundamental matrix.
 
-    At unit mass (p, q) = (x', x): the column of Phi started from (0, 1) is
+    With (p, q) = (x', x), the column of Phi started from (0, 1) is
     (C', C), the one started from (1, 0) is (S', S).  The Wronskian is
     det Phi, which the Magnus product keeps at 1 to round-off;
     :func:`staosc.invariants.wronskian` measures it on the DOP853 reference.

@@ -1,7 +1,9 @@
 """Classical trajectories and ensembles of the driven oscillator.
 
-The bare Hamiltonian is H0 = p**2/(2m) + m omega(t)**2 q**2 / 2.  Switching
-the shortcut control on adds
+The bare Hamiltonian is H0 = p**2/2 + omega(t)**2 q**2 / 2, at unit mass
+throughout: a mass m only rescales q -> sqrt(m) q and p -> p/sqrt(m), and
+no work law, action or efficiency depends on it.  Switching the shortcut
+control on adds
 
     Hc = -(omega_dot / (2 omega)) * p * q,
 
@@ -9,7 +11,7 @@ whose flow rescale-rotates phase space so that the action I = H0/omega of
 every trajectory is an exact constant of motion for arbitrarily fast ramps.
 Work for a single trajectory is measured endpoint-to-endpoint,
 W = H0(tau) - H0(0), which is the integral of the explicit time derivative
-m omega omega_dot q**2 along the path (the control term contributes nothing
+omega omega_dot q**2 along the path (the control term contributes nothing
 at the endpoints because omega_dot vanishes there).
 
 Both flows are linear in (p, q), so the ramp's 2x2
@@ -47,21 +49,13 @@ _MAGNUS_CHUNK = 4096
 #: Step doublings after which a bare Phi that has not converged raises; ramps
 #: with omega_f/omega_i from 0.1 to 10 and tau omega_i from 1e-4 to 1e3 need 1-8.
 _MAX_DOUBLINGS = 12
+#: Relative agreement of successive bare Magnus products that accepts the finer one.
+_PHI_TOL = 1e-12
 #: Below this |d| the 2x2 step exponential uses the Taylor series in d.
 _SERIES_CUT = 1e-2
 #: The 2-point Gauss nodes on [0, 1], and the commutator weight sqrt(3)/12.
 _GAUSS = np.array((0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0))
 _SQRT3_12 = math.sqrt(3.0) / 12.0
-
-
-@dataclass(frozen=True)
-class OscillatorParams:
-    """Static oscillator constants (only the mass, in this model)."""
-
-    m: float = 1.0
-
-    def __post_init__(self):
-        require_positive(m=self.m)
 
 
 @dataclass(frozen=True)
@@ -78,9 +72,9 @@ class EnsembleSpec:
         require_int(0, seed=self.seed)
 
 
-def oscillator_energy(p, q, omega, params: OscillatorParams = OscillatorParams()):
-    """Bare oscillator energy p**2/(2m) + m omega**2 q**2/2 (vectorized)."""
-    return np.asarray(p) ** 2 / (2.0 * params.m) + 0.5 * params.m * omega**2 * np.asarray(q) ** 2
+def oscillator_energy(p, q, omega):
+    """Bare oscillator energy p**2/2 + omega**2 q**2/2 (vectorized)."""
+    return np.asarray(p) ** 2 / 2.0 + 0.5 * omega**2 * np.asarray(q) ** 2
 
 
 def _rows(states) -> np.ndarray:
@@ -93,47 +87,43 @@ def _rows(states) -> np.ndarray:
     return states
 
 
-def to_action_angle(
-    states, omega: float, params: OscillatorParams = OscillatorParams()
-) -> tuple[np.ndarray, np.ndarray]:
+def to_action_angle(states, omega: float) -> tuple[np.ndarray, np.ndarray]:
     """Map (n, 2) rows of (p, q) to the arrays (I, theta) at fixed frequency omega.
 
-    Conventions: q = sqrt(2 I / (m omega)) sin(theta),
-    p = sqrt(2 m omega I) cos(theta), so I = H0/omega.  theta lies in
+    Conventions: q = sqrt(2 I / omega) sin(theta),
+    p = sqrt(2 omega I) cos(theta), so I = H0/omega.  theta lies in
     [0, 2 pi), and a row at the origin gets theta = 0.
     """
     require_positive(omega=omega)
     p, q = _rows(states).T
-    action = oscillator_energy(p, q, omega, params) / omega
-    root_momega = math.sqrt(params.m * omega)
-    theta = np.arctan2(q * root_momega, p / root_momega) % _TWO_PI
+    action = oscillator_energy(p, q, omega) / omega
+    root_omega = math.sqrt(omega)
+    theta = np.arctan2(q * root_omega, p / root_omega) % _TWO_PI
     # a tiny negative angle wraps to 2 pi itself in floating point
     return action, np.where((action == 0.0) | (theta == _TWO_PI), 0.0, theta)
 
 
-def from_action_angle(
-    action, theta, omega: float, params: OscillatorParams = OscillatorParams()
-) -> np.ndarray:
+def from_action_angle(action, theta, omega: float) -> np.ndarray:
     """Inverse of :func:`to_action_angle` at the same omega: the (n, 2) rows of (p, q)."""
     require_positive(omega=omega)
     action, theta = np.asarray(action, dtype=float), np.asarray(theta, dtype=float)
     if not (np.all((action >= 0.0) & (action < math.inf)) and np.all(np.isfinite(theta))):
         raise ValueError("actions must be finite and non-negative, and angles finite")
-    p = np.sqrt(2.0 * params.m * omega * action) * np.cos(theta)
-    q = np.sqrt(2.0 * action / (params.m * omega)) * np.sin(theta)
+    p = np.sqrt(2.0 * omega * action) * np.cos(theta)
+    q = np.sqrt(2.0 * action / omega) * np.sin(theta)
     return np.column_stack([p, q])
 
 
-def _field(t, y, protocol, with_control, m):
+def _field(t, y, protocol, with_control):
     """Phase-space velocity of n points stacked as (p_1..p_n, q_1..q_n).
 
-    The flow is linear, (p_dot, q_dot) = A (p, q) with A = [[g, -m omega**2],
-    [1/m, -g]]: the bare flow has g = 0, and the control adds the
+    The flow is linear, (p_dot, q_dot) = A (p, q) with A = [[g, -omega**2],
+    [1, -g]]: the bare flow has g = 0, and the control adds the
     divergence-free shear with g = omega_dot/(2 omega).
     """
     w = omega_at(protocol, t)
     g = omega_dot_at(protocol, t) / (2.0 * w) if with_control else 0.0
-    return (np.array(((g, -m * w * w), (1.0 / m, -g))) @ y.reshape(2, -1)).ravel()
+    return (np.array(((g, -w * w), (1.0, -g))) @ y.reshape(2, -1)).ravel()
 
 
 def solve_ivp(*args, **kwargs):
@@ -152,31 +142,25 @@ def _knots(protocol: FrequencyProtocol) -> list[float]:
     return [t for t, _ in protocol.samples] if protocol.kind == TABLE else [0.0, protocol.tau]
 
 
-def integrate(
-    states,
-    protocol: FrequencyProtocol,
-    with_control: bool = False,
-    params: OscillatorParams = OscillatorParams(),
-    tol: float = 1e-10,
-):
+def integrate(states, protocol: FrequencyProtocol, with_control: bool = False, tol: float = 1e-10):
     """Propagate (n, 2) rows of (p, q) through the full ramp, t: 0 -> tau, by adaptive DOP853.
 
     One solve carries every row and returns the (n, 2) final rows.  Each
     point's absolute tolerance is tol times its momentum scale
-    max(|p|, m omega_i |q|) in p, and that scale over m omega_i in q.
+    max(|p|, omega_i |q|) in p, and that scale over omega_i in q.
     A step across a table knot loses the method's order, so a table is
     solved from knot to knot.
     """
+    require_positive(tol=tol)
     states = _rows(states)
-    m = params.m
-    mw = m * protocol.omega_i
-    scale = np.maximum(np.maximum(np.abs(states[:, 0]), mw * np.abs(states[:, 1])), 1e-30)
-    atol = tol * np.concatenate([scale, scale / mw])
+    w = protocol.omega_i
+    scale = np.maximum(np.maximum(np.abs(states[:, 0]), w * np.abs(states[:, 1])), 1e-30)
+    atol = tol * np.concatenate([scale, scale / w])
     y = states.T.ravel()
     knots = _knots(protocol)
     for start, stop in zip(knots[:-1], knots[1:]):
         sol = solve_ivp(_field, (start, stop), y, method="DOP853", rtol=tol,
-                        atol=atol, args=(protocol, with_control, m))
+                        atol=atol, args=(protocol, with_control))
         if not sol.success:
             raise IntegrationError(
                 f"phase-space integration failed: {sol.message} "
@@ -219,14 +203,14 @@ def _ordered_product(steps):
     return steps[0]
 
 
-def _magnus_product(protocol: FrequencyProtocol, m: float, per_interval: int) -> np.ndarray:
+def _magnus_product(protocol: FrequencyProtocol, per_interval: int) -> np.ndarray:
     """Bare Phi as a fourth-order Magnus product of per_interval equal steps per knot interval.
 
     On a step [t, t + h] with 2-point Gauss nodes t + (1/2 -+ sqrt(3)/6) h,
-    where omega**2 reads w1, w2, the bare generator A = [[0, -m omega**2],
-    [1/m, 0]] gives the traceless exponent Omega = h (A1 + A2)/2 +
+    where omega**2 reads w1, w2, the bare generator A = [[0, -omega**2],
+    [1, 0]] gives the traceless exponent Omega = h (A1 + A2)/2 +
     (sqrt(3)/12) h**2 [A2, A1], i.e. alpha = (sqrt(3)/12) h**2 (w1 - w2),
-    beta = -m h (w1 + w2)/2, gamma = h/m.  Steps are built and reduced
+    beta = -h (w1 + w2)/2, gamma = h.  Steps are built and reduced
     :data:`_MAGNUS_CHUNK` at a time, so memory does not grow with the count.
     """
     knots = np.array(_knots(protocol))
@@ -240,49 +224,45 @@ def _magnus_product(protocol: FrequencyProtocol, m: float, per_interval: int) ->
         nodes = (knots[interval] + h * sub)[:, None] + h[:, None] * _GAUSS
         w_sq = omega_at(protocol, nodes.ravel()).reshape(-1, 2) ** 2
         steps = _expm_traceless(
-            _SQRT3_12 * h * h * (w_sq[:, 0] - w_sq[:, 1]), -0.5 * m * h * w_sq.sum(axis=1), h / m
+            _SQRT3_12 * h * h * (w_sq[:, 0] - w_sq[:, 1]), -0.5 * h * w_sq.sum(axis=1), h
         )
         phi = _ordered_product(steps) @ phi
     return phi
 
 
-def _bare_phi(protocol: FrequencyProtocol, m: float, tol: float) -> np.ndarray:
+def _bare_phi(protocol: FrequencyProtocol) -> np.ndarray:
     """The bare Phi from :func:`_magnus_product`, accepted by step doubling.
 
     Starting from about 8 + 2 phi steps (phi the total phase), the step
-    count doubles until two successive products agree to tol max|Phi|; the
-    finer one is returned, its error about a sixteenth of that gap.
+    count doubles until two successive products agree to :data:`_PHI_TOL`
+    max|Phi|; the finer one is returned, its error about a sixteenth of
+    that gap.
     """
     per = max(1, math.ceil((8.0 + 2.0 * total_phase(protocol)) / (len(_knots(protocol)) - 1)))
-    coarse = _magnus_product(protocol, m, per)
+    coarse = _magnus_product(protocol, per)
     for _ in range(_MAX_DOUBLINGS):
         per *= 2
-        fine = _magnus_product(protocol, m, per)
+        fine = _magnus_product(protocol, per)
         gap = np.max(np.abs(fine - coarse)) / np.max(np.abs(fine))
-        if gap <= tol:
+        if gap <= _PHI_TOL:
             return fine
         coarse = fine
     raise IntegrationError(
         f"bare fundamental matrix did not converge in {_MAX_DOUBLINGS} step doublings: "
-        f"relative gap {gap!r} > tol {tol!r} at {per} steps per knot interval "
+        f"relative gap {gap!r} > {_PHI_TOL!r} at {per} steps per knot interval "
         f"(kind={protocol.kind}, tau={protocol.tau})"
     )
 
 
-def fundamental_matrix(
-    protocol: FrequencyProtocol,
-    with_control: bool = False,
-    params: OscillatorParams = OscillatorParams(),
-    tol: float = 1e-12,
-) -> np.ndarray:
+def fundamental_matrix(protocol: FrequencyProtocol, with_control: bool = False) -> np.ndarray:
     """2x2 matrix Phi mapping (p, q) at t=0 to (p, q) at t=tau.
 
     Both flows are linear, so Phi characterizes the whole ramp.  The
     controlled Phi is exact, A(omega_f)^-1 R A(omega_i) with A(omega) =
-    diag(1/sqrt(m omega), sqrt(m omega)) and R the rotation by
+    diag(1/sqrt(omega), sqrt(omega)) and R the rotation by
     :func:`staosc.protocols.total_phase`.  The bare Phi is a fourth-order
     Magnus product whose step count doubles until the products at n and 2n
-    steps agree to ``tol`` max|Phi| (steps align with a table's knots);
+    steps agree to :data:`_PHI_TOL` max|Phi| (steps align with a table's knots);
     :data:`_MAX_DOUBLINGS` doublings without agreement raise
     IntegrationError.  Every step is an exact exponential of a traceless
     matrix, so det Phi = 1 to round-off on either route, and
@@ -292,16 +272,16 @@ def fundamental_matrix(
         phase = total_phase(protocol)
         c, s = math.cos(phase), math.sin(phase)
         r = math.sqrt(protocol.omega_f / protocol.omega_i)
-        mw = params.m * math.sqrt(protocol.omega_i * protocol.omega_f)
-        phi = np.array([[c * r, -s * mw], [s / mw, c / r]])
+        w = math.sqrt(protocol.omega_i * protocol.omega_f)
+        phi = np.array([[c * r, -s * w], [s / w, c / r]])
     else:
         # rows (p, q), columns the points started from (1, 0) and (0, 1)
-        phi = _bare_phi(protocol, params.m, tol)
+        phi = _bare_phi(protocol)
     det = phi[0, 0] * phi[1, 1] - phi[0, 1] * phi[1, 0]
     if abs(det - 1.0) > 1e-9:
         raise IntegrationError(
             f"fundamental matrix lost area preservation: det = {det!r}; "
-            "tighten tol or inspect the protocol"
+            "inspect the protocol"
         )
     return phi
 
@@ -310,7 +290,7 @@ def gibbs_action_angle(spec: EnsembleSpec, omega: float) -> tuple[np.ndarray, np
     """Draw a canonical ensemble at frequency omega in action-angle form.
 
     Returns (I, theta), each of length count.  The canonical density
-    factorizes into I ~ Exp(mean 1/(beta*omega)), whatever the mass, and
+    factorizes into I ~ Exp(mean 1/(beta*omega)) and
     theta ~ Uniform[0, 2*pi).  The generator is counter-based (Philox keyed
     by the seed), so a given (seed, count) always yields the same arrays
     regardless of platform or call history.
@@ -335,32 +315,27 @@ def _draw_action_angle(spec: EnsembleSpec, omega: float, action, theta) -> None:
     theta *= _TWO_PI
 
 
-def sample_gibbs(
-    spec: EnsembleSpec, omega: float, params: OscillatorParams = OscillatorParams()
-) -> np.ndarray:
+def sample_gibbs(spec: EnsembleSpec, omega: float) -> np.ndarray:
     """The :func:`gibbs_action_angle` draw at frequency omega as (count, 2) rows of (p, q)."""
-    return from_action_angle(*gibbs_action_angle(spec, omega), omega, params)
+    return from_action_angle(*gibbs_action_angle(spec, omega), omega)
 
 
 def work_coefficients(
-    protocol: FrequencyProtocol,
-    with_control: bool = False,
-    params: OscillatorParams = OscillatorParams(),
+    protocol: FrequencyProtocol, with_control: bool = False
 ) -> tuple[float, float, float]:
     """(a, b, c) with endpoint work W = I (a + b cos 2 theta + c sin 2 theta).
 
     I and theta are the action-angle coordinates of the initial state at
     omega_i.  The state is sqrt(2 I) U xi with xi = (cos theta, sin theta)
-    and U = diag(sqrt(m omega_i), 1/sqrt(m omega_i)), so the final energy
-    is I xi^T K xi with K = U Phi^T D_f Phi U, D_f = diag(1/m, m omega_f**2)
+    and U = diag(sqrt(omega_i), 1/sqrt(omega_i)), so the final energy
+    is I xi^T K xi with K = U Phi^T D_f Phi U, D_f = diag(1, omega_f**2)
     and Phi the ramp's :func:`fundamental_matrix`.  Then
-    a = (K11 + K22)/2 - omega_i, b = (K11 - K22)/2 and c = K12.  K does not
-    depend on the mass.
+    a = (K11 + K22)/2 - omega_i, b = (K11 - K22)/2 and c = K12.
     """
-    phi = fundamental_matrix(protocol, with_control, params)
-    root = math.sqrt(params.m * protocol.omega_i)
+    phi = fundamental_matrix(protocol, with_control)
+    root = math.sqrt(protocol.omega_i)
     phi_u = phi * np.array([root, 1.0 / root])
-    k = phi_u.T @ np.diag([1.0 / params.m, params.m * protocol.omega_f**2]) @ phi_u
+    k = phi_u.T @ np.diag([1.0, protocol.omega_f**2]) @ phi_u
     return (
         float(0.5 * (k[0, 0] + k[1, 1]) - protocol.omega_i),
         float(0.5 * (k[0, 0] - k[1, 1])),
@@ -369,10 +344,7 @@ def work_coefficients(
 
 
 def propagate_ensemble(
-    states: np.ndarray,
-    protocol: FrequencyProtocol,
-    with_control: bool = False,
-    params: OscillatorParams = OscillatorParams(),
+    states: np.ndarray, protocol: FrequencyProtocol, with_control: bool = False
 ) -> np.ndarray:
     """Push an (n, 2) array of (p, q) points through the ramp.
 
@@ -381,20 +353,17 @@ def propagate_ensemble(
     ensemble.
     """
     states = _rows(states)
-    phi = fundamental_matrix(protocol, with_control, params)
+    phi = fundamental_matrix(protocol, with_control)
     return states @ phi.T
 
 
 def ensemble_work(
-    initial: np.ndarray,
-    final: np.ndarray,
-    protocol: FrequencyProtocol,
-    params: OscillatorParams = OscillatorParams(),
+    initial: np.ndarray, final: np.ndarray, protocol: FrequencyProtocol
 ) -> np.ndarray:
     """Vectorized endpoint work for paired (n, 2) state arrays."""
     initial, final = _rows(initial), _rows(final)
     if initial.shape != final.shape:
         raise ValueError("initial and final ensembles must have matching shapes")
-    e_in = oscillator_energy(initial[:, 0], initial[:, 1], protocol.omega_i, params)
-    e_out = oscillator_energy(final[:, 0], final[:, 1], protocol.omega_f, params)
+    e_in = oscillator_energy(initial[:, 0], initial[:, 1], protocol.omega_i)
+    e_out = oscillator_energy(final[:, 0], final[:, 1], protocol.omega_f)
     return e_out - e_in

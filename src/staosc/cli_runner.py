@@ -80,12 +80,11 @@ def _protocol_from(phys: dict):
 def _run_classical_work_dist(resolved: dict, out_dir: Path, meta: dict):
     phys, num = resolved["physical"], resolved["numeric"]
     protocol = _protocol_from(phys)
-    params = cd.OscillatorParams(m=phys["mass"])
     beta, wi, wf = phys["beta"], phys["omega_i"], phys["omega_f"]
     seed = resolved["seed"]
 
     spec = cd.EnsembleSpec(beta=beta, count=num["samples"], seed=seed)
-    by_control = ws.classical_work_ensembles(protocol, spec, params)
+    by_control = ws.classical_work_ensembles(protocol, spec)
     sets = {"sta": by_control[True], "bare": by_control[False]}
 
     form = ca.quadratic_form(protocol, beta)
@@ -138,7 +137,6 @@ def _trace_grid(n: int, points: int) -> np.ndarray:
 def _run_jarzynski_trace(resolved: dict, out_dir: Path, meta: dict):
     phys, num = resolved["physical"], resolved["numeric"]
     protocol = _protocol_from(phys)
-    params = cd.OscillatorParams(m=phys["mass"])
     beta, wi, wf = phys["beta"], phys["omega_i"], phys["omega_f"]
     seed = resolved["seed"]
     delta_f = ws.delta_f_classical(beta, wi, wf)
@@ -146,7 +144,7 @@ def _run_jarzynski_trace(resolved: dict, out_dir: Path, meta: dict):
 
     outputs, checks, derived = [], [], {"target": target, "delta_f": delta_f}
     spec = cd.EnsembleSpec(beta=beta, count=num["samples"], seed=seed)
-    sets = ws.classical_work_ensembles(protocol, spec, params)
+    sets = ws.classical_work_ensembles(protocol, spec)
     for label, control in (("sta", True), ("bare", False)):
         samples = sets.pop(control)  # keep no 1e6-sample set alive into the replicates
         trace = ws.jarzynski(samples, beta, delta_f)
@@ -170,7 +168,7 @@ def _run_jarzynski_trace(resolved: dict, out_dir: Path, meta: dict):
     reps = num["replicates"]
     per_rep = max(batch * 100, batch * 2)
     specs = [cd.EnsembleSpec(beta=beta, count=per_rep, seed=seed + 1 + r) for r in range(reps)]
-    dispersions = ws.replicate_dispersions(protocol, specs, per_rep // batch, params)
+    dispersions = ws.replicate_dispersions(protocol, specs, per_rep // batch)
     var_sta = [v[True] for v in dispersions]
     var_bare = [v[False] for v in dispersions]
     wins = sum(v[True] < v[False] for v in dispersions)
@@ -320,7 +318,6 @@ _KEY_TYPES = {
         "omega_f": _POSITIVE,
         "tau": _POSITIVE,
         "tau_omega_i": _POSITIVE,
-        "mass": _POSITIVE,
         "hbar": _POSITIVE,
         "beta_1": _POSITIVE,
         "regime": {"enum": ["classical", "quantum"]},
@@ -359,12 +356,12 @@ _RAMP = {
 _EXPERIMENTS = {
     "classical-work-dist": {
         "run": _run_classical_work_dist,
-        "physical": {**_RAMP, "mass": 1.0},
+        "physical": _RAMP,
         "numeric": {"samples": 100_000, "grid_points": 512, "w_max": None, "bins": None},
     },
     "jarzynski-trace": {
         "run": _run_jarzynski_trace,
-        "physical": {**_RAMP, "mass": 1.0},
+        "physical": _RAMP,
         "numeric": {
             "samples": 1_000_000,
             "batch_size": 10_000,

@@ -339,6 +339,7 @@ def fock_transition_matrix(
     H0(omega_f) must equal hbar omega_f (m + 1/2) within 1e-9 relative for
     every m < m_max, or TruncationLeakageError is raised.
     """
+    require_positive(tol=tol)
     cfg = _basis_for(protocol, cfg, n_max)
     _, v_i = eigenbasis(protocol.omega_i, cfg)
     e_f, v_f = eigenbasis(protocol.omega_f, cfg)

@@ -11,7 +11,9 @@ holds for both the bare and the shortcut-controlled ramp; what the control
 changes is the estimator's dispersion, not its target.
 
 Classical sample sets are drawn in action-angle form and turned into work
-by each ramp's closed-form quadratic form, with no phase-space arrays.
+by each ramp's closed-form quadratic form, with no phase-space arrays.  The
+oscillator has unit mass, as in :mod:`staosc.classical_dynamics`: the work
+does not depend on the mass, which only rescales phase space.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ import numpy as np
 
 from .classical_dynamics import (
     EnsembleSpec,
-    OscillatorParams,
     _draw_action_angle,
     gibbs_action_angle,
     work_coefficients,
@@ -51,7 +52,6 @@ class SampleProvenance:
     tau: float
     with_control: bool
     beta: float
-    mass: float
     count: int
     seed: int
 
@@ -82,7 +82,6 @@ def _require_finite(works: np.ndarray) -> None:
 def classical_work_ensembles(
     protocol: FrequencyProtocol,
     spec: EnsembleSpec,
-    params: OscillatorParams = OscillatorParams(),
     controls: tuple[bool, ...] = (True, False),
 ) -> dict[bool, WorkSampleSet]:
     """Sample one Gibbs ensemble and run it through each ramp in ``controls``.
@@ -105,7 +104,7 @@ def classical_work_ensembles(
     no full-length temporary is built beyond the draw and the outputs.
     """
     action, theta = gibbs_action_angle(spec, protocol.omega_i)
-    coefficients = [work_coefficients(protocol, c, params) for c in controls]
+    coefficients = [work_coefficients(protocol, c) for c in controls]
     works = [np.empty(spec.count) for _ in controls]
     scratch = np.empty((6, min(spec.count, _BLOCK)))
     for start in range(0, spec.count, _BLOCK):
@@ -123,7 +122,6 @@ def classical_work_ensembles(
             tau=protocol.tau,
             with_control=with_control,
             beta=spec.beta,
-            mass=params.m,
             count=spec.count,
             seed=spec.seed,
         )
@@ -154,13 +152,10 @@ def _work_block(action, theta, coefficients, works, scratch) -> None:
 
 
 def classical_work_ensemble(
-    protocol: FrequencyProtocol,
-    spec: EnsembleSpec,
-    params: OscillatorParams = OscillatorParams(),
-    with_control: bool = False,
+    protocol: FrequencyProtocol, spec: EnsembleSpec, with_control: bool = False
 ) -> WorkSampleSet:
     """Sample a Gibbs ensemble, run one ramp, and collect endpoint work."""
-    sets = classical_work_ensembles(protocol, spec, params, (with_control,))
+    sets = classical_work_ensembles(protocol, spec, (with_control,))
     return sets[with_control]
 
 
@@ -214,8 +209,8 @@ def histogram(samples: WorkSampleSet, bins=None) -> BinnedDensity:
         bins = default_bin_count(w.size)
     if np.ndim(bins) == 1:
         edges = np.asarray(bins, dtype=float)
-        if np.any(np.diff(edges) <= 0.0):
-            raise ValueError("histogram bin edges must be strictly increasing")
+        if not (np.all(np.isfinite(edges)) and np.all(np.diff(edges) > 0.0)):
+            raise ValueError("histogram bin edges must be finite and strictly increasing")
     else:
         require_int(1, bins=bins)
         edges = bins
@@ -245,6 +240,8 @@ def jarzynski(data, beta: float, delta_f: float) -> JarzynskiTrace:
     expectation is exact and the trace collapses to a single point.
     """
     require_positive(beta=beta)
+    if not math.isfinite(delta_f):
+        raise ValueError(f"delta_f must be finite, got {delta_f!r}")
     target = math.exp(-beta * delta_f)
     if isinstance(data, QuantumWorkAtoms):
         final = float(np.dot(data.probs, np.exp(-beta * data.works)))
@@ -418,13 +415,12 @@ def replicate_dispersions(
     protocol: FrequencyProtocol,
     specs: Sequence[EnsembleSpec],
     batch_count: int,
-    params: OscillatorParams = OscillatorParams(),
 ) -> list[dict[bool, float]]:
     """:func:`estimator_dispersion` of the controlled and the bare ramp for a run of replicates.
 
     Entry r is ``{c: estimator_dispersion(sets[c], specs[r].beta,
     batch_count)}`` with ``sets = classical_work_ensembles(protocol,
-    specs[r], params)``, bit for bit, and every check of those calls is
+    specs[r])``, bit for bit, and every check of those calls is
     made before the first draw.  Each ramp's (a, b, c) is computed once for
     all replicates.
 
@@ -445,7 +441,7 @@ def replicate_dispersions(
             )
     if not specs:
         return []
-    coefficients = [work_coefficients(protocol, c, params) for c in (True, False)]
+    coefficients = [work_coefficients(protocol, c) for c in (True, False)]
     count = max(spec.count for spec in specs)
     step = max(_batch_step(spec.count // batch_count) for spec in specs)
     lanes = [

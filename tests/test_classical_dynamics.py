@@ -11,7 +11,6 @@ from staosc import classical_dynamics
 from staosc.classical_analytics import adiabaticity_parameter, basic_solutions, quadratic_form
 from staosc.classical_dynamics import (
     EnsembleSpec,
-    OscillatorParams,
     ensemble_work,
     from_action_angle,
     fundamental_matrix,
@@ -35,10 +34,9 @@ FAST = cosine_ramp(WI, WF, 1e-4)
 
 def test_action_angle_roundtrip_random():
     rng = np.random.default_rng(42)
-    params = OscillatorParams(m=1.7)
     states = rng.normal((0.0, 0.0), (3.0, 2.0), size=(300, 2))
     for omega in rng.uniform(0.5, 40.0, size=20):
-        back = from_action_angle(*to_action_angle(states, omega, params), omega, params)
+        back = from_action_angle(*to_action_angle(states, omega), omega)
         assert back.shape == states.shape
         assert np.all(np.abs(back - states) <= 1e-12 * np.maximum(1.0, np.abs(states)))
 
@@ -133,15 +131,14 @@ def test_batched_integrate_matches_per_state_solves():
         integrate(states.T, FAST)
 
 
-def _phi_deviation(proto, with_control, m, tol=1e-12):
+def _phi_deviation(proto, with_control, tol=1e-12):
     """max |Phi - integrated Phi| / max |integrated Phi|.
 
     The integrated Phi is one batched DOP853 solve of the unit states
     (p, q) = (1, 0) and (0, 1), whose finals are its columns.
     """
-    params = OscillatorParams(m=m)
-    ref = integrate(np.eye(2), proto, with_control, params, tol=tol).T
-    phi = fundamental_matrix(proto, with_control, params)
+    ref = integrate(np.eye(2), proto, with_control, tol=tol).T
+    phi = fundamental_matrix(proto, with_control)
     return np.max(np.abs(phi - ref)) / np.max(np.abs(ref))
 
 
@@ -149,13 +146,12 @@ def test_controlled_closed_form_matches_integration():
     worst = 0.0
     for ratio in (math.sqrt(3.0), 2.0, 0.5, 4.44):
         for tau_omega_i in (1e-4, 1e-2, 1.0, 3.0, 20.0):
-            for m in (1.0, 2.3):
-                proto = cosine_ramp(WI, ratio * WI, tau_omega_i / WI)
-                worst = max(worst, _phi_deviation(proto, True, m))
+            proto = cosine_ramp(WI, ratio * WI, tau_omega_i / WI)
+            worst = max(worst, _phi_deviation(proto, True))
     # a tabulated ramp, tau omega_i = 3, through its own interpolant
     t = np.linspace(0.0, 0.3, 9)
     table = protocol_from_table(list(zip(t, omega_at(cosine_ramp(WI, 2.0 * WI, 0.3), t))))
-    worst = max(worst, _phi_deviation(table, True, 1.0))
+    worst = max(worst, _phi_deviation(table, True))
     assert worst < 1e-10
 
 
@@ -173,16 +169,13 @@ def test_controlled_fundamental_matrix_runs_no_ode(monkeypatch):
     omega_i=st.floats(0.5, 50.0),
     ratio=st.floats(0.25, 5.0),
     log_tau_omega_i=st.floats(-4.0, math.log10(20.0)),
-    m=st.floats(0.2, 5.0),
 )
-def test_controlled_closed_form_matches_integration_property(
-    omega_i, ratio, log_tau_omega_i, m
-):
+def test_controlled_closed_form_matches_integration_property(omega_i, ratio, log_tau_omega_i):
     proto = cosine_ramp(omega_i, ratio * omega_i, 10.0**log_tau_omega_i / omega_i)
     # at tol 1e-12 the integrated reference itself is off by up to ~2e-10
     # over this box (tau omega_i ~ 17, omega_f/omega_i ~ 4.5); at 1e-13 the
     # two routes agree to 1.8e-13
-    assert _phi_deviation(proto, True, m, tol=1e-13) < 1e-10
+    assert _phi_deviation(proto, True, tol=1e-13) < 1e-10
 
 
 def test_sample_gibbs_statistics():
@@ -227,18 +220,17 @@ def test_draw_into_reused_buffers_is_bit_identical(seed, count, beta, omega):
 
 def test_sample_gibbs_maps_the_action_angle_draw():
     spec = EnsembleSpec(beta=BETA, count=1000, seed=31)
-    params = OscillatorParams(m=1.7)
     action, theta = gibbs_action_angle(spec, WI)
     assert action.shape == theta.shape == (1000,)
     assert np.all(action >= 0.0) and np.all((theta >= 0.0) & (theta < 2.0 * math.pi))
-    states = sample_gibbs(spec, WI, params)
+    states = sample_gibbs(spec, WI)
     mapped = np.column_stack([
-        np.sqrt(2.0 * params.m * WI * action) * np.cos(theta),
-        np.sqrt(2.0 * action / (params.m * WI)) * np.sin(theta),
+        np.sqrt(2.0 * WI * action) * np.cos(theta),
+        np.sqrt(2.0 * action / WI) * np.sin(theta),
     ])
     assert np.array_equal(states, mapped)
-    assert np.array_equal(from_action_angle(action, theta, WI, params), states)
-    back_action, back_theta = to_action_angle(states, WI, params)
+    assert np.array_equal(from_action_angle(action, theta, WI), states)
+    back_action, back_theta = to_action_angle(states, WI)
     assert back_action == pytest.approx(action, rel=1e-12)
     assert back_theta == pytest.approx(theta, rel=1e-12, abs=1e-12)
 
@@ -248,14 +240,13 @@ def test_work_coefficients_closed_cases():
     a, b, c = work_coefficients(FAST, with_control=True)
     assert a == pytest.approx(WF - WI, rel=1e-13)
     assert abs(b) < 1e-12 * WF and abs(c) < 1e-12 * WF
-    # sudden (Phi -> 1): W = m (omega_f**2 - omega_i**2) q**2 / 2 = I a (1 - cos 2 theta)
+    # sudden (Phi -> 1): W = (omega_f**2 - omega_i**2) q**2 / 2 = I a (1 - cos 2 theta)
     sudden = cosine_ramp(WI, WF, 1e-9)
     half_gap = (WF**2 - WI**2) / (2.0 * WI)
-    for m in (1.0, 3.7):
-        a, b, c = work_coefficients(sudden, params=OscillatorParams(m=m))
-        assert a == pytest.approx(half_gap, rel=1e-9)
-        assert b == pytest.approx(-half_gap, rel=1e-9)
-        assert abs(c) < 1e-6 * half_gap
+    a, b, c = work_coefficients(sudden)
+    assert a == pytest.approx(half_gap, rel=1e-9)
+    assert b == pytest.approx(-half_gap, rel=1e-9)
+    assert abs(c) < 1e-6 * half_gap
 
 
 def _basic_solution_form(proto, beta):
@@ -313,7 +304,7 @@ def test_bare_phi_raises_when_the_step_doublings_run_out(monkeypatch):
     # successive products that never agree: each one stretches by 1e-6 per step
     counts = []
 
-    def never_agrees(protocol, m, per_interval):
+    def never_agrees(protocol, per_interval):
         counts.append(per_interval)
         return np.diag([1.0 + 1e-6 * per_interval, 1.0 / (1.0 + 1e-6 * per_interval)])
 
@@ -329,12 +320,11 @@ def test_bare_phi_raises_when_the_step_doublings_run_out(monkeypatch):
     omega_i=st.floats(0.5, 50.0),
     ratio=st.floats(0.25, 5.0),
     log_tau_omega_i=st.floats(-4.0, math.log10(20.0)),
-    m=st.floats(0.2, 5.0),
 )
-def test_bare_magnus_matches_integration_property(omega_i, ratio, log_tau_omega_i, m):
+def test_bare_magnus_matches_integration_property(omega_i, ratio, log_tau_omega_i):
     # the box of the controlled twin, decreasing ramps included; 5.1e-13 seen
     proto = cosine_ramp(omega_i, ratio * omega_i, 10.0**log_tau_omega_i / omega_i)
-    assert _phi_deviation(proto, False, m, tol=1e-13) < 1e-10
+    assert _phi_deviation(proto, False, tol=1e-13) < 1e-10
 
 
 @pytest.mark.parametrize(
@@ -369,7 +359,7 @@ def test_table_ramp_is_integrated_knot_to_knot():
     table = protocol_from_table(list(zip(t, omega_at(cosine_ramp(WI, 2.0 * WI, 0.3), t))))
     ref = solve_ivp(
         classical_dynamics._field, (0.0, table.tau), np.eye(2).ravel(), method="DOP853",
-        rtol=2.3e-14, atol=1e-17, max_step=(t[1] - t[0]) / 8.0, args=(table, False, 1.0),
+        rtol=2.3e-14, atol=1e-17, max_step=(t[1] - t[0]) / 8.0, args=(table, False),
     ).y[:, -1].reshape(2, 2)
     phi = fundamental_matrix(table)
     assert np.max(np.abs(phi - ref)) / np.max(np.abs(ref)) < 1e-12
@@ -421,8 +411,6 @@ def test_invalid_states_rejected():
         ensemble_work(np.ones(2), np.ones(2), FAST)
     with pytest.raises(ValueError):
         EnsembleSpec(beta=-0.1, count=10, seed=0)
-    with pytest.raises(ValueError):
-        OscillatorParams(m=0.0)
 
 
 def test_angle_wraps_into_range():

@@ -148,11 +148,11 @@ def test_config_schema_roundtrip():
 RAMP_KEYS = {"beta", "omega_i", "omega_f", "tau", "tau_omega_i"}
 READS = {
     "classical-work-dist": {
-        "physical": RAMP_KEYS | {"mass"},
+        "physical": RAMP_KEYS,
         "numeric": {"samples", "grid_points", "w_max", "bins"},
     },
     "jarzynski-trace": {
-        "physical": RAMP_KEYS | {"mass"},
+        "physical": RAMP_KEYS,
         "numeric": {"samples", "batch_size", "replicates", "trace_points"},
     },
     "quantum-work-atoms": {
@@ -162,7 +162,7 @@ READS = {
     "engine-curves": {"physical": {"beta_1", "omega_i", "hbar", "regime"}, "numeric": {"ratios"}},
     "verify": {"physical": set(), "numeric": set()},
 }
-#: A valid value of every config key.
+#: A valid value of every config key, and of "mass", which no experiment accepts.
 VALID = {
     "physical": {
         "beta": 0.5, "omega_i": 2.0, "omega_f": 3.0, "tau": 0.1, "tau_omega_i": 0.2,
@@ -191,8 +191,8 @@ POSITIVE_PAIRS = [
 def test_pairs_cover_every_experiment_and_key():
     assert len(PAIRS) == 100
     assert set(READS) == set(EXPERIMENTS)
-    assert sum(key in READS[e][s] for e, s, key in PAIRS) == 34
-    assert len(POSITIVE_PAIRS) == 23
+    assert sum(key in READS[e][s] for e, s, key in PAIRS) == 32
+    assert len(POSITIVE_PAIRS) == 21
 
 
 @pytest.mark.parametrize("experiment,section,key", PAIRS)
@@ -247,8 +247,8 @@ def test_main_rejects_a_config_file_with_infinity(tmp_path, capsys):
 
 def test_accepted_configs_hash_as_before():
     pinned = {
-        "classical-work-dist": "f155e714dd5f5807",
-        "jarzynski-trace": "cecfd0e393844dbf",
+        "classical-work-dist": "855b75b9d52a4766",
+        "jarzynski-trace": "fa51b96b0372e879",
         "quantum-work-atoms": "e331e7cd34ab945a",
         "engine-curves": "5c27776528e7bb02",
         "verify": "8a13cb6995eb6b57",
@@ -261,6 +261,27 @@ def test_accepted_configs_hash_as_before():
         numeric={"basis_size": 512, "n_max": 32},
     )
     assert config_hash(resolve_config(perf)) == "e61f6798ef2d8977"
+
+
+def test_readme_key_table_matches_printed_schema(capsys):
+    # a key added to or removed from an experiment must reach the README table
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = readme.split("| Experiment | `physical` | `numeric` |")[1].split("\n\n")[0]
+    documented = {}
+    for row in rows.splitlines()[2:]:
+        experiment, *cells = (re.findall(r"`([^`]+)`", cell) for cell in row.strip("|").split("|"))
+        documented[experiment[0]] = dict(zip(("physical", "numeric"), map(set, cells)))
+    assert main(["schema"]) == 0
+    schema = json.loads(capsys.readouterr().out)
+    accepted = {
+        clause["if"]["properties"]["experiment"]["const"]: {
+            section: set(clause["then"]["properties"][section]["properties"])
+            for section in ("physical", "numeric")
+        }
+        for clause in schema["allOf"]
+    }
+    assert documented == accepted
+    assert set(accepted) == set(EXPERIMENTS)
 
 
 def test_readme_minimal_config_validates_against_printed_schema(capsys):

@@ -1,9 +1,11 @@
 """Every physical input is checked where it enters the package.
 
-A scalar that must be positive goes through ``errors.require_positive``,
-which raises ``ValueError("<name> must be positive and finite, got ...")``
-for NaN, +-inf, zero and negatives alike.  Counts, seeds and basis sizes
-must be ints, and arrays of frequencies or probabilities must be finite.
+A scalar that must be positive, tolerances included, goes through
+``errors.require_positive``, which raises
+``ValueError("<name> must be positive and finite, got ...")`` for NaN,
++-inf, zero and negatives alike.  Counts, seeds and basis sizes must be
+ints, and arrays of frequencies or probabilities, estimator inputs and
+histogram edges must be finite.
 """
 
 import math
@@ -21,13 +23,14 @@ from staosc.errors import require_int, require_positive
 from staosc.protocols import FrequencyProtocol, protocol_from_table
 
 STATES = np.array([[1.0, 0.5], [-0.2, 0.3]])
+RAMP = FrequencyProtocol(10.0, 20.0, 0.1)
 SPEC = cd.EnsembleSpec(beta=0.2, count=4, seed=1)
 ATOMS = qd.QuantumWorkAtoms(works=np.array([0.0, 1.0]), probs=np.array([0.5, 0.5]))
 SAMPLES = ws.WorkSampleSet(
     samples=np.linspace(0.1, 2.0, 40),
     provenance=ws.SampleProvenance(
         kind="cosine-ramp", omega_i=10.0, omega_f=20.0, tau=0.1,
-        with_control=False, beta=0.2, mass=1.0, count=40, seed=1,
+        with_control=False, beta=0.2, count=40, seed=1,
     ),
 )
 SPEC_ARGS = {"beta_1": 1.0, "beta_2": 0.5, "omega_i": 10.0, "hbar": 1.0}
@@ -43,7 +46,6 @@ ENTRY_POINTS = {
     "FrequencyProtocol": (
         lambda **kw: FrequencyProtocol(**kw), {"omega_i": 10.0, "omega_f": 20.0, "tau": 0.1}
     ),
-    "OscillatorParams": (lambda **kw: cd.OscillatorParams(**kw), {"m": 1.0}),
     "EnsembleSpec": (lambda **kw: cd.EnsembleSpec(count=4, seed=1, **kw), {"beta": 0.2}),
     "to_action_angle": (lambda **kw: cd.to_action_angle(STATES, **kw), {"omega": 10.0}),
     "from_action_angle": (
@@ -51,8 +53,11 @@ ENTRY_POINTS = {
     ),
     "gibbs_action_angle": (lambda **kw: cd.gibbs_action_angle(SPEC, **kw), {"omega": 10.0}),
     "sample_gibbs": (lambda **kw: cd.sample_gibbs(SPEC, **kw), {"omega": 10.0}),
+    # tol=-1 used to die in scipy ("`atol` must be positive"), tol=nan in the
+    # right-hand side ("time values must be finite")
+    "integrate": (lambda **kw: cd.integrate(STATES, RAMP, **kw), {"tol": 1e-10}),
     "quadratic_form": (
-        lambda **kw: ca.quadratic_form(FrequencyProtocol(10.0, 20.0, 0.1), **kw), {"beta": 0.2}
+        lambda **kw: ca.quadratic_form(RAMP, **kw), {"beta": 0.2}
     ),
     "pdf_adiabatic": (
         lambda **kw: ca.pdf_adiabatic(1.0, **kw), {"beta": 0.2, "omega_i": 10.0, "omega_f": 20.0}
@@ -71,6 +76,12 @@ ENTRY_POINTS = {
         lambda **kw: qd.FockBasisConfig(dimension=8, **kw), {"omega_ref": 10.0, "hbar": 1.0}
     ),
     "h0_matrix": (lambda **kw: qd.h0_matrix(cfg=qd.FockBasisConfig(8), **kw), {"omega": 10.0}),
+    "fock_transition_matrix": (
+        lambda **kw: qd.fock_transition_matrix(
+            RAMP, True, qd.FockBasisConfig(64, omega_ref=10.0), n_max=2, **kw
+        ),
+        {"tol": 1e-10},
+    ),
     "quantum_work_atoms": (
         lambda **kw: qd.quantum_work_atoms(qd.TransitionMatrix(np.eye(2, 4), 10.0, 20.0), **kw),
         {"beta": 1.0},
@@ -182,6 +193,38 @@ def test_histogram_bin_count_is_an_int(bins):
     # bins=10.5 used to make 10 bins without a word
     with pytest.raises(ValueError, match=r"^bins must be an integer >= 1"):
         ws.histogram(SAMPLES, bins)
+
+
+#: Estimator inputs that may be negative or zero but must be finite: a call
+#: per input, taking the bad value, and the message it must raise.
+FINITE_INPUTS = {
+    # delta_f = nan returned the target nan without a word, and -inf overflowed
+    "jarzynski-delta_f": (
+        lambda bad: ws.jarzynski(ATOMS, 1.0, bad), "delta_f must be finite, got {bad!r}"
+    ),
+    # an explicit nan edge returned nan densities without a word
+    "histogram-edges": (
+        lambda bad: ws.histogram(SAMPLES, [0.0, bad, 5.0]),
+        "histogram bin edges must be finite and strictly increasing",
+    ),
+    "histogram-first-edge": (
+        lambda bad: ws.histogram(SAMPLES, [bad, 0.0, 1.0]),
+        "histogram bin edges must be finite and strictly increasing",
+    ),
+}
+FINITE_CASES = [(entry, bad) for entry in FINITE_INPUTS for bad in BAD[:3]]
+
+
+@pytest.mark.parametrize("entry,bad", FINITE_CASES, ids=[f"{e}-{b}" for e, b in FINITE_CASES])
+def test_estimator_inputs_must_be_finite(entry, bad):
+    call, message = FINITE_INPUTS[entry]
+    with pytest.raises(ValueError, match=f"^{re.escape(message.format(bad=bad))}$"):
+        call(bad)
+
+
+def test_estimator_inputs_accept_finite_values():
+    assert ws.jarzynski(ATOMS, 1.0, -0.5).target == math.exp(0.5)
+    assert ws.histogram(SAMPLES, [-1.0, 0.0, 5.0]).density.size == 2
 
 
 @pytest.mark.parametrize("n_max", [64.5, 64.0, True, 0])

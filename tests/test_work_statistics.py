@@ -17,7 +17,6 @@ from staosc.classical_analytics import (
 )
 from staosc.classical_dynamics import (
     EnsembleSpec,
-    OscillatorParams,
     ensemble_work,
     gibbs_action_angle,
     propagate_ensemble,
@@ -103,23 +102,19 @@ def test_classical_work_ensembles_one_draw_matches_two(monkeypatch):
     omega_i=st.floats(0.5, 50.0),
     ratio=st.floats(0.25, 5.0),
     log_tau_omega_i=st.floats(-4.0, math.log10(20.0)),
-    m=st.floats(0.2, 5.0),
     beta=st.floats(0.01, 10.0),
     seed=st.integers(0, 2**32 - 1),
     with_control=st.booleans(),
 )
 def test_action_angle_work_matches_propagated_phase_space(
-    omega_i, ratio, log_tau_omega_i, m, beta, seed, with_control
+    omega_i, ratio, log_tau_omega_i, beta, seed, with_control
 ):
     # ratio < 1 covers decreasing ramps; both routes start from the same draw
     proto = cosine_ramp(omega_i, ratio * omega_i, 10.0**log_tau_omega_i / omega_i)
     spec = EnsembleSpec(beta=beta, count=256, seed=seed)
-    params = OscillatorParams(m=m)
-    works = classical_work_ensemble(proto, spec, params, with_control).samples
-    states = sample_gibbs(spec, omega_i, params)
-    oracle = ensemble_work(
-        states, propagate_ensemble(states, proto, with_control, params), proto, params
-    )
+    works = classical_work_ensemble(proto, spec, with_control).samples
+    states = sample_gibbs(spec, omega_i)
+    oracle = ensemble_work(states, propagate_ensemble(states, proto, with_control), proto)
     action, _ = gibbs_action_angle(spec, omega_i)
     assert np.all(np.abs(works - oracle) <= 1e-13 * omega_i * action)
 
@@ -161,7 +156,7 @@ def test_blocked_works_are_bit_identical_to_unblocked(count, protocol, controls)
 def test_work_sample_set_validation():
     prov = SampleProvenance(
         kind="cosine-ramp", omega_i=WI, omega_f=WF, tau=1e-4,
-        with_control=False, beta=BETA, mass=1.0, count=2, seed=1,
+        with_control=False, beta=BETA, count=2, seed=1,
     )
     with pytest.raises(ValueError):
         WorkSampleSet(samples=np.array([]), provenance=prov)
@@ -185,7 +180,7 @@ def test_summary_on_synthetic_normal():
     x = rng.normal(3.0, 2.0, size=400_000)
     prov = SampleProvenance(
         kind="cosine-ramp", omega_i=WI, omega_f=WF, tau=1.0,
-        with_control=False, beta=BETA, mass=1.0, count=x.size, seed=0,
+        with_control=False, beta=BETA, count=x.size, seed=0,
     )
     s = summary(WorkSampleSet(samples=x, provenance=prov))
     assert s.mean == pytest.approx(3.0, abs=0.02)
@@ -384,7 +379,7 @@ def test_ks_distance_exact_on_synthetic_exponential():
     x = rng.exponential(scale=4.0, size=50_000)
     prov = SampleProvenance(
         kind="cosine-ramp", omega_i=WI, omega_f=WF, tau=1.0,
-        with_control=False, beta=BETA, mass=1.0, count=x.size, seed=43,
+        with_control=False, beta=BETA, count=x.size, seed=43,
     )
     ws = WorkSampleSet(samples=x, provenance=prov)
     ks_match = ks_distance(ws, lambda w: np.exp(-np.asarray(w) / 4.0) / 4.0)
@@ -439,12 +434,12 @@ def test_blocked_dispersion_equals_one_shot_expression(batch_count):
     assert estimator_dispersion(ws, BETA, batch_count) == one_shot
 
 
-def _replicate_loop(protocol, specs, batch_count, params=OscillatorParams()):
+def _replicate_loop(protocol, specs, batch_count):
     """The per-replicate loop :func:`replicate_dispersions` replaces."""
     return [
         {
             control: estimator_dispersion(s, spec.beta, batch_count)
-            for control, s in classical_work_ensembles(protocol, spec, params).items()
+            for control, s in classical_work_ensembles(protocol, spec).items()
         }
         for spec in specs
     ]
@@ -462,12 +457,11 @@ def _replicate_loop(protocol, specs, batch_count, params=OscillatorParams()):
     ],
 )
 def test_replicate_dispersions_equal_the_replicate_loop(count, batch_count, replicates):
-    params = OscillatorParams(m=1.3)
     specs = [EnsembleSpec(beta=BETA * (1 + r), count=count, seed=300 + r) for r in range(replicates)]
     before = threading.active_count()
-    result = replicate_dispersions(FAST, specs, batch_count, params)
+    result = replicate_dispersions(FAST, specs, batch_count)
     assert threading.active_count() == before
-    assert result == _replicate_loop(FAST, specs, batch_count, params)
+    assert result == _replicate_loop(FAST, specs, batch_count)
 
 
 def test_replicate_dispersions_with_mixed_counts():
@@ -507,7 +501,7 @@ def test_replicate_dispersions_raise_from_either_lane_and_leave_no_thread(monkey
 
 def test_replicate_dispersions_keep_the_finite_work_check(monkeypatch):
     monkeypatch.setattr(
-        work_statistics, "work_coefficients", lambda protocol, c, params: (math.inf, 0.0, 0.0)
+        work_statistics, "work_coefficients", lambda protocol, c: (math.inf, 0.0, 0.0)
     )
     with pytest.raises(ValueError, match="^work samples must be finite$"):
         replicate_dispersions(FAST, [EnsembleSpec(BETA, 100, 1)], 10)
