@@ -16,7 +16,7 @@ at the endpoints because omega_dot vanishes there).
 
 Both flows are linear in (p, q), so the ramp's 2x2
 :func:`fundamental_matrix` Phi characterizes the whole flow.  The
-controlled Phi is a closed form.  The bare Phi is a fourth-order Magnus
+controlled Phi is a closed form.  The bare Phi is a sixth-order Magnus
 product of exact 2x2 exponentials, accepted by step doubling and with no
 ODE solve.  Work is therefore a quadratic form in the initial state:
 :func:`work_coefficients` reads it off Phi in action-angle variables,
@@ -47,15 +47,15 @@ _TWO_PI = 2.0 * math.pi
 #: Steps of the bare Magnus product built and reduced at a time.
 _MAGNUS_CHUNK = 4096
 #: Step doublings after which a bare Phi that has not converged raises; ramps
-#: with omega_f/omega_i from 0.1 to 10 and tau omega_i from 1e-4 to 1e3 need 1-8.
+#: with omega_f/omega_i from 0.1 to 10 and tau omega_i from 1e-4 to 1e3 need 1-5.
 _MAX_DOUBLINGS = 12
 #: Relative agreement of successive bare Magnus products that accepts the finer one.
 _PHI_TOL = 1e-12
 #: Below this |d| the 2x2 step exponential uses the Taylor series in d.
 _SERIES_CUT = 1e-2
-#: The 2-point Gauss nodes on [0, 1], and the commutator weight sqrt(3)/12.
-_GAUSS = np.array((0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0))
-_SQRT3_12 = math.sqrt(3.0) / 12.0
+#: The 3-point Gauss nodes on [0, 1], and the weight sqrt(15)/3 of the first moment.
+_GAUSS = np.array((0.5 - math.sqrt(15.0) / 10.0, 0.5, 0.5 + math.sqrt(15.0) / 10.0))
+_SQRT15_3 = math.sqrt(15.0) / 3.0
 
 
 @dataclass(frozen=True)
@@ -204,13 +204,15 @@ def _ordered_product(steps):
 
 
 def _magnus_product(protocol: FrequencyProtocol, per_interval: int) -> np.ndarray:
-    """Bare Phi as a fourth-order Magnus product of per_interval equal steps per knot interval.
+    """Bare Phi as a sixth-order Magnus product of per_interval equal steps per knot interval.
 
-    On a step [t, t + h] with 2-point Gauss nodes t + (1/2 -+ sqrt(3)/6) h,
-    where omega**2 reads w1, w2, the bare generator A = [[0, -omega**2],
-    [1, 0]] gives the traceless exponent Omega = h (A1 + A2)/2 +
-    (sqrt(3)/12) h**2 [A2, A1], i.e. alpha = (sqrt(3)/12) h**2 (w1 - w2),
-    beta = -h (w1 + w2)/2, gamma = h.  Steps are built and reduced
+    On a step [t, t + h] with omega**2 = w1, w2, w3 at the 3-point Gauss
+    nodes, A = [[0, -omega**2], [1, 0]] has the moments B1 = h A2 = (0, b1, h),
+    B2 = (sqrt(15)/3) h (A3 - A1) = (0, b2, 0), B3 = (10/3) h (A3 - 2 A2 + A1)
+    = (0, b3, 0) as (alpha, beta, gamma), and Omega = B1 + B3/12 + [L, R]/240
+    with L = [B1, B2] - 20 B1 - B3, R = B2 - [B1, 2 B3 + [B1, B2]]/60 (Blanes
+    et al., Phys. Rep. 470, 151 (2009)).  A commutator of two such triples is
+    again one, which gives the closed form below.  Steps are built and reduced
     :data:`_MAGNUS_CHUNK` at a time, so memory does not grow with the count.
     """
     knots = np.array(_knots(protocol))
@@ -222,9 +224,14 @@ def _magnus_product(protocol: FrequencyProtocol, per_interval: int) -> np.ndarra
         interval, sub = np.divmod(step, per_interval)
         h = widths[interval] / per_interval
         nodes = (knots[interval] + h * sub)[:, None] + h[:, None] * _GAUSS
-        w_sq = omega_at(protocol, nodes.ravel()).reshape(-1, 2) ** 2
+        w1, w2, w3 = (omega_at(protocol, nodes.ravel()).reshape(-1, 3) ** 2).T
+        b1, b2, b3 = -h * w2, -_SQRT15_3 * h * (w3 - w1), -10.0 / 3.0 * h * (w3 - 2.0 * w2 + w1)
+        a_l, b_l, c_l = -h * b2, -20.0 * b1 - b3, -20.0 * h
+        a_r, b_r, c_r = h * b3 / 30.0, b2 - h * b1 * b2 / 30.0, h * h * b2 / 30.0
         steps = _expm_traceless(
-            _SQRT3_12 * h * h * (w_sq[:, 0] - w_sq[:, 1]), -0.5 * h * w_sq.sum(axis=1), h
+            (b_l * c_r - b_r * c_l) / 240.0,
+            b1 + b3 / 12.0 + (a_l * b_r - a_r * b_l) / 120.0,
+            h + (c_l * a_r - a_l * c_r) / 120.0,
         )
         phi = _ordered_product(steps) @ phi
     return phi
@@ -233,12 +240,14 @@ def _magnus_product(protocol: FrequencyProtocol, per_interval: int) -> np.ndarra
 def _bare_phi(protocol: FrequencyProtocol) -> np.ndarray:
     """The bare Phi from :func:`_magnus_product`, accepted by step doubling.
 
-    Starting from about 8 + 2 phi steps (phi the total phase), the step
-    count doubles until two successive products agree to :data:`_PHI_TOL`
-    max|Phi|; the finer one is returned, its error about a sixteenth of
-    that gap.
+    Starting from about 8 + 2 tau max(omega) steps (max over the knots,
+    which bound omega between them), the step count doubles until two
+    successive products agree to :data:`_PHI_TOL` max|Phi|; the finer one
+    is returned, its error about a sixty-fourth of that gap.
     """
-    per = max(1, math.ceil((8.0 + 2.0 * total_phase(protocol)) / (len(_knots(protocol)) - 1)))
+    knots = _knots(protocol)
+    reach = protocol.tau * np.max(omega_at(protocol, np.array(knots)))
+    per = max(1, math.ceil((8.0 + 2.0 * reach) / (len(knots) - 1)))
     coarse = _magnus_product(protocol, per)
     for _ in range(_MAX_DOUBLINGS):
         per *= 2
@@ -260,7 +269,7 @@ def fundamental_matrix(protocol: FrequencyProtocol, with_control: bool = False) 
     Both flows are linear, so Phi characterizes the whole ramp.  The
     controlled Phi is exact, A(omega_f)^-1 R A(omega_i) with A(omega) =
     diag(1/sqrt(omega), sqrt(omega)) and R the rotation by
-    :func:`staosc.protocols.total_phase`.  The bare Phi is a fourth-order
+    :func:`staosc.protocols.total_phase`.  The bare Phi is a sixth-order
     Magnus product whose step count doubles until the products at n and 2n
     steps agree to :data:`_PHI_TOL` max|Phi| (steps align with a table's knots);
     :data:`_MAX_DOUBLINGS` doublings without agreement raise

@@ -67,6 +67,8 @@ class WorkSampleSet:
     provenance: SampleProvenance
 
     def __post_init__(self):
+        if not isinstance(self.provenance, SampleProvenance):
+            raise TypeError(f"provenance must be a SampleProvenance, got {self.provenance!r}")
         samples = np.asarray(self.samples, dtype=float)
         if samples.ndim != 1 or samples.size == 0:
             raise ValueError("samples must be a non-empty 1-d array")
@@ -237,32 +239,36 @@ def jarzynski(data, beta: float, delta_f: float) -> JarzynskiTrace:
 
     For a sample set the trace is the running mean after each draw (entry
     k uses exactly the first k samples).  For a discrete atom set the
-    expectation is exact and the trace collapses to a single point.
+    expectation is exact and the trace collapses to a single point.  An
+    exponential or a mean that overflows a float raises ValueError.
     """
     require_positive(beta=beta)
     if not math.isfinite(delta_f):
         raise ValueError(f"delta_f must be finite, got {delta_f!r}")
-    target = math.exp(-beta * delta_f)
-    if isinstance(data, QuantumWorkAtoms):
-        final = float(np.dot(data.probs, np.exp(-beta * data.works)))
-        return JarzynskiTrace(
-            counts=np.array([data.works.size]),
-            running=np.array([final]),
-            final=final,
-            target=target,
+    try:
+        target = math.exp(-beta * delta_f)
+    except OverflowError:
+        raise ValueError(
+            f"exp(-beta delta_f) overflows at beta * delta_f = {beta * delta_f!r}"
+        ) from None
+    with np.errstate(over="ignore", invalid="ignore"):
+        if isinstance(data, QuantumWorkAtoms):
+            works = data.works
+            final = float(np.dot(data.probs, np.exp(-beta * works)))
+            counts, running = np.array([works.size]), np.array([final])
+        else:
+            works = data.samples
+            counts = np.arange(1, works.size + 1)
+            running = np.multiply(works, -beta)
+            np.exp(running, out=running)
+            np.cumsum(running, out=running)
+            np.divide(running, counts, out=running)
+            final = float(running[-1])
+    if not math.isfinite(final):
+        raise ValueError(
+            f"the mean of exp(-beta W) overflows: -beta W reaches {-beta * float(works.min())!r}"
         )
-    w = data.samples
-    counts = np.arange(1, w.size + 1)
-    running = np.multiply(w, -beta)
-    np.exp(running, out=running)
-    np.cumsum(running, out=running)
-    np.divide(running, counts, out=running)
-    return JarzynskiTrace(
-        counts=counts,
-        running=running,
-        final=float(running[-1]),
-        target=target,
-    )
+    return JarzynskiTrace(counts=counts, running=running, final=final, target=target)
 
 
 def delta_f_classical(beta: float, omega_i: float, omega_f: float) -> float:

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -325,6 +326,83 @@ def test_bare_magnus_matches_integration_property(omega_i, ratio, log_tau_omega_
     # the box of the controlled twin, decreasing ramps included; 5.1e-13 seen
     proto = cosine_ramp(omega_i, ratio * omega_i, 10.0**log_tau_omega_i / omega_i)
     assert _phi_deviation(proto, False, tol=1e-13) < 1e-10
+
+
+def _mpmath_phi(omega_i, omega_f, tau):
+    """The bare cosine-ramp Phi by mpmath's Taylor-series ODE solver at 20 digits."""
+    with mpmath.workdps(20):
+        a2 = (mpmath.mpf(omega_f) / omega_i) ** 2
+        tau = mpmath.mpf(tau)
+
+        def field(t, y):
+            w_sq = omega_i**2 * ((a2 + 1) / 2 - (a2 - 1) / 2 * mpmath.cos(mpmath.pi * t / tau))
+            return [-w_sq * y[1], y[0]]
+
+        columns = [mpmath.odefun(field, 0, start)(tau) for start in ([1, 0], [0, 1])]
+        return np.array([[float(v) for v in column] for column in columns]).T
+
+
+@pytest.mark.parametrize("tau_omega_i", [0.05, 1.0, 5.0])
+@pytest.mark.parametrize("omega_i, omega_f", [(10.0, 20.0), (20.0, 10.0)], ids=["up", "down"])
+def test_bare_magnus_matches_mpmath(omega_i, omega_f, tau_omega_i):
+    # DOP853 is itself only good to about 1e-13 here.  The gate accepts a gap
+    # up to 1e-12 max|Phi|, and the sixth-order error is about 1/63 of it:
+    # 1.3e-14 seen at tau omega_i = 0.05 down, 2.6e-16 to 3.6e-15 elsewhere
+    ref = _mpmath_phi(omega_i, omega_f, tau_omega_i / omega_i)
+    phi = fundamental_matrix(cosine_ramp(omega_i, omega_f, tau_omega_i / omega_i))
+    assert np.max(np.abs(phi - ref)) <= 2e-14 * np.max(np.abs(ref))
+
+
+def test_bare_magnus_product_is_sixth_order():
+    # each halving of the step cuts the gap between successive products by
+    # 2**6 = 64 on a smooth ramp (a fourth-order step gives 16); 63-64 seen
+    ramp = cosine_ramp(WI, 2.0 * WI, 1.0 / WI)
+    products = [classical_dynamics._magnus_product(ramp, per) for per in (8, 16, 32, 64)]
+    gaps = [np.max(np.abs(b - a)) for a, b in zip(products, products[1:])]
+    assert gaps[2] > 1e-12 and all(a >= 40.0 * b for a, b in zip(gaps, gaps[1:]))
+
+
+def _commutator(x, y):
+    return x @ y - y @ x
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    omega_i=st.floats(0.5, 50.0),
+    ratio=st.floats(0.1, 10.0),
+    log_tau_omega_i=st.floats(-3.0, 3.0),
+    per=st.integers(1, 64),
+)
+def test_magnus_exponent_matches_the_commutator_formula(omega_i, ratio, log_tau_omega_i, per):
+    # Blanes et al., Phys. Rep. 470, 151 (2009): with B1 = h A2,
+    # B2 = (sqrt(15)/3) h (A3 - A1), B3 = (10/3) h (A3 - 2 A2 + A1),
+    # Omega = B1 + B3/12 + [-20 B1 - B3 + [B1, B2], B2 - [B1, 2 B3 + [B1, B2]]/60]/240
+    ramp = cosine_ramp(omega_i, ratio * omega_i, 10.0**log_tau_omega_i / omega_i)
+    seen = {}
+
+    def record_nodes(protocol, t):
+        seen["t"] = t.reshape(-1, 3)
+        return omega_at(protocol, t)
+
+    def record_exponents(alpha, beta, gamma):
+        seen["omega"] = np.stack((alpha, beta, gamma, -alpha), axis=-1).reshape(-1, 2, 2)
+        # only the exponent is under test, and a step of h omega >> 1 overflows cosh
+        return np.tile(np.eye(2), (alpha.size, 1, 1))
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(classical_dynamics, "omega_at", record_nodes)
+        patch.setattr(classical_dynamics, "_expm_traceless", record_exponents)
+        classical_dynamics._magnus_product(ramp, per)
+    h = ramp.tau / per
+    for nodes, got in zip(seen["t"], seen["omega"]):
+        a1, a2, a3 = (np.array([[0.0, -omega_at(ramp, t) ** 2], [1.0, 0.0]]) for t in nodes)
+        b1 = h * a2
+        b2 = math.sqrt(15.0) / 3.0 * h * (a3 - a1)
+        b3 = 10.0 / 3.0 * h * (a3 - 2.0 * a2 + a1)
+        left = -20.0 * b1 - b3 + _commutator(b1, b2)
+        right = b2 - _commutator(b1, 2.0 * b3 + _commutator(b1, b2)) / 60.0
+        want = b1 + b3 / 12.0 + _commutator(left, right) / 240.0
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize(

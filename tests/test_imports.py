@@ -2,10 +2,12 @@
 
 ``import staosc`` loads numpy only.  Each scipy submodule is imported where
 a route first needs it: ``scipy.interpolate`` by table ramps and the KS
-distance, ``scipy.special`` by the cosine-ramp phase and the bare work
-density, ``scipy.integrate`` by the DOP853 references.  The import tests
-run in fresh interpreters, so that they see a clean ``sys.modules``; a
-module-level scipy import anywhere in the package fails them.
+distance, ``scipy.special`` by the cosine-ramp phase of the controlled Phi
+and the bare work density, ``scipy.integrate`` by the DOP853 references.
+The default ``engine-curves`` and ``quantum-work-atoms`` runs need none of
+them.  The import tests run in fresh interpreters, so that they see a clean
+``sys.modules``; a module-level scipy import anywhere in the package fails
+them.
 
 The reference solvers call the ``solve_ivp`` of their own module, which
 imports ``scipy.integrate`` on its first call.  ``perfbench/layers.py``
@@ -56,21 +58,15 @@ def test_import_loads_no_scipy_submodule(tmp_path):
     assert _fresh_process("0", tmp_path) == (0, [])
 
 
-@pytest.mark.parametrize(
-    "experiment, forbidden",
-    [
-        ("engine-curves", LAZY),
-        ("quantum-work-atoms", ("scipy.interpolate", "scipy.integrate")),
-    ],
-)
-def test_default_run_loads_only_the_scipy_it_needs(tmp_path, experiment, forbidden):
+@pytest.mark.parametrize("experiment", ["engine-curves", "quantum-work-atoms"])
+def test_default_run_loads_no_scipy_submodule(tmp_path, experiment):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"schema_version": 1, "experiment": experiment, "seed": 7}))
     run = f"staosc.cli_runner.main(['run', {str(config)!r}, '--out-dir', 'out'])"
     code, loaded = _fresh_process(run, tmp_path)
     assert code == 0
     assert (tmp_path / "out" / "summary.json").is_file()
-    assert not set(forbidden) & set(loaded)
+    assert loaded == []
 
 
 def _count_solves(monkeypatch, module) -> list:

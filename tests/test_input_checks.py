@@ -227,6 +227,54 @@ def test_estimator_inputs_accept_finite_values():
     assert ws.histogram(SAMPLES, [-1.0, 0.0, 5.0]).density.size == 2
 
 
+def _sample_set(works):
+    return ws.WorkSampleSet(samples=np.array(works), provenance=SAMPLES.provenance)
+
+
+def _atoms(works, probs):
+    return qd.QuantumWorkAtoms(works=np.array(works), probs=np.array(probs))
+
+
+MEAN_OVERFLOWS = "the mean of exp(-beta W) overflows: -beta W reaches "
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "data, delta_f, message",
+    [
+        # math.exp raised OverflowError
+        (ATOMS, -800.0, "exp(-beta delta_f) overflows at beta * delta_f = -800.0"),
+        # each of these returned final = inf or nan with only a RuntimeWarning
+        (_sample_set([-800.0, 1.0]), 0.0, MEAN_OVERFLOWS + "800.0"),
+        (_atoms([-800.0, 1.0], [0.5, 0.5]), 0.0, MEAN_OVERFLOWS + "800.0"),
+        (_atoms([-800.0, 1.0], [0.0, 1.0]), 0.0, MEAN_OVERFLOWS + "800.0"),
+        # three finite exponentials whose sum overflows
+        (_sample_set([-709.0] * 3), 0.0, MEAN_OVERFLOWS + "709.0"),
+    ],
+    ids=["target", "sample", "atom", "zero-weight-atom", "sum"],
+)
+def test_jarzynski_overflow_is_a_value_error(data, delta_f, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ws.jarzynski(data, 1.0, delta_f)
+
+
+@pytest.mark.filterwarnings("error")
+def test_jarzynski_near_overflow_stays_finite():
+    exps = np.exp([700.0, -1.0])
+    trace = ws.jarzynski(_sample_set([-700.0, 1.0]), 1.0, -700.0)
+    assert trace.target == math.exp(700.0)
+    assert trace.running.tolist() == (np.cumsum(exps) / [1, 2]).tolist()
+    atoms = _atoms([-700.0, 1.0], [0.5, 0.5])
+    assert ws.jarzynski(atoms, 1.0, 0.0).final == float(np.dot([0.5, 0.5], exps))
+
+
+@pytest.mark.parametrize("provenance", [None, {"seed": 1}, SAMPLES])
+def test_sample_set_provenance_must_be_a_sample_provenance(provenance):
+    # provenance=None used to construct without complaint
+    with pytest.raises(TypeError, match="^provenance must be a SampleProvenance, got "):
+        ws.WorkSampleSet(samples=np.array([1.0]), provenance=provenance)
+
+
 @pytest.mark.parametrize("n_max", [64.5, 64.0, True, 0])
 def test_pdf_quantum_adiabatic_n_max_is_an_int(n_max):
     # n_max=64.5 used to return 65 atoms
