@@ -9,7 +9,8 @@ Four canned experiments cover the headline results:
 * ``quantum-work-atoms``   — discrete two-point-measurement work
   distributions of the quantum ramp.
 * ``engine-curves``        — efficiency at maximum power versus bath
-  temperature ratio for shortcut and sudden engines.
+  temperature ratio for shortcut and sudden engines: the classical closed
+  forms beside the quantum optimizer's values.
 
 ``verify`` (an experiment kind and a subcommand) runs the invariant battery
 of :mod:`staosc.invariants` at reduced size; its summary holds the checks.
@@ -18,7 +19,10 @@ the command line prints each with its margin to the threshold.
 
 One table, ``_EXPERIMENTS``, declares each experiment: its runner and the
 config keys it reads, with their defaults.  The JSON schema is built from
-it, and a key an experiment does not read is rejected.
+it, and a key an experiment does not read is rejected.  Each run input has
+one way in: a ramp's duration is ``tau_omega_i`` (the resolved ``tau`` is
+derived from it), and the output directory is ``--out-dir`` or the
+``out_dir`` argument of :func:`run_experiment`, never a config key.
 
 Every CSV carries a header comment with the experiment seed and a hash of
 the resolved configuration, and all numbers are written with 17
@@ -31,7 +35,6 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -48,8 +51,6 @@ from .invariants import Check, verify_battery
 from .protocols import cosine_ramp
 
 SCHEMA_VERSION = 1
-
-_OUT_DIR_ENV = "STAOSC_OUT_DIR"
 
 
 def _write_csv(path: Path, meta: dict, names, columns) -> None:
@@ -92,10 +93,6 @@ def _run_classical_work_dist(resolved: dict, out_dir: Path, meta: dict):
         "sta": lambda w: ca.pdf_adiabatic(w, beta, wi, wf),
         "bare": lambda w: ca.pdf_nonadiabatic(w, form),
     }
-    w_max = num.get("w_max") or 1.02 * max(
-        float(np.max(s.samples)) for s in sets.values()
-    )
-    grid = np.linspace(0.0, w_max, num["grid_points"])[1:]  # densities may diverge at 0
 
     outputs, checks, derived = [], [], {}
     mean_ad = (wf - wi) / (wi * beta)
@@ -109,6 +106,10 @@ def _run_classical_work_dist(resolved: dict, out_dir: Path, meta: dict):
         "mu_minus": form.mu_minus,
     }
     for label in ("sta", "bare"):
+        # each set's grid ends past its own samples, so no output of one
+        # ramp depends on the other's draws
+        w_max = num.get("w_max") or 1.02 * float(np.max(sets[label].samples))
+        grid = np.linspace(0.0, w_max, num["grid_points"])[1:]  # densities may diverge at 0
         hist = ws.histogram(sets[label], num.get("bins"))
         centers = 0.5 * (hist.edges[:-1] + hist.edges[1:])
         hist_path = out_dir / f"classical_work_{label}_hist.csv"
@@ -129,11 +130,6 @@ def _run_classical_work_dist(resolved: dict, out_dir: Path, meta: dict):
     return outputs, checks, derived
 
 
-def _trace_grid(n: int, points: int) -> np.ndarray:
-    counts = np.unique(np.geomspace(1, n, points).astype(int))
-    return counts
-
-
 def _run_jarzynski_trace(resolved: dict, out_dir: Path, meta: dict):
     phys, num = resolved["physical"], resolved["numeric"]
     protocol = _protocol_from(phys)
@@ -145,10 +141,10 @@ def _run_jarzynski_trace(resolved: dict, out_dir: Path, meta: dict):
     outputs, checks, derived = [], [], {"target": target, "delta_f": delta_f}
     spec = cd.EnsembleSpec(beta=beta, count=num["samples"], seed=seed)
     sets = ws.classical_work_ensembles(protocol, spec)
+    counts = np.unique(np.geomspace(1, num["samples"], num["trace_points"]).astype(int))
     for label, control in (("sta", True), ("bare", False)):
         samples = sets.pop(control)  # keep no 1e6-sample set alive into the replicates
         trace = ws.jarzynski(samples, beta, delta_f)
-        counts = _trace_grid(num["samples"], num["trace_points"])
         path = out_dir / f"jarzynski_{label}.csv"
         _write_csv(
             path, meta, ["count", "estimate"], [counts, trace.running[counts - 1]]
@@ -166,7 +162,7 @@ def _run_jarzynski_trace(resolved: dict, out_dir: Path, meta: dict):
     # batched dispersion across seed replicates
     batch = num["batch_size"]
     reps = num["replicates"]
-    per_rep = max(batch * 100, batch * 2)
+    per_rep = 100 * batch
     specs = [cd.EnsembleSpec(beta=beta, count=per_rep, seed=seed + 1 + r) for r in range(reps)]
     dispersions = ws.replicate_dispersions(protocol, specs, per_rep // batch)
     var_sta = [v[True] for v in dispersions]
@@ -257,47 +253,41 @@ def _run_quantum_work_atoms(resolved: dict, out_dir: Path, meta: dict):
 
 def _run_engine_curves(resolved: dict, out_dir: Path, meta: dict):
     phys, num = resolved["physical"], resolved["numeric"]
-    regime, beta_1, hbar, omega_i = phys["regime"], phys["beta_1"], phys["hbar"], phys["omega_i"]
+    beta_1, hbar = phys["beta_1"], phys["hbar"]
     ratios = np.asarray(
         num.get("ratios") or np.geomspace(1.5, 100.0, 25).tolist(), dtype=float
     )
-
-    closed_ad = np.array([oe.eta_adiabatic_max_power(r) for r in ratios])
-    closed_sud = np.array([oe.eta_sudden_max_power(r) for r in ratios])
-    names = ["beta_ratio", "eta_closed_adiabatic", "eta_closed_sudden"]
-    cols = [ratios, closed_ad, closed_sud]
-
-    derived = {"regime": regime, "beta_1": beta_1, "hbar": hbar}
-    checks = []
-    if regime == "quantum":
-        table = oe.efficiency_curves(
-            "quantum", beta_1, ratios, (oe.STA, oe.SUDDEN), omega_i=omega_i, hbar=hbar
-        )
-        names += ["eta_sta", "eta_sudden"]
-        cols += [table.efficiencies[oe.STA], table.efficiencies[oe.SUDDEN]]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            gain = table.efficiencies[oe.STA] / table.efficiencies[oe.SUDDEN]
-        derived["sta_over_sudden"] = [None if not np.isfinite(g) else g for g in gain]
-        finite = gain[np.isfinite(gain)]
-        min_gain = float(np.min(finite)) if finite.size else math.nan
-        checks.append(
-            Check(
-                "sta_gain", min_gain, 1.0, finite.size > 0 and min_gain > 1.0,
-                f"min finite eta_sta/eta_sudden = {min_gain:.3f}",
-            )
-        )
-    else:
-        excess = float(np.max(closed_ad - (1.0 - 1.0 / ratios)))
-        checks.append(
-            Check(
-                "carnot_bound", excess, 1e-12, excess <= 1e-12,
-                "closed-form efficiencies stay below Carnot",
-            )
-        )
+    table = oe.efficiency_curves(
+        beta_1, ratios, (oe.STA, oe.SUDDEN), omega_i=phys["omega_i"], hbar=hbar
+    )
+    eta_sta, eta_sudden = table.efficiencies[oe.STA], table.efficiencies[oe.SUDDEN]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        gain = eta_sta / eta_sudden
+    finite = gain[np.isfinite(gain)]
+    min_gain = float(np.min(finite)) if finite.size else math.nan
+    check = Check(
+        "sta_gain", min_gain, 1.0, finite.size > 0 and min_gain > 1.0,
+        f"min finite eta_sta/eta_sudden = {min_gain:.3f}",
+    )
+    derived = {
+        "beta_1": beta_1,
+        "hbar": hbar,
+        "sta_over_sudden": [None if not np.isfinite(g) else g for g in gain],
+    }
 
     path = out_dir / "engine_curves.csv"
-    _write_csv(path, meta, names, cols)
-    return [path.name], checks, derived
+    _write_csv(
+        path, meta,
+        ["beta_ratio", "eta_closed_adiabatic", "eta_closed_sudden", "eta_sta", "eta_sudden"],
+        [
+            ratios,
+            [oe.eta_adiabatic_max_power(r) for r in ratios],
+            [oe.eta_sudden_max_power(r) for r in ratios],
+            eta_sta,
+            eta_sudden,
+        ],
+    )
+    return [path.name], [check], derived
 
 
 def _run_verify(resolved: dict, out_dir: Path, meta: dict):
@@ -316,11 +306,9 @@ _KEY_TYPES = {
         "beta": _POSITIVE,
         "omega_i": _POSITIVE,
         "omega_f": _POSITIVE,
-        "tau": _POSITIVE,
         "tau_omega_i": _POSITIVE,
         "hbar": _POSITIVE,
         "beta_1": _POSITIVE,
-        "regime": {"enum": ["classical", "quantum"]},
     },
     "numeric": {
         "samples": {"type": "integer", "minimum": 2},
@@ -346,7 +334,6 @@ _RAMP = {
     "beta": 0.2,
     "omega_i": 10.0,
     "omega_f": 10.0 * math.sqrt(3.0),
-    "tau": None,
     "tau_omega_i": 1e-3,
 }
 
@@ -380,40 +367,14 @@ _EXPERIMENTS = {
             "beta_1": 10.0,
             "omega_i": 10.0,
             "hbar": 1.0 / (2.0 * math.pi),
-            "regime": "quantum",
         },
         "numeric": {"ratios": None},
-        # physical keys a regime does not read (their defaults still resolve)
-        "unread_by_regime": {"classical": ("omega_i", "hbar")},
     },
     "verify": {"run": _run_verify, "physical": {}, "numeric": {}},
 }
 
 EXPERIMENTS = tuple(_EXPERIMENTS)
 _SECTIONS = ("physical", "numeric")
-
-
-def _regime_clauses(entry: dict) -> dict:
-    """Schema clauses rejecting the physical keys a set regime does not read."""
-    clauses = [
-        {
-            "if": {
-                "properties": {
-                    "physical": {"required": ["regime"], "properties": {"regime": {"const": regime}}}
-                }
-            },
-            "then": {
-                "properties": {
-                    "physical": {
-                        "additionalProperties": False,
-                        "properties": {key: {} for key in entry["physical"] if key not in unread},
-                    }
-                }
-            },
-        }
-        for regime, unread in entry.get("unread_by_regime", {}).items()
-    ]
-    return {"allOf": clauses} if clauses else {}
 
 
 CONFIG_SCHEMA = {
@@ -426,7 +387,6 @@ CONFIG_SCHEMA = {
         "schema_version": {"const": SCHEMA_VERSION},
         "experiment": {"enum": list(EXPERIMENTS)},
         "seed": {"type": "integer", "minimum": 0},
-        "output_dir": {"type": "string"},
         **{section: {"type": "object"} for section in _SECTIONS},
     },
     "allOf": [
@@ -440,7 +400,6 @@ CONFIG_SCHEMA = {
                     }
                     for section in _SECTIONS
                 },
-                **_regime_clauses(entry),
             },
         }
         for name, entry in _EXPERIMENTS.items()
@@ -487,10 +446,8 @@ def resolve_config(config: dict) -> dict:
             k: int(v) if _KEY_TYPES[section][k].get("type") == "integer" else v
             for k, v in values.items()
         }
-    if "output_dir" in config:
-        resolved["output_dir"] = config["output_dir"]
     phys = resolved["physical"]
-    if "tau" not in phys and "tau_omega_i" in phys:
+    if "tau_omega_i" in phys:
         phys["tau"] = phys["tau_omega_i"] / phys["omega_i"]
     return resolved
 
@@ -501,11 +458,12 @@ def config_hash(resolved: dict) -> str:
 
 
 def run_experiment(config: dict, out_dir=None) -> dict:
-    """Resolve a config, run its experiment, and write outputs + summary."""
+    """Resolve a config, run its experiment, and write outputs + summary.
+
+    Files go to ``out_dir``, the current directory when it is None.
+    """
     resolved = resolve_config(config)
-    if out_dir is None:
-        out_dir = resolved.get("output_dir") or os.environ.get(_OUT_DIR_ENV) or "."
-    out_dir = Path(out_dir)
+    out_dir = Path(out_dir or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
     digest = config_hash(resolved)
     meta = {"config_sha256": digest, "seed": resolved["seed"]}
@@ -552,7 +510,7 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="run an experiment config")
     p_run.add_argument("config", help="path to a JSON configuration")
     p_run.add_argument("--seed", type=int, help="override the config seed")
-    p_run.add_argument("--out-dir", help="override the output directory")
+    p_run.add_argument("--out-dir", help="output directory (default: the current one)")
 
     p_verify = sub.add_parser("verify", help="run the invariant battery")
     p_verify.add_argument("--seed", type=int, default=12345)

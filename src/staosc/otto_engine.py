@@ -366,22 +366,21 @@ class EfficiencyTable:
 
 
 def efficiency_curves(
-    regime: str,
     beta_1: float,
     beta_ratios,
     stroke_kinds: tuple[str, ...] = (STA, SUDDEN),
     omega_i: float = 10.0,
     hbar: float = 1.0,
 ) -> EfficiencyTable:
-    """Efficiency at maximum power versus beta_1/beta_2.
+    """Quantum efficiency at maximum power versus beta_1/beta_2.
 
-    Classical curves come straight from the closed forms; quantum points
-    run the optimizer cycle by cycle.  Stroke kinds apply to both strokes
-    of the cycle and must be sta, quasistatic or sudden: a bare stroke
-    needs its own protocol.
+    Each point runs the optimizer on one quantum cycle; the classical values
+    are the closed forms ``eta_adiabatic_max_power`` and
+    ``eta_sudden_max_power``.  Stroke kinds apply to both strokes of the
+    cycle and must be sta, quasistatic or sudden: a bare stroke needs its
+    own protocol.
     """
-    if regime not in (CLASSICAL, QUANTUM):
-        raise ValueError(f"regime must be 'classical' or 'quantum', got {regime!r}")
+    require_positive(beta_1=beta_1, omega_i=omega_i, hbar=hbar)
     for kind in stroke_kinds:
         if kind not in (STA, QUASISTATIC, SUDDEN):
             raise ValueError(f"strokes must be sta, quasistatic or sudden, got {kind!r}")
@@ -392,24 +391,16 @@ def efficiency_curves(
     for kind in stroke_kinds:
         values = np.empty_like(ratios)
         for i, r in enumerate(ratios):
-            if regime == CLASSICAL:
-                values[i] = (
-                    eta_adiabatic_max_power(r)
-                    if kind in (STA, QUASISTATIC)
-                    else eta_sudden_max_power(r)
-                )
-            else:
-                spec = OttoCycleSpec(
-                    beta_1=beta_1,
-                    beta_2=beta_1 / r,
-                    omega_i=omega_i,
-                    omega_f=None,
-                    regime=QUANTUM,
-                    stroke_1=StrokeKind(kind),
-                    stroke_3=StrokeKind(kind),
-                    hbar=hbar,
-                )
-                result = optimize_frequency(spec)
-                values[i] = result.cycle.efficiency
+            spec = OttoCycleSpec(
+                beta_1=beta_1,
+                beta_2=beta_1 / r,
+                omega_i=omega_i,
+                omega_f=None,
+                regime=QUANTUM,
+                stroke_1=StrokeKind(kind),
+                stroke_3=StrokeKind(kind),
+                hbar=hbar,
+            )
+            values[i] = optimize_frequency(spec).cycle.efficiency
         table[kind] = values
     return EfficiencyTable(beta_ratios=ratios, efficiencies=table)

@@ -224,7 +224,6 @@ def histogram(samples: WorkSampleSet, bins=None) -> BinnedDensity:
 class JarzynskiTrace:
     """Running exponential-average estimate against its exact target."""
 
-    counts: np.ndarray
     running: np.ndarray
     final: float
     target: float
@@ -237,9 +236,10 @@ class JarzynskiTrace:
 def jarzynski(data, beta: float, delta_f: float) -> JarzynskiTrace:
     """Estimate <exp(-beta W)> and compare with exp(-beta Delta F).
 
-    For a sample set the trace is the running mean after each draw (entry
-    k uses exactly the first k samples).  For a discrete atom set the
-    expectation is exact and the trace collapses to a single point.  An
+    For a sample set the trace is the running mean after each draw
+    (``running[k - 1]`` uses exactly the first k samples).  For a discrete
+    atom set the expectation is exact and the trace collapses to a single
+    point.  An
     exponential or a mean that overflows a float raises ValueError.
     """
     require_positive(beta=beta)
@@ -255,20 +255,19 @@ def jarzynski(data, beta: float, delta_f: float) -> JarzynskiTrace:
         if isinstance(data, QuantumWorkAtoms):
             works = data.works
             final = float(np.dot(data.probs, np.exp(-beta * works)))
-            counts, running = np.array([works.size]), np.array([final])
+            running = np.array([final])
         else:
             works = data.samples
-            counts = np.arange(1, works.size + 1)
             running = np.multiply(works, -beta)
             np.exp(running, out=running)
             np.cumsum(running, out=running)
-            np.divide(running, counts, out=running)
+            np.divide(running, np.arange(1, works.size + 1), out=running)
             final = float(running[-1])
     if not math.isfinite(final):
         raise ValueError(
             f"the mean of exp(-beta W) overflows: -beta W reaches {-beta * float(works.min())!r}"
         )
-    return JarzynskiTrace(counts=counts, running=running, final=final, target=target)
+    return JarzynskiTrace(running=running, final=final, target=target)
 
 
 def delta_f_classical(beta: float, omega_i: float, omega_f: float) -> float:

@@ -79,6 +79,12 @@ def test_validate_config_rejects_unknown_fields():
         validate_config(_config("classical-work-dist", numeric={"tolerance": 1e-6}))
     assert "$.numeric" in str(err.value)
     assert "'tolerance' was unexpected" in str(err.value)
+    # the output directory is --out-dir or out_dir=, so it is not hashed
+    with pytest.raises(ConfigError) as err:
+        validate_config(_config("verify", output_dir="runs"))
+    assert "$: Additional properties are not allowed ('output_dir' was unexpected)" in str(
+        err.value
+    )
 
 
 def test_validate_config_reports_json_paths():
@@ -119,13 +125,13 @@ def test_resolve_config_user_values_win():
         _config(
             "classical-work-dist",
             seed=777,
-            physical={"beta": 0.5, "tau": 0.25},
+            physical={"beta": 0.5, "tau_omega_i": 2.5},
             numeric={"samples": 64},
         )
     )
     assert resolved["seed"] == 777
     assert resolved["physical"]["beta"] == 0.5
-    assert resolved["physical"]["tau"] == 0.25  # explicit tau is not overwritten
+    assert resolved["physical"]["tau"] == 0.25  # derived from the user's tau_omega_i
     assert resolved["numeric"]["samples"] == 64
 
 
@@ -145,7 +151,7 @@ def test_config_schema_roundtrip():
 
 
 #: The keys each experiment's runner reads, per config section.
-RAMP_KEYS = {"beta", "omega_i", "omega_f", "tau", "tau_omega_i"}
+RAMP_KEYS = {"beta", "omega_i", "omega_f", "tau_omega_i"}
 READS = {
     "classical-work-dist": {
         "physical": RAMP_KEYS,
@@ -159,10 +165,11 @@ READS = {
         "physical": RAMP_KEYS | {"hbar"},
         "numeric": {"basis_size", "n_max", "probability_floor"},
     },
-    "engine-curves": {"physical": {"beta_1", "omega_i", "hbar", "regime"}, "numeric": {"ratios"}},
+    "engine-curves": {"physical": {"beta_1", "omega_i", "hbar"}, "numeric": {"ratios"}},
     "verify": {"physical": set(), "numeric": set()},
 }
-#: A valid value of every config key, and of "mass", which no experiment accepts.
+#: A valid value of every config key, and of "mass", "tau" and "regime",
+#: which no experiment accepts.
 VALID = {
     "physical": {
         "beta": 0.5, "omega_i": 2.0, "omega_f": 3.0, "tau": 0.1, "tau_omega_i": 0.2,
@@ -191,8 +198,11 @@ POSITIVE_PAIRS = [
 def test_pairs_cover_every_experiment_and_key():
     assert len(PAIRS) == 100
     assert set(READS) == set(EXPERIMENTS)
-    assert sum(key in READS[e][s] for e, s, key in PAIRS) == 32
-    assert len(POSITIVE_PAIRS) == 21
+    assert sum(key in READS[e][s] for e, s, key in PAIRS) == 28
+    assert len(POSITIVE_PAIRS) == 18
+    # every key the schema can type is read by some experiment
+    for section, types in cli_runner._KEY_TYPES.items():
+        assert set(types) == set().union(*(READS[e][section] for e in READS))
 
 
 @pytest.mark.parametrize("experiment,section,key", PAIRS)
@@ -205,19 +215,6 @@ def test_config_accepts_exactly_the_keys_an_experiment_reads(experiment, section
         validate_config(config)
     assert f"$.{section}" in str(err.value)
     assert f"'{key}' was unexpected" in str(err.value)
-
-
-@pytest.mark.parametrize("key", ["omega_i", "hbar"])
-def test_classical_engine_curves_rejects_the_quantum_keys(key):
-    # the classical regime reads neither key, so setting one must not pass
-    # as a different run under a different config_sha256
-    with pytest.raises(ConfigError) as err:
-        validate_config(_config("engine-curves", physical={"regime": "classical", key: 2.0}))
-    assert "$.physical" in str(err.value)
-    assert f"'{key}' was unexpected" in str(err.value)
-    validate_config(_config("engine-curves", physical={"regime": "quantum", key: 2.0}))
-    resolved = resolve_config(_config("engine-curves", physical={"regime": "classical"}))
-    assert {"omega_i", "hbar"} <= set(resolved["physical"])  # defaults still resolve
 
 
 @pytest.mark.parametrize("text", ["Infinity", "-Infinity", "NaN"])
@@ -250,7 +247,7 @@ def test_accepted_configs_hash_as_before():
         "classical-work-dist": "855b75b9d52a4766",
         "jarzynski-trace": "fa51b96b0372e879",
         "quantum-work-atoms": "e331e7cd34ab945a",
-        "engine-curves": "5c27776528e7bb02",
+        "engine-curves": "76b90acd70913b82",
         "verify": "8a13cb6995eb6b57",
     }
     assert {e: config_hash(resolve_config(_config(e))) for e in EXPERIMENTS} == pinned
@@ -507,6 +504,14 @@ def test_seed_changes_outputs(tmp_path):
         (dir_a / "classical_work_sta_hist.csv").read_bytes()
         != (dir_b / "classical_work_sta_hist.csv").read_bytes()
     )
+
+
+def test_run_experiment_writes_to_the_current_directory_by_default(tmp_path, monkeypatch):
+    # STAOSC_OUT_DIR used to redirect a run that named no directory
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("STAOSC_OUT_DIR", str(tmp_path / "env"))
+    run_experiment(_config("engine-curves", numeric={"ratios": [2.0]}))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["engine_curves.csv", "summary.json"]
 
 
 def test_run_experiment_rejects_bad_config(tmp_path):

@@ -112,6 +112,12 @@ ENTRY_POINTS = {
         lambda **kw: oe.stroke_energy_factor(oe.StrokeKind.sudden(), regime=oe.CLASSICAL, **kw),
         {"omega_from": 10.0, "omega_to": 20.0, "hbar": 1.0},
     ),
+    # an empty grid builds no cycle spec, so efficiency_curves(nan, []) used
+    # to return an empty table
+    "efficiency_curves": (
+        lambda **kw: oe.efficiency_curves(beta_ratios=[], **kw),
+        {"beta_1": 1.0, "omega_i": 10.0, "hbar": 1.0},
+    ),
     "optimize_frequency": (
         lambda **kw: oe.optimize_frequency(oe.OttoCycleSpec(omega_f=None, **SPEC_ARGS), **kw),
         {"tol": 1e-6},

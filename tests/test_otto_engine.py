@@ -392,16 +392,15 @@ def test_optimizer_rejects_non_finite_bracket(bracket):
         optimize_frequency(_spec(omega_f=None), bracket=bracket)
 
 
-@pytest.mark.parametrize("ratio", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("ratio", [math.nan, math.inf, -math.inf, 0.5])
 def test_bath_ratios_must_be_finite(ratio):
-    # eta_sudden_max_power(inf) used to return 0.5, and a classical table
-    # with a nan ratio held nan
+    # eta_sudden_max_power(inf) used to return 0.5, and a table with a nan
+    # ratio held nan
     for eta in (eta_adiabatic_max_power, eta_sudden_max_power):
         with pytest.raises(ValueError, match="must be finite and > 1"):
             eta(ratio)
-    for regime in (CLASSICAL, QUANTUM):
-        with pytest.raises(ValueError, match="must be finite and > 1"):
-            efficiency_curves(regime, beta_1=1.0, beta_ratios=[ratio, 2.0])
+    with pytest.raises(ValueError, match="must be finite and > 1"):
+        efficiency_curves(beta_1=1.0, beta_ratios=[ratio, 2.0])
 
 
 def test_efficiency_below_carnot_over_random_specs():
@@ -449,33 +448,15 @@ def test_quantum_sta_beats_sudden_deep_in_quantum_regime():
     assert sta.cycle.w_net > sud.cycle.w_net
 
 
-def test_efficiency_curves_classical_table():
-    ratios = np.array([2.0, 4.0, 9.0])
-    table = efficiency_curves(CLASSICAL, beta_1=1.0, beta_ratios=ratios)
-    assert set(table.efficiencies) == {STA, SUDDEN}
-    assert np.allclose(
-        table.efficiencies[STA], [eta_adiabatic_max_power(r) for r in ratios]
-    )
-    assert np.allclose(
-        table.efficiencies[SUDDEN], [eta_sudden_max_power(r) for r in ratios]
-    )
-    with pytest.raises(ValueError):
-        efficiency_curves(CLASSICAL, beta_1=1.0, beta_ratios=[0.5])
-
-
 def test_efficiency_curves_rejects_unknown_inputs():
-    # each used to return a table: the sudden closed form for the two stroke
-    # names, the quantum optimizer for the regime
-    for regime, kinds, bad in [(CLASSICAL, (STA, BARE), BARE), (CLASSICAL, ("fast",), "fast"),
-                               ("mixed", (STA,), "mixed")]:
+    # each used to return a table: the sudden closed form for the two stroke names
+    for kinds, bad in [((STA, BARE), BARE), (("fast",), "fast")]:
         with pytest.raises(ValueError, match=f"got '{bad}'"):
-            efficiency_curves(regime, beta_1=1.0, beta_ratios=[2.0], stroke_kinds=kinds)
+            efficiency_curves(beta_1=1.0, beta_ratios=[2.0], stroke_kinds=kinds)
 
 
 def test_efficiency_curves_quantum_match_classical_at_high_temperature():
     ratios = np.array([4.0])
-    quantum = efficiency_curves(
-        QUANTUM, beta_1=0.01, beta_ratios=ratios, hbar=HBAR_SCALED
-    )
+    quantum = efficiency_curves(beta_1=0.01, beta_ratios=ratios, hbar=HBAR_SCALED)
     assert quantum.efficiencies[STA][0] == pytest.approx(0.5, rel=1e-3)
     assert quantum.efficiencies[SUDDEN][0] == pytest.approx(0.2, rel=1e-3)
