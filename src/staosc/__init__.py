@@ -21,12 +21,10 @@ transitionless.  It provides
 from .errors import IntegrationError, TruncationLeakageError
 from .protocols import (
     COSINE_RAMP,
-    CONSTANT,
     TABLE,
     FrequencyProtocol,
     ValidationReport,
     cosine_ramp,
-    constant_protocol,
     omega_at,
     omega_dot_at,
     protocol_from_table,
@@ -87,10 +85,8 @@ from .work_statistics import (
 )
 from .otto_engine import (
     CycleResult,
-    EfficiencyTable,
     OptimizationResult,
     OttoCycleSpec,
-    StrokeDurations,
     StrokeKind,
     efficiency_curves,
     eta_adiabatic_max_power,

@@ -257,10 +257,10 @@ def _run_engine_curves(resolved: dict, out_dir: Path, meta: dict):
     ratios = np.asarray(
         num.get("ratios") or np.geomspace(1.5, 100.0, 25).tolist(), dtype=float
     )
-    table = oe.efficiency_curves(
+    eta = oe.efficiency_curves(
         beta_1, ratios, (oe.STA, oe.SUDDEN), omega_i=phys["omega_i"], hbar=hbar
     )
-    eta_sta, eta_sudden = table.efficiencies[oe.STA], table.efficiencies[oe.SUDDEN]
+    eta_sta, eta_sudden = eta[oe.STA], eta[oe.SUDDEN]
     with np.errstate(invalid="ignore", divide="ignore"):
         gain = eta_sta / eta_sudden
     finite = gain[np.isfinite(gain)]

@@ -9,12 +9,13 @@ Cycle corners (cold bath beta_1, hot bath beta_2 < beta_1):
     D -> A: contact with the cold bath at omega_i           (heat out: Q4)
 
 Every isolated stroke multiplies the mean energy by Q* omega_to/omega_from
-where Q* is the adiabaticity factor of the stroke (1 for quasistatic or
-shortcut-controlled strokes, (omega_from^2+omega_to^2)/(2 omega_from
-omega_to) for sudden jumps, and whatever the ramp actually does for bare
-finite-time strokes).  Net output is W_net = -(W1 + W3) and efficiency
-eta = W_net / Q2 whenever the cycle actually operates as an engine
-(W_net > 0 and Q2 > 0); otherwise the result is flagged infeasible.
+where Q* is the adiabaticity factor of the stroke (1 for shortcut-controlled
+strokes, whose energetics are those of a quasistatic stroke,
+(omega_from^2+omega_to^2)/(2 omega_from omega_to) for sudden jumps, and
+whatever the ramp actually does for bare finite-time strokes).  Net output
+is W_net = -(W1 + W3) and efficiency eta = W_net / Q2 whenever the cycle
+actually operates as an engine (W_net > 0 and Q2 > 0); otherwise the
+result is flagged infeasible.
 
 Shortcut strokes buy adiabatic energetics in arbitrarily short stroke
 times, which is the whole point: at maximum power the shortcut engine
@@ -38,11 +39,10 @@ CLASSICAL = "classical"
 QUANTUM = "quantum"
 
 STA = "sta"
-QUASISTATIC = "quasistatic"
 SUDDEN = "sudden"
 BARE = "bare"
 
-_STROKE_KINDS = (STA, QUASISTATIC, SUDDEN, BARE)
+_STROKE_KINDS = (STA, SUDDEN, BARE)
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -59,6 +59,8 @@ class StrokeKind:
             raise ValueError(f"unknown stroke kind {self.kind!r}")
         if self.kind == BARE and self.protocol is None:
             raise ValueError("bare strokes need an explicit protocol")
+        if self.kind == BARE and not isinstance(self.protocol, FrequencyProtocol):
+            raise TypeError(f"protocol must be a FrequencyProtocol, got {self.protocol!r}")
         if self.kind != BARE and self.protocol is not None:
             raise ValueError(f"{self.kind} strokes must not carry a protocol")
 
@@ -67,24 +69,12 @@ class StrokeKind:
         return cls(STA)
 
     @classmethod
-    def quasistatic(cls) -> "StrokeKind":
-        return cls(QUASISTATIC)
-
-    @classmethod
     def sudden(cls) -> "StrokeKind":
         return cls(SUDDEN)
 
     @classmethod
     def bare(cls, protocol: FrequencyProtocol) -> "StrokeKind":
         return cls(BARE, protocol=protocol)
-
-    def duration(self) -> float:
-        """Stroke time: protocols report tau, limits report 0 or inf."""
-        if self.kind == QUASISTATIC:
-            return math.inf
-        if self.kind == BARE:
-            return self.protocol.tau
-        return 0.0
 
 
 @dataclass(frozen=True)
@@ -99,9 +89,12 @@ class OttoCycleSpec:
     stroke_1: StrokeKind = field(default_factory=StrokeKind.sta)
     stroke_3: StrokeKind = field(default_factory=StrokeKind.sta)
     hbar: float = 1.0
-    relaxation_times: tuple[float, float] | None = None
 
     def __post_init__(self):
+        for name in ("stroke_1", "stroke_3"):
+            stroke = getattr(self, name)
+            if not isinstance(stroke, StrokeKind):
+                raise TypeError(f"{name} must be a StrokeKind, got {stroke!r}")
         if self.regime not in (CLASSICAL, QUANTUM):
             raise ValueError(f"regime must be 'classical' or 'quantum', got {self.regime!r}")
         require_positive(
@@ -116,27 +109,6 @@ class OttoCycleSpec:
             raise ValueError(f"omega_f must be finite, got {self.omega_f!r}")
         if self.omega_f is not None and self.omega_f <= self.omega_i:
             raise ValueError("omega_f must exceed omega_i")
-        if self.relaxation_times is not None:
-            times = np.asarray(self.relaxation_times, dtype=float)
-            if times.shape != (2,) or not np.all(np.isfinite(times) & (times > 0.0)):
-                raise ValueError(
-                    "relaxation_times must be two positive finite numbers, "
-                    f"got {self.relaxation_times!r}"
-                )
-
-
-@dataclass(frozen=True)
-class StrokeDurations:
-    """Cycle timing metadata; relaxation times are user-supplied or nan."""
-
-    stroke_1: float
-    relax_2: float
-    stroke_3: float
-    relax_4: float
-
-    @property
-    def total(self) -> float:
-        return self.stroke_1 + self.relax_2 + self.stroke_3 + self.relax_4
 
 
 @dataclass(frozen=True)
@@ -154,7 +126,6 @@ class CycleResult:
     w_net: float
     efficiency: float
     feasible: bool
-    durations: StrokeDurations
 
 
 def thermal_energy(beta: float, omega: float, regime: str, hbar: float = 1.0) -> float:
@@ -203,7 +174,7 @@ def stroke_energy_factor(
 ) -> float:
     """Mean-energy multiplier of an isolated stroke, Q* omega_to/omega_from."""
     require_positive(omega_from=omega_from, omega_to=omega_to, hbar=hbar)
-    if stroke.kind in (STA, QUASISTATIC):
+    if stroke.kind == STA:
         q_star = 1.0
     elif stroke.kind == SUDDEN:
         q_star = (omega_from**2 + omega_to**2) / (2.0 * omega_from * omega_to)
@@ -253,14 +224,6 @@ def evaluate_cycle(spec: OttoCycleSpec) -> CycleResult:
     w_net = -(work_in_1 + work_in_3)
     feasible = w_net > 0.0 and heat_in_2 > 0.0
     efficiency = w_net / heat_in_2 if feasible else math.nan
-
-    relax = spec.relaxation_times or (math.nan, math.nan)
-    durations = StrokeDurations(
-        stroke_1=spec.stroke_1.duration(),
-        relax_2=relax[0],
-        stroke_3=spec.stroke_3.duration(),
-        relax_4=relax[1],
-    )
     return CycleResult(
         energy_a=e_a,
         energy_b=e_b,
@@ -273,7 +236,6 @@ def evaluate_cycle(spec: OttoCycleSpec) -> CycleResult:
         w_net=w_net,
         efficiency=efficiency,
         feasible=feasible,
-        durations=durations,
     )
 
 
@@ -357,33 +319,27 @@ def eta_sudden_max_power(beta_ratio: float) -> float:
     return (1.0 - s) / (2.0 + s)
 
 
-@dataclass(frozen=True)
-class EfficiencyTable:
-    """Maximum-power efficiencies on a grid of bath-temperature ratios."""
-
-    beta_ratios: np.ndarray
-    efficiencies: dict
-
-
 def efficiency_curves(
     beta_1: float,
     beta_ratios,
     stroke_kinds: tuple[str, ...] = (STA, SUDDEN),
     omega_i: float = 10.0,
     hbar: float = 1.0,
-) -> EfficiencyTable:
+) -> dict[str, np.ndarray]:
     """Quantum efficiency at maximum power versus beta_1/beta_2.
 
+    Returns ``{kind: efficiencies}``, one value per ratio of ``beta_ratios``.
     Each point runs the optimizer on one quantum cycle; the classical values
     are the closed forms ``eta_adiabatic_max_power`` and
     ``eta_sudden_max_power``.  Stroke kinds apply to both strokes of the
-    cycle and must be sta, quasistatic or sudden: a bare stroke needs its
-    own protocol.
+    cycle and must be sta or sudden: a bare stroke needs its own protocol.
     """
     require_positive(beta_1=beta_1, omega_i=omega_i, hbar=hbar)
+    if isinstance(stroke_kinds, str):
+        raise TypeError(f"stroke_kinds must be a sequence of kinds, got {stroke_kinds!r}")
     for kind in stroke_kinds:
-        if kind not in (STA, QUASISTATIC, SUDDEN):
-            raise ValueError(f"strokes must be sta, quasistatic or sudden, got {kind!r}")
+        if kind not in (STA, SUDDEN):
+            raise ValueError(f"strokes must be sta or sudden, got {kind!r}")
     ratios = np.asarray(beta_ratios, dtype=float)
     if not np.all((1.0 < ratios) & (ratios < np.inf)):
         raise ValueError(f"every beta_1/beta_2 ratio must be finite and > 1, got {ratios!r}")
@@ -403,4 +359,4 @@ def efficiency_curves(
             )
             values[i] = optimize_frequency(spec).cycle.efficiency
         table[kind] = values
-    return EfficiencyTable(beta_ratios=ratios, efficiencies=table)
+    return table

@@ -39,10 +39,9 @@ if TYPE_CHECKING:
     from scipy.interpolate import PchipInterpolator
 
 COSINE_RAMP = "cosine-ramp"
-CONSTANT = "constant"
 TABLE = "table"
 
-_KINDS = (COSINE_RAMP, CONSTANT, TABLE)
+_KINDS = (COSINE_RAMP, TABLE)
 
 #: Endpoint-slope acceptance threshold, in units of omega_i / tau.
 ENDPOINT_SLOPE_TOL = 1e-10
@@ -56,8 +55,8 @@ _VALIDATION_GRID = 1001
 class FrequencyProtocol:
     """One driving schedule omega(t) on [0, tau].
 
-    Instances are immutable; build them with :func:`cosine_ramp`,
-    :func:`constant_protocol` or :func:`protocol_from_table`.
+    Instances are immutable; build them with :func:`cosine_ramp` or
+    :func:`protocol_from_table`.
     """
 
     omega_i: float
@@ -70,8 +69,6 @@ class FrequencyProtocol:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown protocol kind {self.kind!r}")
         require_positive(omega_i=self.omega_i, omega_f=self.omega_f, tau=self.tau)
-        if self.kind == CONSTANT and self.omega_f != self.omega_i:
-            raise ValueError("constant protocol requires omega_f == omega_i")
         if self.kind == TABLE:
             if self.samples is None or len(self.samples) < 4:
                 raise ValueError("table protocol needs at least 4 (t, omega) samples")
@@ -100,13 +97,12 @@ class FrequencyProtocol:
 
 
 def cosine_ramp(omega_i: float, omega_f: float, tau: float) -> FrequencyProtocol:
-    """Smooth ramp of omega**2 with zero endpoint slope."""
+    """Smooth ramp of omega**2 with zero endpoint slope.
+
+    ``cosine_ramp(omega, omega, tau)`` holds omega fixed: omega(t) is
+    exactly omega and omega_dot(t) exactly 0.
+    """
     return FrequencyProtocol(omega_i=omega_i, omega_f=omega_f, tau=tau, kind=COSINE_RAMP)
-
-
-def constant_protocol(omega: float, tau: float) -> FrequencyProtocol:
-    """Static oscillator held at fixed omega for a time tau."""
-    return FrequencyProtocol(omega_i=omega, omega_f=omega, tau=tau, kind=CONSTANT)
 
 
 def protocol_from_table(samples) -> FrequencyProtocol:
@@ -156,11 +152,7 @@ def _clip_time(protocol: FrequencyProtocol, t):
 def omega_at(protocol: FrequencyProtocol, t):
     """Instantaneous frequency omega(t); accepts scalars or arrays."""
     t, xp = _clip_time(protocol, t)
-    if protocol.kind == CONSTANT:
-        out = (
-            float(protocol.omega_i) if xp is math else np.full_like(t, protocol.omega_i)
-        )
-    elif protocol.kind == COSINE_RAMP:
+    if protocol.kind == COSINE_RAMP:
         a2 = (protocol.omega_f / protocol.omega_i) ** 2
         phase = xp.pi * t / protocol.tau
         omega_sq = protocol.omega_i**2 * (
@@ -175,9 +167,7 @@ def omega_at(protocol: FrequencyProtocol, t):
 def omega_dot_at(protocol: FrequencyProtocol, t):
     """Slope d omega/dt at time t; accepts scalars or arrays."""
     t, xp = _clip_time(protocol, t)
-    if protocol.kind == CONSTANT:
-        out = 0.0 if xp is math else np.zeros_like(t)
-    elif protocol.kind == COSINE_RAMP:
+    if protocol.kind == COSINE_RAMP:
         a2 = (protocol.omega_f / protocol.omega_i) ** 2
         phase = xp.pi * t / protocol.tau
         # d(omega^2)/dt = omega_i^2 (a^2-1)/2 * sin(phase) * pi/tau
@@ -201,8 +191,6 @@ def total_phase(protocol: FrequencyProtocol) -> float:
     of the second kind, k = 1 - omega_i**2/omega_f**2 (negative when omega
     decreases).  A table integrates its own interpolant exactly.
     """
-    if protocol.kind == CONSTANT:
-        return protocol.omega_i * protocol.tau
     if protocol.kind == COSINE_RAMP:
         from scipy import special
 

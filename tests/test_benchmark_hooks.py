@@ -1,15 +1,23 @@
-"""The benchmark's traced run names functions of the package by hand.
+"""The benchmark names functions and fields of the package by hand.
 
 ``perfbench/layers.py`` hooks ``classical_work_ensemble`` and
 ``propagate_ensemble``, counts distinct calls of ``sample_gibbs`` and
 ``basic_solutions``, and replaces ``solve_ivp`` in each solver layer.  A
-deleted or renamed target breaks ``perfbench/run.py --trace``, so this test
+deleted or renamed target breaks ``perfbench/run.py --trace``, so one test
 instruments the imported package as that run does and undoes it again.
+
+``perfbench/workloads.py`` builds Otto cycles from ``StrokeKind.bare``,
+``OttoCycleSpec`` fields and the ``CLASSICAL``/``QUANTUM`` regimes, reads
+``CycleResult`` fields, and runs experiments through ``cli_runner``.  The
+other test runs one operation of each kind, so that an API change it
+depends on fails here and not only in a benchmark run.
 """
 
 import importlib
 import sys
 from pathlib import Path
+
+import pytest
 
 import staosc  # noqa: F401  (instrument reads the imported staosc modules)
 import staosc.cli_runner  # noqa: F401
@@ -49,3 +57,15 @@ def test_benchmark_instruments_the_package_and_restores_every_binding(monkeypatc
     after = _bindings()
     assert after.keys() == before.keys()
     assert all(after[key] is before[key] for key in before)
+
+
+@pytest.mark.parametrize(
+    "op", ["otto/classical/tau_omega_i=0.001", "otto/quantum/tau_omega_i=0.001", "engine-curves"]
+)
+def test_benchmark_operations_run_without_problems(op, monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    ops = {o.name: o for w in workloads.WORKLOADS.values() for o in w.ops}
+    values, problems = ops[op].run(7, tmp_path)
+    assert values
+    assert problems == []

@@ -15,7 +15,7 @@ from staosc.classical_analytics import (
 )
 from staosc.classical_dynamics import EnsembleSpec
 from staosc.invariants import decay_rate_ordering, form_work_mismatch, wronskian
-from staosc.protocols import constant_protocol, cosine_ramp
+from staosc.protocols import cosine_ramp
 
 WI = 10.0
 WF = 10.0 * math.sqrt(3.0)
@@ -29,7 +29,7 @@ FAST = cosine_ramp(WI, WF, 1e-4)
 
 def test_basic_solutions_constant_frequency():
     omega, t = 4.0, 0.9
-    basic = basic_solutions(constant_protocol(omega, t))
+    basic = basic_solutions(cosine_ramp(omega, omega, t))
     assert basic.C_tau == pytest.approx(math.cos(omega * t), abs=1e-10)
     assert basic.Cdot_tau == pytest.approx(-omega * math.sin(omega * t), abs=1e-9)
     assert basic.S_tau == pytest.approx(math.sin(omega * t) / omega, abs=1e-11)

@@ -24,7 +24,7 @@ from staosc.classical_dynamics import (
 )
 from staosc.errors import IntegrationError
 from staosc.invariants import action_drift
-from staosc.protocols import constant_protocol, cosine_ramp, omega_at, protocol_from_table
+from staosc.protocols import cosine_ramp, omega_at, protocol_from_table
 from staosc.work_statistics import classical_work_ensembles
 
 WI = 10.0
@@ -65,9 +65,9 @@ def test_angle_convention():
     assert theta[1] == pytest.approx(math.pi / 2.0, rel=1e-12)
 
 
-def test_constant_protocol_full_period_returns_state():
+def test_constant_frequency_full_period_returns_state():
     omega = 7.0
-    proto = constant_protocol(omega, 2.0 * math.pi / omega)
+    proto = cosine_ramp(omega, omega, 2.0 * math.pi / omega)
     state = np.array([[1.1, -0.4]])
     final = integrate(state, proto, tol=1e-12)
     assert final == pytest.approx(state, abs=1e-8)
@@ -75,7 +75,7 @@ def test_constant_protocol_full_period_returns_state():
 
 def test_energy_conserved_at_constant_frequency():
     omega = 3.0
-    proto = constant_protocol(omega, 1.234)
+    proto = cosine_ramp(omega, omega, 1.234)
     state = np.array([[0.3, 1.2]])
     (p1, q1), = integrate(state, proto, tol=1e-12)
     e0 = 0.3**2 / 2 + 0.5 * omega**2 * 1.2**2

@@ -281,6 +281,26 @@ def test_sample_set_provenance_must_be_a_sample_provenance(provenance):
         ws.WorkSampleSet(samples=np.array([1.0]), provenance=provenance)
 
 
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        # each of these built, and evaluate_cycle then raised AttributeError
+        (lambda: oe.StrokeKind(oe.BARE, protocol="ramp"), "protocol must be a FrequencyProtocol"),
+        (lambda: oe.OttoCycleSpec(omega_f=20.0, stroke_1="sta", **SPEC_ARGS),
+         "stroke_1 must be a StrokeKind"),
+        (lambda: oe.OttoCycleSpec(omega_f=20.0, stroke_3=oe.SUDDEN, **SPEC_ARGS),
+         "stroke_3 must be a StrokeKind"),
+        # a bare string was read letter by letter ("got 's'")
+        (lambda: oe.efficiency_curves(1.0, [2.0], stroke_kinds="sta"),
+         "stroke_kinds must be a sequence of kinds"),
+    ],
+    ids=["bare-protocol", "stroke_1", "stroke_3", "stroke_kinds"],
+)
+def test_strokes_are_checked_where_they_enter(call, message):
+    with pytest.raises(TypeError, match=f"^{message}, got "):
+        call()
+
+
 @pytest.mark.parametrize("n_max", [64.5, 64.0, True, 0])
 def test_pdf_quantum_adiabatic_n_max_is_an_int(n_max):
     # n_max=64.5 used to return 65 atoms

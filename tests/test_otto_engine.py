@@ -12,7 +12,6 @@ from staosc.otto_engine import (
     QUANTUM,
     STA,
     SUDDEN,
-    QUASISTATIC,
     OptimizationResult,
     OttoCycleSpec,
     StrokeKind,
@@ -74,7 +73,7 @@ def test_sta_stroke_factor_is_frequency_ratio():
     assert stroke_energy_factor(StrokeKind.sta(), WI, WF, CLASSICAL) == pytest.approx(
         WF / WI, rel=1e-14
     )
-    assert stroke_energy_factor(StrokeKind.quasistatic(), WF, WI, QUANTUM) == pytest.approx(
+    assert stroke_energy_factor(StrokeKind.sta(), WF, WI, QUANTUM) == pytest.approx(
         WI / WF, rel=1e-14
     )
 
@@ -153,10 +152,6 @@ def test_stroke_kind_validation():
         StrokeKind(BARE)  # bare needs a protocol
     with pytest.raises(ValueError):
         StrokeKind(STA, protocol=cosine_ramp(WI, WF, 0.1))  # only bare takes one
-    assert StrokeKind.sta().duration() == 0.0
-    assert StrokeKind.sudden().duration() == 0.0
-    assert StrokeKind.quasistatic().duration() == math.inf
-    assert StrokeKind.bare(cosine_ramp(WI, WF, 0.25)).duration() == 0.25
 
 
 # ---------------------------------------------------------------------------
@@ -219,28 +214,6 @@ def test_infeasible_cycle_flagged():
     assert not cycle.feasible
     assert math.isnan(cycle.efficiency)
     assert cycle.w_net <= 0.0
-
-
-def test_cycle_durations_propagate():
-    proto = cosine_ramp(WI, 2.0 * WI, 0.7)
-    spec = _spec(
-        stroke_1=StrokeKind.bare(proto), stroke_3=StrokeKind.quasistatic(),
-        relaxation_times=(1.5, 2.5),
-    )
-    cycle = evaluate_cycle(spec)
-    assert cycle.durations.stroke_1 == 0.7
-    assert cycle.durations.stroke_3 == math.inf
-    assert cycle.durations.relax_2 == 1.5
-    assert cycle.durations.total == math.inf
-
-
-@pytest.mark.parametrize(
-    "times",
-    [(-1.0, math.nan), (1.0, 0.0), (1.0, math.inf), (math.nan, 1.0), (1.0,), (1.0, 2.0, 3.0), 5.0],
-)
-def test_relaxation_times_must_be_two_positive_finite_numbers(times):
-    with pytest.raises(ValueError, match="relaxation_times"):
-        _spec(relaxation_times=times)
 
 
 def test_spec_validation():
@@ -352,8 +325,8 @@ def _optimize_frequency_by_cycles(spec, bracket=None, tol=1e-8):
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(
     regime=st.sampled_from([CLASSICAL, QUANTUM]),
-    kind_1=st.sampled_from([STA, QUASISTATIC, SUDDEN]),
-    kind_3=st.sampled_from([STA, QUASISTATIC, SUDDEN]),
+    kind_1=st.sampled_from([STA, SUDDEN]),
+    kind_3=st.sampled_from([STA, SUDDEN]),
     beta_1=st.floats(1e-3, 20.0),
     ratio=st.floats(1.01, 200.0),
     omega_i=st.floats(0.1, 100.0),
@@ -458,5 +431,5 @@ def test_efficiency_curves_rejects_unknown_inputs():
 def test_efficiency_curves_quantum_match_classical_at_high_temperature():
     ratios = np.array([4.0])
     quantum = efficiency_curves(beta_1=0.01, beta_ratios=ratios, hbar=HBAR_SCALED)
-    assert quantum.efficiencies[STA][0] == pytest.approx(0.5, rel=1e-3)
-    assert quantum.efficiencies[SUDDEN][0] == pytest.approx(0.2, rel=1e-3)
+    assert quantum[STA][0] == pytest.approx(0.5, rel=1e-3)
+    assert quantum[SUDDEN][0] == pytest.approx(0.2, rel=1e-3)

@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from staosc.protocols import (
     cosine_ramp,
-    constant_protocol,
     omega_at,
     omega_dot_at,
     protocol_from_table,
@@ -54,7 +55,7 @@ def test_omega_monotone_increasing_for_upward_ramp():
 
 
 def test_domain_error_outside_interval():
-    for proto in (cosine_ramp(WI, WF, 1.0), constant_protocol(WI, 1.0)):
+    for proto in (cosine_ramp(WI, WF, 1.0), cosine_ramp(WI, WI, 1.0)):
         for fn in (omega_at, omega_dot_at):
             for t in (-0.1, 1.1, 2.0, 1.0 + 2e-9, np.float64(-2e-9)):
                 with pytest.raises(ValueError, match="outside protocol domain"):
@@ -71,7 +72,7 @@ def test_scalar_path_matches_array_path_exactly():
     for proto in (
         cosine_ramp(WI, WF, 1e-4),
         cosine_ramp(WF, WI, 0.37),
-        constant_protocol(WI, 5.0),
+        cosine_ramp(WI, WI, 5.0),
     ):
         slack = 1e-9 * proto.tau
         ts = np.concatenate(
@@ -89,12 +90,30 @@ def test_scalar_path_matches_array_path_exactly():
                     assert value == expected, (proto.kind, fn.__name__, scalar)
 
 
-def test_constant_protocol():
-    proto = constant_protocol(WI, 5.0)
+def test_flat_ramp_is_a_valid_schedule():
+    proto = cosine_ramp(WI, WI, 5.0)
     grid = np.linspace(0.0, 5.0, 50)
     assert np.all(omega_at(proto, grid) == WI)
     assert np.all(omega_dot_at(proto, grid) == 0.0)
     assert validate(proto).passed
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    omega=st.floats(1e-3, 1e3),
+    tau=st.floats(1e-4, 1e3),
+    fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8),
+)
+def test_flat_ramp_is_exactly_constant(omega, tau, fractions):
+    # a held frequency is cosine_ramp(omega, omega, tau): a2 = 1 cancels the
+    # cosine term, so omega(t) is omega and omega_dot(t) is 0 to the bit
+    proto = cosine_ramp(omega, omega, tau)
+    ts = np.minimum(np.array(fractions) * tau, tau)
+    for t in ts:
+        assert omega_at(proto, float(t)) == omega
+        assert omega_dot_at(proto, float(t)) == 0.0
+    assert np.all(omega_at(proto, ts) == omega)
+    assert np.all(omega_dot_at(proto, ts) == 0.0)
 
 
 def test_invalid_parameters_rejected():
@@ -103,7 +122,7 @@ def test_invalid_parameters_rejected():
     with pytest.raises(ValueError):
         cosine_ramp(WI, WF, 0.0)
     with pytest.raises(ValueError):
-        constant_protocol(0.0, 1.0)
+        cosine_ramp(0.0, 0.0, 1.0)
 
 
 def test_validation_passes_for_cosine_ramp():
@@ -144,7 +163,7 @@ _TABLE_T = np.linspace(0.0, 0.3, 9)
     [
         cosine_ramp(WI, WF, 0.3),
         cosine_ramp(2.0 * WI, WI, 0.3),
-        constant_protocol(WI, 0.3),
+        cosine_ramp(WI, WI, 0.3),
         protocol_from_table(
             list(zip(_TABLE_T, omega_at(cosine_ramp(WI, 2.0 * WI, 0.3), _TABLE_T)))
         ),

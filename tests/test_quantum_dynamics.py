@@ -8,7 +8,7 @@ from staosc import classical_dynamics, quantum_dynamics
 from staosc.classical_analytics import adiabaticity_parameter, moments_from_form, quadratic_form
 from staosc.errors import IntegrationError, TruncationLeakageError
 from staosc.invariants import transitionless_deviation
-from staosc.protocols import constant_protocol, cosine_ramp, omega_at, omega_dot_at
+from staosc.protocols import cosine_ramp, omega_at, omega_dot_at
 from staosc.quantum_dynamics import (
     FockBasisConfig,
     QuantumWorkAtoms,
@@ -142,7 +142,7 @@ def test_stationary_state_under_constant_frequency():
     cfg = FockBasisConfig(dimension=64, omega_ref=WI)
     psi0 = np.zeros(64, dtype=complex)
     psi0[3] = 1.0
-    proto = constant_protocol(WI, 0.37)
+    proto = cosine_ramp(WI, WI, 0.37)
     final = _propagate_columns(psi0[:, None], proto, False, cfg, tol=1e-12)[:, 0]
     probs = np.abs(final) ** 2
     assert probs[3] == pytest.approx(1.0, abs=1e-10)
@@ -261,10 +261,10 @@ def test_closed_form_rejects_q_star_below_one(monkeypatch):
     # Q* >= 1 for every area-preserving flow; a contracting one must not pass
     monkeypatch.setattr(quantum_dynamics, "adiabaticity_parameter", lambda proto: 0.81)
     with pytest.raises(IntegrationError, match="below 1"):
-        transition_matrix(constant_protocol(WI, 0.1), cfg=SMALL, n_max=8)
+        transition_matrix(cosine_ramp(WI, WI, 0.1), cfg=SMALL, n_max=8)
     # round-off below 1 is clamped to the identity
     monkeypatch.setattr(quantum_dynamics, "adiabaticity_parameter", lambda proto: 1.0 - 5e-10)
-    tm = transition_matrix(constant_protocol(WI, 0.1), cfg=SMALL, n_max=8)
+    tm = transition_matrix(cosine_ramp(WI, WI, 0.1), cfg=SMALL, n_max=8)
     assert np.array_equal(tm.probs, np.eye(8, tm.m_max))
 
 
