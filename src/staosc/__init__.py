@@ -88,7 +88,6 @@ from .otto_engine import (
     OptimizationResult,
     OttoCycleSpec,
     StrokeKind,
-    efficiency_curves,
     eta_adiabatic_max_power,
     eta_sudden_max_power,
     evaluate_cycle,

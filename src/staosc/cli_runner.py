@@ -253,14 +253,17 @@ def _run_quantum_work_atoms(resolved: dict, out_dir: Path, meta: dict):
 
 def _run_engine_curves(resolved: dict, out_dir: Path, meta: dict):
     phys, num = resolved["physical"], resolved["numeric"]
-    beta_1, hbar = phys["beta_1"], phys["hbar"]
+    beta_1, omega_i, hbar = phys["beta_1"], phys["omega_i"], phys["hbar"]
     ratios = np.asarray(
         num.get("ratios") or np.geomspace(1.5, 100.0, 25).tolist(), dtype=float
     )
-    eta = oe.efficiency_curves(
-        beta_1, ratios, (oe.STA, oe.SUDDEN), omega_i=phys["omega_i"], hbar=hbar
-    )
-    eta_sta, eta_sudden = eta[oe.STA], eta[oe.SUDDEN]
+
+    def eta(kind: str, r: float) -> float:  # quantum, at maximum power
+        spec = oe.OttoCycleSpec(beta_1, beta_1 / r, omega_i, None, oe.QUANTUM,
+                                oe.StrokeKind(kind), oe.StrokeKind(kind), hbar)
+        return oe.optimize_frequency(spec).cycle.efficiency
+
+    eta_sta, eta_sudden = (np.array([eta(k, r) for r in ratios]) for k in (oe.STA, oe.SUDDEN))
     with np.errstate(invalid="ignore", divide="ignore"):
         gain = eta_sta / eta_sudden
     finite = gain[np.isfinite(gain)]

@@ -79,7 +79,10 @@ class StrokeKind:
 
 @dataclass(frozen=True)
 class OttoCycleSpec:
-    """Full engine description; omega_f = None leaves it to the optimizer."""
+    """Full engine description; omega_f = None leaves it to the optimizer.
+
+    Only a quantum cycle reads hbar; a classical one keeps the default 1.0.
+    """
 
     beta_1: float
     beta_2: float
@@ -100,6 +103,10 @@ class OttoCycleSpec:
         require_positive(
             beta_1=self.beta_1, beta_2=self.beta_2, omega_i=self.omega_i, hbar=self.hbar
         )
+        if self.regime == CLASSICAL and self.hbar != 1.0:
+            raise ValueError(
+                f"a classical cycle does not read hbar; leave it at 1.0, got {self.hbar!r}"
+            )
         if self.beta_2 >= self.beta_1:
             raise ValueError(
                 "the engine needs a hotter second bath: beta_2 < beta_1 "
@@ -317,46 +324,3 @@ def eta_sudden_max_power(beta_ratio: float) -> float:
         raise ValueError(f"beta_ratio = beta_1/beta_2 must be finite and > 1, got {beta_ratio!r}")
     s = math.sqrt(1.0 / beta_ratio)
     return (1.0 - s) / (2.0 + s)
-
-
-def efficiency_curves(
-    beta_1: float,
-    beta_ratios,
-    stroke_kinds: tuple[str, ...] = (STA, SUDDEN),
-    omega_i: float = 10.0,
-    hbar: float = 1.0,
-) -> dict[str, np.ndarray]:
-    """Quantum efficiency at maximum power versus beta_1/beta_2.
-
-    Returns ``{kind: efficiencies}``, one value per ratio of ``beta_ratios``.
-    Each point runs the optimizer on one quantum cycle; the classical values
-    are the closed forms ``eta_adiabatic_max_power`` and
-    ``eta_sudden_max_power``.  Stroke kinds apply to both strokes of the
-    cycle and must be sta or sudden: a bare stroke needs its own protocol.
-    """
-    require_positive(beta_1=beta_1, omega_i=omega_i, hbar=hbar)
-    if isinstance(stroke_kinds, str):
-        raise TypeError(f"stroke_kinds must be a sequence of kinds, got {stroke_kinds!r}")
-    for kind in stroke_kinds:
-        if kind not in (STA, SUDDEN):
-            raise ValueError(f"strokes must be sta or sudden, got {kind!r}")
-    ratios = np.asarray(beta_ratios, dtype=float)
-    if not np.all((1.0 < ratios) & (ratios < np.inf)):
-        raise ValueError(f"every beta_1/beta_2 ratio must be finite and > 1, got {ratios!r}")
-    table: dict[str, np.ndarray] = {}
-    for kind in stroke_kinds:
-        values = np.empty_like(ratios)
-        for i, r in enumerate(ratios):
-            spec = OttoCycleSpec(
-                beta_1=beta_1,
-                beta_2=beta_1 / r,
-                omega_i=omega_i,
-                omega_f=None,
-                regime=QUANTUM,
-                stroke_1=StrokeKind(kind),
-                stroke_3=StrokeKind(kind),
-                hbar=hbar,
-            )
-            values[i] = optimize_frequency(spec).cycle.efficiency
-        table[kind] = values
-    return table

@@ -80,6 +80,9 @@ class FrequencyProtocol:
                 raise ValueError("table times must be strictly increasing")
             if not np.all((w > 0.0) & (w < np.inf)):
                 raise ValueError("table frequencies must be positive and finite")
+            for name, end in (("tau", t[-1]), ("omega_i", w[0]), ("omega_f", w[-1])):
+                if getattr(self, name) != end:
+                    raise ValueError(f"{name} must equal the table's end value {float(end)!r}")
         elif self.samples is not None:
             raise ValueError("samples are only meaningful for kind='table'")
 

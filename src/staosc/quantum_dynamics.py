@@ -459,11 +459,11 @@ def pdf_quantum_adiabatic(
     x = math.exp(-beta * hbar * omega_i)
     tail = x**n_max
     if tail >= 1e-10:
-        needed = int(math.ceil(math.log(1e-10) / math.log(x))) + 1
-        raise ValueError(
-            f"geometric tail {tail:.3e} at n_max={n_max} exceeds 1e-10; "
-            f"use n_max >= {needed}"
+        fix = (
+            f"use n_max >= {int(math.ceil(math.log(1e-10) / math.log(x))) + 1}"
+            if x < 1.0 else "no n_max reaches it, as exp(-beta hbar omega_i) rounds to 1"
         )
+        raise ValueError(f"geometric tail {tail:.3e} at n_max={n_max} exceeds 1e-10; {fix}")
     n = np.arange(n_max, dtype=float)
     works = hbar * (omega_f - omega_i) * (n + 0.5)
     probs = (1.0 - x) * x**n
@@ -475,8 +475,8 @@ def pdf_quantum_adiabatic(
 
 
 def _log_sinh(x: float) -> float:
-    """log(sinh(x)) for x > 0 without overflow."""
-    return x + math.log1p(-math.exp(-2.0 * x)) - math.log(2.0)
+    """log(sinh(x)) for x > 0, without overflow and to round-off at small x."""
+    return x + math.log(-math.expm1(-2.0 * x)) - math.log(2.0)
 
 
 def delta_f_quantum(beta: float, omega_i: float, omega_f: float, hbar: float = 1.0) -> float:

@@ -346,7 +346,7 @@ def test_criterion_7_property_battery():
         strokes = [StrokeKind.sta(), StrokeKind.sudden()][int(rng.integers(2))]
         regime = [CLASSICAL, QUANTUM][int(rng.integers(2))]
         specs.append(OttoCycleSpec(beta_1, beta_1 / ratio, WI, WI * w_ratio, regime,
-                                   strokes, strokes, hbar=HBAR))
+                                   strokes, strokes, HBAR if regime == QUANTUM else 1.0))
     carnot = invariants.carnot_margin(specs)
     checks = [wronskian, action, identity, work_form, *norms, carnot]
 

@@ -12,6 +12,7 @@ from jsonschema import Draft202012Validator
 import staosc.classical_dynamics as classical_dynamics
 import staosc.cli_runner as cli_runner
 import staosc.invariants as invariants
+import staosc.otto_engine as otto_engine
 import staosc.work_statistics as work_statistics
 from staosc.cli_runner import (
     EXPERIMENTS,
@@ -403,6 +404,24 @@ def test_engine_curves_experiment(tmp_path):
     assert np.all(data[:, cols["eta_sta"]] > data[:, cols["eta_sudden"]])
     carnot = 1.0 - 1.0 / data[:, cols["beta_ratio"]]
     assert np.all(data[:, cols["eta_sta"]] <= carnot + 1e-12)
+
+
+def test_engine_curves_are_the_optimizer_efficiencies_bit_for_bit(tmp_path):
+    config = _config("engine-curves", numeric={"ratios": [1.5, 4.0, 30.0]})
+    run_experiment(config, out_dir=tmp_path)
+    rows = (tmp_path / "engine_curves.csv").read_text().splitlines()
+    header = rows[2].split(",")
+    data = {name: [float(r.split(",")[i]) for r in rows[3:]] for i, name in enumerate(header)}
+    phys = resolve_config(config)["physical"]
+    for kind in (otto_engine.STA, otto_engine.SUDDEN):
+        expected = [
+            otto_engine.optimize_frequency(otto_engine.OttoCycleSpec(
+                phys["beta_1"], phys["beta_1"] / r, phys["omega_i"], None, otto_engine.QUANTUM,
+                otto_engine.StrokeKind(kind), otto_engine.StrokeKind(kind), phys["hbar"],
+            )).cycle.efficiency
+            for r in (1.5, 4.0, 30.0)
+        ]
+        assert data[f"eta_{kind}"] == expected
 
 
 def test_runs_are_deterministic(tmp_path):

@@ -8,6 +8,7 @@ ints, and arrays of frequencies or probabilities, estimator inputs and
 histogram edges must be finite.
 """
 
+import dataclasses
 import math
 import re
 
@@ -103,7 +104,9 @@ ENTRY_POINTS = {
     ),
     "integrate_density": (lambda **kw: ws.integrate_density(_density, **kw), {"w_max": 30.0}),
     "ks_distance": (lambda **kw: ws.ks_distance(SAMPLES, _density, **kw), {"w_max": 30.0}),
-    "OttoCycleSpec": (lambda **kw: oe.OttoCycleSpec(omega_f=None, **kw), SPEC_ARGS),
+    "OttoCycleSpec": (
+        lambda **kw: oe.OttoCycleSpec(omega_f=None, regime=oe.QUANTUM, **kw), SPEC_ARGS
+    ),
     "thermal_energy": (
         lambda **kw: oe.thermal_energy(regime=oe.QUANTUM, **kw),
         {"beta": 0.2, "omega": 10.0, "hbar": 1.0},
@@ -111,12 +114,6 @@ ENTRY_POINTS = {
     "stroke_energy_factor": (
         lambda **kw: oe.stroke_energy_factor(oe.StrokeKind.sudden(), regime=oe.CLASSICAL, **kw),
         {"omega_from": 10.0, "omega_to": 20.0, "hbar": 1.0},
-    ),
-    # an empty grid builds no cycle spec, so efficiency_curves(nan, []) used
-    # to return an empty table
-    "efficiency_curves": (
-        lambda **kw: oe.efficiency_curves(beta_ratios=[], **kw),
-        {"beta_1": 1.0, "omega_i": 10.0, "hbar": 1.0},
     ),
     "optimize_frequency": (
         lambda **kw: oe.optimize_frequency(oe.OttoCycleSpec(omega_f=None, **SPEC_ARGS), **kw),
@@ -290,11 +287,8 @@ def test_sample_set_provenance_must_be_a_sample_provenance(provenance):
          "stroke_1 must be a StrokeKind"),
         (lambda: oe.OttoCycleSpec(omega_f=20.0, stroke_3=oe.SUDDEN, **SPEC_ARGS),
          "stroke_3 must be a StrokeKind"),
-        # a bare string was read letter by letter ("got 's'")
-        (lambda: oe.efficiency_curves(1.0, [2.0], stroke_kinds="sta"),
-         "stroke_kinds must be a sequence of kinds"),
     ],
-    ids=["bare-protocol", "stroke_1", "stroke_3", "stroke_kinds"],
+    ids=["bare-protocol", "stroke_1", "stroke_3"],
 )
 def test_strokes_are_checked_where_they_enter(call, message):
     with pytest.raises(TypeError, match=f"^{message}, got "):
@@ -315,6 +309,15 @@ def test_table_frequencies_must_be_positive_and_finite(bad):
     samples[2] = (0.2, bad)
     with pytest.raises(ValueError, match="table frequencies must be positive and finite"):
         protocol_from_table(samples)
+
+
+@pytest.mark.parametrize("field,value", [("tau", 0.5), ("omega_i", 7.0), ("omega_f", 21.0)])
+def test_table_end_values_must_match_the_samples(field, value):
+    # tau past the last sample built and made omega(t) nan beyond it; an
+    # omega_i off the first sample gave work coefficients with no error
+    table = protocol_from_table([(0.0, 10.0), (0.1, 12.0), (0.2, 15.0), (0.3, 18.0), (0.4, 20.0)])
+    with pytest.raises(ValueError, match=f"^{field} must equal the table's end value "):
+        dataclasses.replace(table, **{field: value})
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])

@@ -15,7 +15,6 @@ from staosc.otto_engine import (
     OptimizationResult,
     OttoCycleSpec,
     StrokeKind,
-    efficiency_curves,
     eta_adiabatic_max_power,
     eta_sudden_max_power,
     evaluate_cycle,
@@ -216,6 +215,15 @@ def test_infeasible_cycle_flagged():
     assert cycle.w_net <= 0.0
 
 
+def test_only_quantum_cycles_read_hbar():
+    # a classical cycle at hbar=0.37 used to give the CycleResult of hbar=1.0
+    with pytest.raises(ValueError, match="^a classical cycle does not read hbar; .* got 0.37$"):
+        _spec(hbar=0.37)
+    classical = evaluate_cycle(_spec())
+    quantum = [evaluate_cycle(_spec(regime=QUANTUM, hbar=hbar)) for hbar in (1.0, 0.37)]
+    assert quantum[0] != quantum[1] and classical not in quantum
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         _spec(beta_2=2.0)  # colder second bath
@@ -341,7 +349,7 @@ def test_optimizer_matches_the_full_cycle_objective(
     spec = OttoCycleSpec(
         beta_1=beta_1, beta_2=beta_1 / ratio, omega_i=omega_i, omega_f=None,
         regime=regime, stroke_1=StrokeKind(kind_1), stroke_3=StrokeKind(kind_3),
-        hbar=hbar,
+        hbar=hbar if regime == QUANTUM else 1.0,
     )
     new, old = optimize_frequency(spec, tol=tol), _optimize_frequency_by_cycles(spec, tol=tol)
     assert new.omega_f == old.omega_f
@@ -372,8 +380,9 @@ def test_bath_ratios_must_be_finite(ratio):
     for eta in (eta_adiabatic_max_power, eta_sudden_max_power):
         with pytest.raises(ValueError, match="must be finite and > 1"):
             eta(ratio)
-    with pytest.raises(ValueError, match="must be finite and > 1"):
-        efficiency_curves(beta_1=1.0, beta_ratios=[ratio, 2.0])
+    # the quantum cycle of one engine-curves point rejects the ratio's beta_2
+    with pytest.raises(ValueError, match="beta_2"):
+        OttoCycleSpec(1.0, 1.0 / ratio, WI, None, QUANTUM, hbar=HBAR_SCALED)
 
 
 def test_efficiency_below_carnot_over_random_specs():
@@ -386,22 +395,22 @@ def test_efficiency_below_carnot_over_random_specs():
         strokes = [StrokeKind.sta(), StrokeKind.sudden()][int(rng.integers(2))]
         regime = [CLASSICAL, QUANTUM][int(rng.integers(2))]
         specs.append(OttoCycleSpec(beta_1, beta_1 / ratio, WI, WI * w_ratio, regime,
-                                   strokes, strokes, hbar=HBAR_SCALED))
+                                   strokes, strokes, HBAR_SCALED if regime == QUANTUM else 1.0))
     check = carnot_margin(specs)
     assert check.threshold == 1e-12
     assert check.passed, check.value
 
 
-def test_quantum_optimizer_high_temperature_matches_classical():
+@pytest.mark.parametrize("kind,eta", [(STA, 0.5), (SUDDEN, 0.2)])
+def test_quantum_optimizer_high_temperature_matches_classical(kind, eta):
+    # eta_adiabatic_max_power(4) and eta_sudden_max_power(4)
     ratio = 4.0
     spec = OttoCycleSpec(
         beta_1=0.01, beta_2=0.01 / ratio, omega_i=WI, omega_f=None,
-        regime=QUANTUM, hbar=HBAR_SCALED,
+        regime=QUANTUM, stroke_1=StrokeKind(kind), stroke_3=StrokeKind(kind), hbar=HBAR_SCALED,
     )
     result = optimize_frequency(spec)
-    assert result.cycle.efficiency == pytest.approx(
-        eta_adiabatic_max_power(ratio), rel=1e-4
-    )
+    assert result.cycle.efficiency == pytest.approx(eta, rel=1e-4)
 
 
 def test_quantum_sta_beats_sudden_deep_in_quantum_regime():
@@ -419,17 +428,3 @@ def test_quantum_sta_beats_sudden_deep_in_quantum_regime():
     assert sta.cycle.feasible and sud.cycle.feasible
     assert sta.cycle.efficiency / sud.cycle.efficiency > 2.0
     assert sta.cycle.w_net > sud.cycle.w_net
-
-
-def test_efficiency_curves_rejects_unknown_inputs():
-    # each used to return a table: the sudden closed form for the two stroke names
-    for kinds, bad in [((STA, BARE), BARE), (("fast",), "fast")]:
-        with pytest.raises(ValueError, match=f"got '{bad}'"):
-            efficiency_curves(beta_1=1.0, beta_ratios=[2.0], stroke_kinds=kinds)
-
-
-def test_efficiency_curves_quantum_match_classical_at_high_temperature():
-    ratios = np.array([4.0])
-    quantum = efficiency_curves(beta_1=0.01, beta_ratios=ratios, hbar=HBAR_SCALED)
-    assert quantum[STA][0] == pytest.approx(0.5, rel=1e-3)
-    assert quantum[SUDDEN][0] == pytest.approx(0.2, rel=1e-3)

@@ -1,6 +1,7 @@
 import math
 import re
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -13,6 +14,7 @@ from staosc.quantum_dynamics import (
     FockBasisConfig,
     QuantumWorkAtoms,
     delta_f_quantum,
+    _log_sinh,
     _merge_atoms,
     _propagate_columns,
     eigenbasis,
@@ -23,6 +25,7 @@ from staosc.quantum_dynamics import (
     quantum_work_atoms,
     transition_matrix,
 )
+from staosc.work_statistics import delta_f_classical
 
 WI = 10.0
 WF = 10.0 * math.sqrt(3.0)
@@ -449,6 +452,29 @@ def test_delta_f_quantum_value_and_classical_limit():
     assert delta_f_quantum(beta_small, WI, WF) == pytest.approx(classical, rel=1e-3)
 
 
+def test_log_sinh_matches_mpmath_from_tiny_to_large_arguments():
+    xs = [float(x) for x in np.geomspace(1e-300, 700.0, 400)]
+    xs += [1e-14, 1e-10, math.asinh(1.0), 0.1, 0.5, 1.0, math.sqrt(3.0), 5.0, 50.0]
+    for x in xs:
+        with mpmath.workdps(50):
+            exact = float(mpmath.log(mpmath.sinh(mpmath.mpf(x))))
+        # round-off of the summands x and log 2 bounds the error near log sinh = 0
+        assert abs(_log_sinh(x) - exact) <= 1e-15 * max(1.0, abs(exact)), x
+
+
+def test_delta_f_quantum_approaches_classical_as_beta_hbar_omega_vanishes():
+    for beta in np.geomspace(1e-18, 1e-3, 31):
+        classical = delta_f_classical(beta, WI, WF)
+        a, b = 0.5 * beta * WF, 0.5 * beta * WI
+        # log sinh(x) = log x + x^2/6 - ..., so the gap is below (a^2 - b^2) / (6 beta);
+        # 1e-13 covers the round-off of subtracting two logs near log(1e-18)
+        gap = (a * a - b * b) / (6.0 * beta)
+        assert abs(delta_f_quantum(beta, WI, WF) - classical) <= gap + 1e-13 * classical
+    assert delta_f_quantum(1e-18, 1.0, 2.0) == pytest.approx(
+        delta_f_classical(1e-18, 1.0, 2.0), rel=1e-12
+    )
+
+
 def test_delta_f_quantum_deep_quantum_limit():
     # large beta: delta F -> hbar (wf - wi)/2 (ground-state energies)
     beta = 50.0
@@ -468,6 +494,12 @@ def test_pdf_quantum_adiabatic_matches_atoms():
 def test_pdf_quantum_adiabatic_tail_guard():
     with pytest.raises(ValueError):
         pdf_quantum_adiabatic(0.01, WI, WF, n_max=8)  # truncation too small
+
+
+def test_pdf_quantum_adiabatic_tail_guard_when_the_thermal_ratio_rounds_to_one():
+    # exp(-beta hbar omega_i) == 1.0: no truncation reaches the 1e-10 tail
+    with pytest.raises(ValueError, match="no n_max reaches it"):
+        pdf_quantum_adiabatic(1e-20, 1.0, 2.0)
 
 
 def test_adiabaticity_parameter_limits():
