@@ -227,6 +227,16 @@ def test_config_rejects_non_finite_numbers(experiment, section, key, text):
         validate_config(_config(experiment, **{section: {key: json.loads(text)}}))
 
 
+@pytest.mark.parametrize("value", [0.0, -1.0])
+@pytest.mark.parametrize("experiment,section,key", POSITIVE_PAIRS)
+def test_config_rejects_non_positive_numbers(experiment, section, key, value):
+    # a zero or negative value fails at the config, before any experiment runs
+    with pytest.raises(ConfigError, match=re.escape(
+        f"$.{section}.{key}: {value} is less than or equal to the minimum of 0"
+    )):
+        validate_config(_config(experiment, **{section: {key: value}}))
+
+
 @pytest.mark.parametrize("text", ["Infinity", "-Infinity", "NaN"])
 def test_config_rejects_non_finite_ratios(text):
     ratios = [2.0, json.loads(text)]
