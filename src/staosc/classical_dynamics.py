@@ -56,6 +56,8 @@ _SERIES_CUT = 1e-2
 #: The 3-point Gauss nodes on [0, 1], and the weight sqrt(15)/3 of the first moment.
 _GAUSS = np.array((0.5 - math.sqrt(15.0) / 10.0, 0.5, 0.5 + math.sqrt(15.0) / 10.0))
 _SQRT15_3 = math.sqrt(15.0) / 3.0
+#: The generator of every Gibbs draw, as sample provenance records it.
+GIBBS_GENERATOR = "numpy SFC64 on SeedSequence(seed).spawn(2): actions, angles"
 
 
 @dataclass(frozen=True)
@@ -300,27 +302,42 @@ def gibbs_action_angle(spec: EnsembleSpec, omega: float) -> tuple[np.ndarray, np
 
     Returns (I, theta), each of length count.  The canonical density
     factorizes into I ~ Exp(mean 1/(beta*omega)) and
-    theta ~ Uniform[0, 2*pi).  The generator is counter-based (Philox keyed
-    by the seed), so a given (seed, count) always yields the same arrays
-    regardless of platform or call history.
+    theta ~ Uniform[0, 2*pi).  The actions and the angles come from the two
+    SFC64 streams of :func:`_gibbs_streams`, so a given (seed, count) always
+    yields the same arrays regardless of platform or call history, and the
+    first k samples of a longer draw are the draw of count k.
     """
     require_positive(omega=omega)
     action, theta = np.empty(spec.count), np.empty(spec.count)
-    _draw_action_angle(spec, omega, action, theta)
+    _draw_action_angle(_gibbs_streams(spec.seed), 1.0 / (spec.beta * omega), action, theta)
     return action, theta
 
 
-def _draw_action_angle(spec: EnsembleSpec, omega: float, action, theta) -> None:
-    """The :func:`gibbs_action_angle` draw, written into two float arrays of length count.
+def _gibbs_streams(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
+    """The (action, angle) pair of SFC64 generators of a seed.
 
-    Unit draws scaled in place give the bits of ``exponential(scale)`` and
-    ``uniform(0, 2 pi)``: each multiplies the same unit draw by the same
-    factor.  Reusing the arrays saves their allocation and page faults.
+    Each is seeded by one of the two children that
+    ``np.random.SeedSequence(seed).spawn(2)`` makes, so the streams are
+    independent of each other and of every other seed.
     """
-    rng = np.random.Generator(np.random.Philox(key=spec.seed))
-    rng.standard_exponential(out=action)
-    action *= 1.0 / (spec.beta * omega)
-    rng.random(out=theta)
+    children = np.random.SeedSequence(seed).spawn(2)
+    return tuple(np.random.Generator(np.random.SFC64(child)) for child in children)
+
+
+def _draw_action_angle(streams, scale: float, action, theta) -> None:
+    """Draw the next len(action) actions and len(theta) angles of ``streams`` into the arrays.
+
+    ``streams`` is a :func:`_gibbs_streams` pair and ``scale`` the mean
+    action 1/(beta omega).  Each stream is read in order, so drawing a
+    count in blocks of any size gives the bits of drawing it at once.  Unit
+    draws scaled in place give the bits of ``exponential(scale)`` and
+    ``uniform(0, 2 pi)``: each multiplies the same unit draw by the same
+    factor.
+    """
+    action_stream, angle_stream = streams
+    action_stream.standard_exponential(out=action)
+    action *= scale
+    angle_stream.random(out=theta)
     theta *= _TWO_PI
 
 

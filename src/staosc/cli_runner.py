@@ -94,7 +94,7 @@ def _run_classical_work_dist(resolved: dict, out_dir: Path, meta: dict):
         "bare": lambda w: ca.pdf_nonadiabatic(w, form),
     }
 
-    outputs, checks, derived = [], [], {}
+    outputs, checks, derived = [], [], {"generator": cd.GIBBS_GENERATOR}
     mean_ad = (wf - wi) / (wi * beta)
     mean_na, std_na = ca.moments_from_form(form)
     derived["analytic"] = {
@@ -138,7 +138,8 @@ def _run_jarzynski_trace(resolved: dict, out_dir: Path, meta: dict):
     delta_f = ws.delta_f_classical(beta, wi, wf)
     target = math.exp(-beta * delta_f)
 
-    outputs, checks, derived = [], [], {"target": target, "delta_f": delta_f}
+    outputs, checks = [], []
+    derived = {"target": target, "delta_f": delta_f, "generator": cd.GIBBS_GENERATOR}
     spec = cd.EnsembleSpec(beta=beta, count=num["samples"], seed=seed)
     sets = ws.classical_work_ensembles(protocol, spec)
     counts = np.unique(np.geomspace(1, num["samples"], num["trace_points"]).astype(int))

@@ -204,7 +204,7 @@ def verify_battery(seed: int) -> list[Check]:
     beta, wi, wf = 0.2, 10.0, 10.0 * math.sqrt(3.0)
     fast = cosine_ramp(wi, wf, 1e-4)
     states = cd.sample_gibbs(cd.EnsembleSpec(beta, 200, seed), wi)
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = cd._gibbs_streams(seed)[0]
     form = cache(lambda: ca.quadratic_form(fast, beta))
     w_max = 60.0 * (wf - wi) / (wi * beta)
     cfg = qd.FockBasisConfig(dimension=128, omega_ref=wi, hbar=1.0)

@@ -77,6 +77,12 @@ class StrokeKind:
         return cls(BARE, protocol=protocol)
 
 
+def _require_unread_hbar(hbar: float) -> None:
+    """Raise ValueError unless hbar is the default 1.0, which classical formulas do not read."""
+    if hbar != 1.0:
+        raise ValueError(f"a classical cycle does not read hbar; leave it at 1.0, got {hbar!r}")
+
+
 @dataclass(frozen=True)
 class OttoCycleSpec:
     """Full engine description; omega_f = None leaves it to the optimizer.
@@ -103,10 +109,8 @@ class OttoCycleSpec:
         require_positive(
             beta_1=self.beta_1, beta_2=self.beta_2, omega_i=self.omega_i, hbar=self.hbar
         )
-        if self.regime == CLASSICAL and self.hbar != 1.0:
-            raise ValueError(
-                f"a classical cycle does not read hbar; leave it at 1.0, got {self.hbar!r}"
-            )
+        if self.regime == CLASSICAL:
+            _require_unread_hbar(self.hbar)
         if self.beta_2 >= self.beta_1:
             raise ValueError(
                 "the engine needs a hotter second bath: beta_2 < beta_1 "
@@ -140,10 +144,12 @@ def thermal_energy(beta: float, omega: float, regime: str, hbar: float = 1.0) ->
 
     The quantum value (hbar omega / 2) coth(beta hbar omega / 2) is
     evaluated through tanh, which neither overflows deep in the quantum
-    regime nor loses the classical limit.
+    regime nor loses the classical limit.  Only the quantum value reads
+    hbar; a classical one keeps the default 1.0.
     """
     require_positive(beta=beta, omega=omega, hbar=hbar)
     if regime == CLASSICAL:
+        _require_unread_hbar(hbar)
         return 1.0 / beta
     if regime == QUANTUM:
         return 0.5 * hbar * omega / math.tanh(0.5 * beta * hbar * omega)
@@ -179,8 +185,14 @@ def stroke_energy_factor(
     regime: str,
     hbar: float = 1.0,
 ) -> float:
-    """Mean-energy multiplier of an isolated stroke, Q* omega_to/omega_from."""
+    """Mean-energy multiplier of an isolated stroke, Q* omega_to/omega_from.
+
+    Only a quantum bare stroke reads hbar; a classical stroke keeps the
+    default 1.0.
+    """
     require_positive(omega_from=omega_from, omega_to=omega_to, hbar=hbar)
+    if regime == CLASSICAL:
+        _require_unread_hbar(hbar)
     if stroke.kind == STA:
         q_star = 1.0
     elif stroke.kind == SUDDEN:

@@ -69,6 +69,13 @@ class FrequencyProtocol:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown protocol kind {self.kind!r}")
         require_positive(omega_i=self.omega_i, omega_f=self.omega_f, tau=self.tau)
+        # omega(t) is evaluated through omega**2 and (omega_f/omega_i)**2,
+        # whose overflow would otherwise raise inside the first evaluation
+        ratio = self.omega_f / self.omega_i
+        for name, value in (("omega_i", self.omega_i), ("omega_f", self.omega_f),
+                            ("omega_f / omega_i", ratio)):
+            if not math.isfinite(value * value):
+                raise ValueError(f"{name} must have a finite square, got {value!r}")
         if self.kind == TABLE:
             if self.samples is None or len(self.samples) < 4:
                 raise ValueError("table protocol needs at least 4 (t, omega) samples")
@@ -80,6 +87,9 @@ class FrequencyProtocol:
                 raise ValueError("table times must be strictly increasing")
             if not np.all((w > 0.0) & (w < np.inf)):
                 raise ValueError("table frequencies must be positive and finite")
+            with np.errstate(over="ignore"):
+                if not np.all(np.isfinite(w * w)):
+                    raise ValueError("samples: every table frequency must have a finite square")
             for name, end in (("tau", t[-1]), ("omega_i", w[0]), ("omega_f", w[-1])):
                 if getattr(self, name) != end:
                     raise ValueError(f"{name} must equal the table's end value {float(end)!r}")

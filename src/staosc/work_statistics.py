@@ -26,20 +26,22 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .classical_dynamics import (
+    GIBBS_GENERATOR,
     EnsembleSpec,
     _draw_action_angle,
-    gibbs_action_angle,
+    _gibbs_streams,
     work_coefficients,
 )
 from .errors import require_int, require_positive
 from .protocols import FrequencyProtocol
 from .quantum_dynamics import QuantumWorkAtoms
 
-#: Samples per step of the work and dispersion loops: the per-sample
-#: temporaries of one step stay in cache.  Each sample goes through the same
-#: floating-point operations in the same order whatever the block, so the
-#: results do not depend on it bit for bit.
-_BLOCK = 8192
+#: Samples per step of the draw, work and dispersion loops: the per-sample
+#: draws and temporaries of one step stay in cache.  The draw streams are read
+#: in order and each sample goes through the same floating-point operations in
+#: the same order whatever the block, so the results do not depend on it bit
+#: for bit.  Much shorter steps make the two replicate lanes contend for the GIL.
+_BLOCK = 32768
 
 
 @dataclass(frozen=True)
@@ -54,6 +56,7 @@ class SampleProvenance:
     beta: float
     count: int
     seed: int
+    generator: str = GIBBS_GENERATOR
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -100,21 +103,21 @@ def classical_work_ensembles(
     :mod:`staosc.classical_dynamics` (``sample_gibbs``, then
     ``propagate_ensemble`` and ``ensemble_work``).
 
-    The formula runs over the draw in blocks of ``_BLOCK`` samples, into
+    The draw and the formula run in blocks of ``_BLOCK`` samples, into
     reused buffers, with each sample's operations in the order of the
     one-shot array expression: the blocks change no bit of the result, and
-    no full-length temporary is built beyond the draw and the outputs.
+    no full-length array is built beyond the outputs.
     """
-    action, theta = gibbs_action_angle(spec, protocol.omega_i)
+    streams = _gibbs_streams(spec.seed)
+    scale = 1.0 / (spec.beta * protocol.omega_i)
     coefficients = [work_coefficients(protocol, c) for c in controls]
     works = [np.empty(spec.count) for _ in controls]
-    scratch = np.empty((6, min(spec.count, _BLOCK)))
+    buffers = np.empty((4, min(spec.count, _BLOCK)))
     for start in range(0, spec.count, _BLOCK):
         stop = min(start + _BLOCK, spec.count)
-        _work_block(
-            action[start:stop], theta[start:stop], coefficients,
-            [w[start:stop] for w in works], scratch,
-        )
+        action, theta = buffers[:2, : stop - start]
+        _draw_action_angle(streams, scale, action, theta)
+        _work_block(action, theta, coefficients, [w[start:stop] for w in works], buffers[2:])
     sets = {}
     for with_control, samples in zip(controls, works):
         prov = SampleProvenance(
@@ -135,17 +138,19 @@ def _work_block(action, theta, coefficients, works, scratch) -> None:
     """Write W = I ((a + b cos 2 theta) + c sin 2 theta) of one block into ``works``.
 
     ``coefficients`` and ``works`` pair each ramp's (a, b, c) with its
-    output array of the block's length; ``scratch`` has 6 rows at least
-    that long.
+    output array of the block's length; ``scratch`` has 2 rows at least
+    that long.  ``theta`` is overwritten.
     """
-    t, t2, scale, cos_2theta, sin_2theta, term = scratch[:, : action.size]
+    cos_2theta, scale = scratch[:, : action.size]
     # one transcendental per sample instead of a cosine and a sine: with
-    # t = tan(theta), cos 2 theta = (1 - t^2)/(1 + t^2), sin 2 theta = 2 t/(1 + t^2)
-    np.tan(theta, out=t)
-    np.multiply(t, t, out=t2)
+    # t = tan(theta), cos 2 theta = (1 - t^2)/(1 + t^2), sin 2 theta = 2 t/(1 + t^2);
+    # t and then sin 2 theta overwrite theta, and t^2 sits where cos 2 theta goes
+    t = np.tan(theta, out=theta)
+    t2 = np.multiply(t, t, out=cos_2theta)
     np.divide(1.0, np.add(1.0, t2, out=scale), out=scale)
     np.multiply(np.subtract(1.0, t2, out=cos_2theta), scale, out=cos_2theta)
-    np.multiply(np.multiply(2.0, t, out=sin_2theta), scale, out=sin_2theta)
+    sin_2theta = np.multiply(np.multiply(2.0, t, out=t), scale, out=t)
+    term = scale  # scale is spent: each ramp's c sin 2 theta goes in its row
     for (a, b, c), w in zip(coefficients, works):
         # in that order: (a + b cos 2 theta), then + c sin 2 theta, then * I
         np.add(a, np.multiply(b, cos_2theta, out=w), out=w)
@@ -185,7 +190,8 @@ def summary(samples: WorkSampleSet) -> SummaryStats:
     centered = w - mean
     var = float(np.dot(centered, centered) / (n - 1))
     std = math.sqrt(var)
-    m4 = float(np.mean(centered**4))
+    squared = centered * centered  # two products per sample, where centered**4 calls pow
+    m4 = float(np.mean(squared * squared))
     se_mean = std / math.sqrt(n)
     se_std = math.sqrt(max(m4 - var**2, 0.0) / (4.0 * var * n)) if var > 0 else 0.0
     return SummaryStats(mean=mean, std=std, stderr_mean=se_mean, stderr_std=se_std, count=n)
@@ -431,11 +437,11 @@ def replicate_dispersions(
 
     Replicates 0, 2, 4, ... run on the calling thread and 1, 3, 5, ... on
     one worker thread; numpy releases the GIL in the draw and the ufuncs,
-    so the two lanes overlap.  Each lane draws into its own action and
-    theta arrays, allocated here once (allocated on the worker thread they
-    would grow a second malloc arena), and walks the draw in whole batches:
-    the work formula, exp(-beta W) and each batch's sum, with no
-    full-length work array.  The worker calls only private helpers.
+    so the two lanes overlap.  Each lane walks its replicates in steps of
+    whole batches, about ``_BLOCK`` samples: the draw, the work formula,
+    exp(-beta W) and each batch's sum, into step-sized buffers of its own
+    that are allocated here once, so no full-length array is built.  The
+    worker calls only private helpers.
     """
     require_int(2, batch_count=batch_count)
     for spec in specs:
@@ -447,18 +453,14 @@ def replicate_dispersions(
     if not specs:
         return []
     coefficients = [work_coefficients(protocol, c) for c in (True, False)]
-    count = max(spec.count for spec in specs)
     step = max(_batch_step(spec.count // batch_count) for spec in specs)
-    lanes = [
-        (np.empty(count), np.empty(count), np.empty((2, step)), np.empty((6, step)))
-        for _ in specs[:2]
-    ]
+    lanes = [np.empty((6, step)) for _ in specs[:2]]
     args = (protocol.omega_i, batch_count, coefficients)
     results = [None] * len(specs)
     with ThreadPoolExecutor(max_workers=1) as worker:
         # with a single spec the worker gets no replicate and leaves lanes[-1] alone
-        odd = worker.submit(_dispersion_lane, specs[1::2], *args, *lanes[-1])
-        results[0::2] = _dispersion_lane(specs[0::2], *args, *lanes[0])
+        odd = worker.submit(_dispersion_lane, specs[1::2], *args, lanes[-1])
+        results[0::2] = _dispersion_lane(specs[0::2], *args, lanes[0])
         results[1::2] = odd.result()
     return [{True: sta, False: bare} for sta, bare in results]
 
@@ -469,19 +471,22 @@ def _batch_step(per: int) -> int:
 
 
 def _dispersion_lane(
-    specs, omega_i, batch_count, coefficients, action, theta, works, scratch
+    specs, omega_i, batch_count, coefficients, buffers
 ) -> list[tuple[float, float]]:
-    """Each spec's (controlled, bare) dispersion, drawn and reduced in the given buffers."""
+    """Each spec's (controlled, bare) dispersion, drawn and reduced in 6 rows of ``buffers``."""
     results = []
     for spec in specs:
         n, per = spec.count, spec.count // batch_count
         step = _batch_step(per)
-        _draw_action_angle(spec, omega_i, action[:n], theta[:n])
+        streams = _gibbs_streams(spec.seed)
+        scale = 1.0 / (spec.beta * omega_i)
         sums = np.empty((2, batch_count))
         for first in range(0, n, step):
             stop = min(first + step, n)
-            block_works = works[:, : stop - first]
-            _work_block(action[first:stop], theta[first:stop], coefficients, block_works, scratch)
+            action, theta = buffers[:2, : stop - first]
+            block_works = buffers[2:4, : stop - first]
+            _draw_action_angle(streams, scale, action, theta)
+            _work_block(action, theta, coefficients, block_works, buffers[4:])
             _require_finite(block_works)
             # whole batches only: the remainder past batch_count * per is
             # checked above but enters no batch, and may span whole steps

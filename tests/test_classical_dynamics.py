@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from staosc import classical_dynamics
+from staosc import classical_dynamics, work_statistics
 from staosc.classical_analytics import adiabaticity_parameter, basic_solutions, quadratic_form
 from staosc.classical_dynamics import (
     EnsembleSpec,
@@ -204,19 +204,40 @@ def test_sample_gibbs_deterministic_and_seed_sensitive():
     "seed,count,beta,omega", [(7, 100_000, 0.2, 10.0), (12345, 30_001, 1.3, 0.7), (3, 1, 2.0, 3.0)]
 )
 def test_draw_into_reused_buffers_is_bit_identical(seed, count, beta, omega):
-    # the draw as Generator.exponential(scale) and uniform(0, 2 pi) made it
+    # the draw as Generator.exponential(scale) and uniform(0, 2 pi) make it,
+    # on the two SFC64 streams the seed spawns: actions first, angles second
     spec = EnsembleSpec(beta=beta, count=count, seed=seed)
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    oracle_action = rng.exponential(scale=1.0 / (beta * omega), size=count)
-    oracle_theta = rng.uniform(0.0, 2.0 * math.pi, size=count)
+    action_rng, angle_rng = (
+        np.random.Generator(np.random.SFC64(child))
+        for child in np.random.SeedSequence(seed).spawn(2)
+    )
+    oracle_action = action_rng.exponential(scale=1.0 / (beta * omega), size=count)
+    oracle_theta = angle_rng.uniform(0.0, 2.0 * math.pi, size=count)
     action, theta = gibbs_action_angle(spec, omega)
     assert np.array_equal(action, oracle_action) and np.array_equal(theta, oracle_theta)
     # a reused buffer's old contents and extra length leave no trace
     buffers = np.full(count + 5, math.nan), np.full(count + 5, -1.0)
     for _ in range(2):
-        classical_dynamics._draw_action_angle(spec, omega, buffers[0][:count], buffers[1][:count])
+        streams = classical_dynamics._gibbs_streams(seed)
+        scale = 1.0 / (beta * omega)
+        classical_dynamics._draw_action_angle(streams, scale, buffers[0][:count], buffers[1][:count])
         assert np.array_equal(buffers[0][:count], oracle_action)
         assert np.array_equal(buffers[1][:count], oracle_theta)
+
+
+@pytest.mark.parametrize("block", [1, 777, work_statistics._BLOCK, work_statistics._BLOCK + 5])
+def test_draw_in_blocks_is_bit_identical_to_one_draw(block):
+    # each stream is read in order, so the block split leaves no trace
+    count, scale = work_statistics._BLOCK + 5, 1.0 / (BETA * WI)
+    action, theta = gibbs_action_angle(EnsembleSpec(beta=BETA, count=count, seed=29), WI)
+    streams = classical_dynamics._gibbs_streams(29)
+    blocked = np.empty(count), np.empty(count)
+    for start in range(0, count, block):
+        stop = min(start + block, count)
+        classical_dynamics._draw_action_angle(
+            streams, scale, blocked[0][start:stop], blocked[1][start:stop]
+        )
+    assert np.array_equal(blocked[0], action) and np.array_equal(blocked[1], theta)
 
 
 def test_sample_gibbs_maps_the_action_angle_draw():

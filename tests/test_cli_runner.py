@@ -40,19 +40,20 @@ def _config(experiment, **overrides):
 def _count_gibbs_draws(monkeypatch) -> list:
     """Record the seed of every Gibbs draw the sample-set estimators make.
 
-    Every draw goes through the private ``_draw_action_angle``: from
-    ``gibbs_action_angle`` in ``classical_dynamics`` and from the replicate
-    lanes of ``replicate_dispersions`` in ``work_statistics``.
+    Every draw opens the streams of its seed once through the private
+    ``_gibbs_streams``: in ``gibbs_action_angle`` in ``classical_dynamics``,
+    and in ``classical_work_ensembles`` and the replicate lanes of
+    ``replicate_dispersions`` in ``work_statistics``.
     """
     seeds = []
-    draw = classical_dynamics._draw_action_angle
+    streams = classical_dynamics._gibbs_streams
 
-    def counted(spec, *args, **kwargs):
-        seeds.append(spec.seed)
-        return draw(spec, *args, **kwargs)
+    def counted(seed):
+        seeds.append(seed)
+        return streams(seed)
 
     for module in (classical_dynamics, work_statistics):
-        monkeypatch.setattr(module, "_draw_action_angle", counted)
+        monkeypatch.setattr(module, "_gibbs_streams", counted)
     return seeds
 
 
@@ -312,6 +313,7 @@ def test_classical_work_dist_experiment(tmp_path, monkeypatch):
     )
     assert summary["experiment"] == "classical-work-dist"
     assert len(draws) == 1  # controlled and bare share one ensemble
+    assert summary["derived"]["generator"] == classical_dynamics.GIBBS_GENERATOR
     for name in (
         "classical_work_sta_hist.csv",
         "classical_work_sta_density.csv",
@@ -355,6 +357,7 @@ def test_jarzynski_trace_experiment(tmp_path, monkeypatch):
     assert summary["all_checks_passed"]
     # one draw per seed: the main trace plus five replicates
     assert len(draws) == len(set(draws)) == 6
+    assert summary["derived"]["generator"] == classical_dynamics.GIBBS_GENERATOR
     assert (tmp_path / "jarzynski_sta.csv").exists()
     assert (tmp_path / "jarzynski_bare.csv").exists()
     disp = summary["derived"]["dispersion"]

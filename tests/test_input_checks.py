@@ -21,7 +21,7 @@ from staosc import otto_engine as oe
 from staosc import quantum_dynamics as qd
 from staosc import work_statistics as ws
 from staosc.errors import require_int, require_positive
-from staosc.protocols import FrequencyProtocol, protocol_from_table
+from staosc.protocols import FrequencyProtocol, omega_at, protocol_from_table
 
 STATES = np.array([[1.0, 0.5], [-0.2, 0.3]])
 RAMP = FrequencyProtocol(10.0, 20.0, 0.1)
@@ -318,6 +318,34 @@ def test_table_end_values_must_match_the_samples(field, value):
     table = protocol_from_table([(0.0, 10.0), (0.1, 12.0), (0.2, 15.0), (0.3, 18.0), (0.4, 20.0)])
     with pytest.raises(ValueError, match=f"^{field} must equal the table's end value "):
         dataclasses.replace(table, **{field: value})
+
+
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (lambda: FrequencyProtocol(1e200, 2e200, 1.0), "omega_i must have a finite square, got 1e+200"),
+        (lambda: FrequencyProtocol(1.0, 2e200, 1.0), "omega_f must have a finite square, got 2e+200"),
+        (
+            lambda: FrequencyProtocol(0.5, 1e154, 1.0),
+            "omega_f / omega_i must have a finite square, got 2e+154",
+        ),
+        (
+            lambda: protocol_from_table([(0.0, 1.0), (0.1, 1e200), (0.2, 3.0), (0.3, 4.0)]),
+            "samples: every table frequency must have a finite square",
+        ),
+    ],
+    ids=["omega_i", "omega_f", "ratio", "table"],
+)
+def test_protocol_frequencies_must_have_finite_squares(build, message):
+    # omega_at(cosine_ramp(1e200, 2e200, 1.0), 0.5) raised OverflowError
+    # from omega_i**2 inside the first evaluation
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+def test_protocol_frequencies_near_the_square_limit_evaluate():
+    ramp = FrequencyProtocol(1e154, 1.3e154, 1.0)
+    assert 1e154 < omega_at(ramp, 0.5) < 1.3e154
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])

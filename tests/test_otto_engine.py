@@ -224,6 +224,21 @@ def test_only_quantum_cycles_read_hbar():
     assert quantum[0] != quantum[1] and classical not in quantum
 
 
+@pytest.mark.parametrize(
+    "call, value",
+    [
+        (lambda hbar: thermal_energy(0.2, 10.0, CLASSICAL, hbar=hbar), 5.0),
+        (lambda hbar: stroke_energy_factor(StrokeKind.sudden(), 10.0, 20.0, CLASSICAL, hbar), 2.5),
+    ],
+    ids=["thermal_energy", "stroke_energy_factor"],
+)
+def test_classical_formulas_reject_an_unread_hbar(call, value):
+    # both used to return their hbar=1.0 value at hbar=0.37
+    with pytest.raises(ValueError, match="^a classical cycle does not read hbar; .* got 0.37$"):
+        call(0.37)
+    assert call(1.0) == value
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         _spec(beta_2=2.0)  # colder second bath

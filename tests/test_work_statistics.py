@@ -1,6 +1,7 @@
 import json
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from staosc.classical_analytics import (
     quadratic_form,
 )
 from staosc.classical_dynamics import (
+    GIBBS_GENERATOR,
     EnsembleSpec,
     ensemble_work,
     gibbs_action_angle,
@@ -73,27 +75,28 @@ def test_classical_work_ensemble_shapes_and_provenance():
     json.dumps(d)  # serializable
     assert d["omega_i"] == WI
     assert d["omega_f"] == pytest.approx(WF)
+    assert d["generator"] == GIBBS_GENERATOR
 
 
 def test_classical_work_ensembles_one_draw_matches_two(monkeypatch):
     draws = []
-    gibbs_action_angle = work_statistics.gibbs_action_angle
+    streams = work_statistics._gibbs_streams
 
-    def counted(spec, *args, **kwargs):
-        draws.append(spec)
-        return gibbs_action_angle(spec, *args, **kwargs)
+    def counted(seed):
+        draws.append(seed)
+        return streams(seed)
 
-    monkeypatch.setattr(work_statistics, "gibbs_action_angle", counted)
+    monkeypatch.setattr(work_statistics, "_gibbs_streams", counted)
     spec = EnsembleSpec(beta=BETA, count=4096, seed=19)
     both = classical_work_ensembles(FAST, spec)
-    assert draws == [spec]
+    assert draws == [19]
     assert set(both) == {True, False}
     for with_control, ws in both.items():
         alone = classical_work_ensemble(FAST, spec, with_control=with_control)
         assert np.array_equal(ws.samples, alone.samples)
         assert ws.provenance == alone.provenance
         assert ws.provenance.with_control is with_control
-    assert draws == [spec] * 3
+    assert draws == [19] * 3
     assert not np.array_equal(both[True].samples, both[False].samples)
 
 
@@ -175,6 +178,20 @@ def test_summary_matches_moments():
     assert s.stderr_std > 0.0
 
 
+@pytest.mark.parametrize("with_control", [False, True])
+def test_summary_stderr_std_is_the_delta_method(with_control):
+    # the delta method se(s) = sqrt((m4 - s^4) / (4 s^2 n)), from correctly
+    # rounded sums over Python floats and a fourth power by pow
+    ws = _samples(100_000, seed=37, with_control=with_control)
+    w = ws.samples.tolist()
+    n = len(w)
+    mean = math.fsum(w) / n
+    var = math.fsum((x - mean) ** 2 for x in w) / (n - 1)
+    m4 = math.fsum((x - mean) ** 4 for x in w) / n
+    expected = math.sqrt((m4 - var**2) / (4.0 * var * n))
+    assert summary(ws).stderr_std == pytest.approx(expected, rel=1e-12)
+
+
 def test_summary_on_synthetic_normal():
     rng = np.random.default_rng(0)
     x = rng.normal(3.0, 2.0, size=400_000)
@@ -246,7 +263,7 @@ def test_jarzynski_running_mean_prefix_property():
     assert trace.final == pytest.approx(
         float(np.mean(np.exp(-BETA * ws.samples))), rel=1e-12
     )
-    assert trace.final_error == pytest.approx(abs(trace.final - trace.target), rel=1e-12)
+    assert trace.final_error == pytest.approx(trace.final - trace.target, rel=1e-12)
     # the one-buffer trace keeps the bits and dtypes of the expression it replaced
     counts = np.arange(1, ws.samples.size + 1)
     running = np.cumsum(np.exp(-BETA * ws.samples)) / counts
@@ -471,7 +488,7 @@ def test_replicate_dispersions_with_mixed_counts():
 
 def test_replicate_dispersions_check_before_drawing(monkeypatch):
     draws = []
-    monkeypatch.setattr(work_statistics, "_draw_action_angle", lambda spec, *a: draws.append(spec))
+    monkeypatch.setattr(work_statistics, "_gibbs_streams", draws.append)
     specs = [EnsembleSpec(BETA, 1000, 1), EnsembleSpec(BETA, 10, 2)]
     with pytest.raises(ValueError, match="^cannot split 10 samples into 11 non-empty batches$"):
         replicate_dispersions(FAST, specs, 11)
@@ -482,19 +499,38 @@ def test_replicate_dispersions_check_before_drawing(monkeypatch):
 
 @pytest.mark.parametrize("failing", [0, 1, 2])
 def test_replicate_dispersions_raise_from_either_lane_and_leave_no_thread(monkeypatch, failing):
-    draw = work_statistics._draw_action_angle
+    streams = work_statistics._gibbs_streams
 
-    def draw_or_fail(spec, *args):
-        if spec.seed == failing:
-            raise RuntimeError(f"draw {spec.seed} failed")
-        draw(spec, *args)
+    def draw_or_fail(seed):
+        if seed == failing:
+            raise RuntimeError(f"draw {seed} failed")
+        return streams(seed)
 
-    monkeypatch.setattr(work_statistics, "_draw_action_angle", draw_or_fail)
+    monkeypatch.setattr(work_statistics, "_gibbs_streams", draw_or_fail)
     specs = [EnsembleSpec(BETA, 2000, seed) for seed in range(4)]
     before = threading.active_count()
     with pytest.raises(RuntimeError, match=f"^draw {failing} failed$"):
         replicate_dispersions(FAST, specs, 10)
     assert threading.active_count() == before
+
+
+def test_replicate_dispersions_hold_no_count_length_array():
+    # the lanes draw and reduce in step-sized rows (2000 samples per batch,
+    # 32 000-sample steps): the traced peak does not grow from 2e5 to 1e6
+    # samples per replicate and stays below one 1e6-sample array, where
+    # drawing each replicate whole held two such arrays per lane
+    replicate_dispersions(FAST, [EnsembleSpec(BETA, 100, 0)], 2)  # imports and Phi untraced
+    peaks = []
+    for count in (200_000, 1_000_000):
+        specs = [EnsembleSpec(BETA, count, seed) for seed in range(4)]
+        tracemalloc.start()
+        try:
+            replicate_dispersions(FAST, specs, count // 2000)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 8 * 1_000_000
+    assert peaks[1] < 1.25 * peaks[0]
 
 
 def test_replicate_dispersions_keep_the_finite_work_check(monkeypatch):
