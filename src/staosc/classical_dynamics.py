@@ -18,10 +18,12 @@ Both flows are linear in (p, q), so the ramp's 2x2
 :func:`fundamental_matrix` Phi characterizes the whole flow.  The
 controlled Phi is a closed form.  The bare Phi is a sixth-order Magnus
 product of exact 2x2 exponentials, accepted by step doubling and with no
-ODE solve.  Work is therefore a quadratic form in the initial state:
-:func:`work_coefficients` reads it off Phi in action-angle variables,
-W = I (a + b cos 2 theta + c sin 2 theta), which turns a
-:func:`gibbs_action_angle` draw straight into work samples.
+ODE solve.  Work is therefore a quadratic form in the initial state, in
+action-angle variables W = I (a + b cos 2 theta + c sin 2 theta), which
+turns a :func:`gibbs_action_angle` draw straight into work samples:
+:func:`work_coefficients` reads (a, b, c) off the bare Phi, and the
+controlled ones are (omega_f - omega_i, 0, 0), since the action is
+conserved.
 
 Phase-space state is always an (n, 2) array of (p, q) rows, and
 :func:`to_action_angle` / :func:`from_action_angle` map it to and from the
@@ -57,7 +59,10 @@ _SERIES_CUT = 1e-2
 _GAUSS = np.array((0.5 - math.sqrt(15.0) / 10.0, 0.5, 0.5 + math.sqrt(15.0) / 10.0))
 _SQRT15_3 = math.sqrt(15.0) / 3.0
 #: The generator of every Gibbs draw, as sample provenance records it.
-GIBBS_GENERATOR = "numpy SFC64 on SeedSequence(seed).spawn(2): actions, angles"
+GIBBS_GENERATOR = (
+    "numpy SFC64 on SeedSequence(seed).spawn(2), U = random(): "
+    "actions log1p(-U) * (-1/(beta omega)), angles U * 2 pi"
+)
 
 
 @dataclass(frozen=True)
@@ -303,9 +308,10 @@ def gibbs_action_angle(spec: EnsembleSpec, omega: float) -> tuple[np.ndarray, np
     Returns (I, theta), each of length count.  The canonical density
     factorizes into I ~ Exp(mean 1/(beta*omega)) and
     theta ~ Uniform[0, 2*pi).  The actions and the angles come from the two
-    SFC64 streams of :func:`_gibbs_streams`, so a given (seed, count) always
-    yields the same arrays regardless of platform or call history, and the
-    first k samples of a longer draw are the draw of count k.
+    SFC64 streams of :func:`_gibbs_streams`, by :func:`_draw_action_angle`
+    (the actions by inversion of uniform draws), so a given (seed, count)
+    always yields the same arrays regardless of platform or call history,
+    and the first k samples of a longer draw are the draw of count k.
     """
     require_positive(omega=omega)
     action, theta = np.empty(spec.count), np.empty(spec.count)
@@ -329,14 +335,15 @@ def _draw_action_angle(streams, scale: float, action, theta) -> None:
 
     ``streams`` is a :func:`_gibbs_streams` pair and ``scale`` the mean
     action 1/(beta omega).  Each stream is read in order, so drawing a
-    count in blocks of any size gives the bits of drawing it at once.  Unit
-    draws scaled in place give the bits of ``exponential(scale)`` and
-    ``uniform(0, 2 pi)``: each multiplies the same unit draw by the same
-    factor.
+    count in blocks of any size gives the bits of drawing it at once.  Both
+    streams give uniform draws U in [0, 1), by ``random(out=)``: the action
+    is log1p(-U) times -scale, by inversion of the exponential law, and the
+    angle U times 2 pi.
     """
     action_stream, angle_stream = streams
-    action_stream.standard_exponential(out=action)
-    action *= scale
+    action_stream.random(out=action)
+    np.log1p(np.negative(action, out=action), out=action)
+    action *= -scale
     angle_stream.random(out=theta)
     theta *= _TWO_PI
 
@@ -352,13 +359,17 @@ def work_coefficients(
     """(a, b, c) with endpoint work W = I (a + b cos 2 theta + c sin 2 theta).
 
     I and theta are the action-angle coordinates of the initial state at
-    omega_i.  The state is sqrt(2 I) U xi with xi = (cos theta, sin theta)
-    and U = diag(sqrt(omega_i), 1/sqrt(omega_i)), so the final energy
-    is I xi^T K xi with K = U Phi^T D_f Phi U, D_f = diag(1, omega_f**2)
-    and Phi the ramp's :func:`fundamental_matrix`.  Then
-    a = (K11 + K22)/2 - omega_i, b = (K11 - K22)/2 and c = K12.
+    omega_i.  The controlled flow conserves I, so its work is
+    (omega_f - omega_i) I at every angle: (omega_f - omega_i, 0, 0), with
+    no Phi built.  For the bare flow the state is sqrt(2 I) U xi with
+    xi = (cos theta, sin theta) and U = diag(sqrt(omega_i), 1/sqrt(omega_i)),
+    so the final energy is I xi^T K xi with K = U Phi^T D_f Phi U,
+    D_f = diag(1, omega_f**2) and Phi the ramp's :func:`fundamental_matrix`.
+    Then a = (K11 + K22)/2 - omega_i, b = (K11 - K22)/2 and c = K12.
     """
-    phi = fundamental_matrix(protocol, with_control)
+    if with_control:
+        return protocol.omega_f - protocol.omega_i, 0.0, 0.0
+    phi = fundamental_matrix(protocol)
     root = math.sqrt(protocol.omega_i)
     phi_u = phi * np.array([root, 1.0 / root])
     k = phi_u.T @ np.diag([1.0, protocol.omega_f**2]) @ phi_u

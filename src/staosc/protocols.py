@@ -70,12 +70,16 @@ class FrequencyProtocol:
             raise ValueError(f"unknown protocol kind {self.kind!r}")
         require_positive(omega_i=self.omega_i, omega_f=self.omega_f, tau=self.tau)
         # omega(t) is evaluated through omega**2 and (omega_f/omega_i)**2,
-        # whose overflow would otherwise raise inside the first evaluation
+        # whose overflow would otherwise raise inside the first evaluation,
+        # and whose underflow to 0 would make omega(t) vanish
         ratio = self.omega_f / self.omega_i
         for name, value in (("omega_i", self.omega_i), ("omega_f", self.omega_f),
                             ("omega_f / omega_i", ratio)):
-            if not math.isfinite(value * value):
+            square = value * value
+            if not math.isfinite(square):
                 raise ValueError(f"{name} must have a finite square, got {value!r}")
+            if square == 0.0:
+                raise ValueError(f"{name} must have a non-zero square, got {value!r}")
         if self.kind == TABLE:
             if self.samples is None or len(self.samples) < 4:
                 raise ValueError("table protocol needs at least 4 (t, omega) samples")
@@ -88,8 +92,11 @@ class FrequencyProtocol:
             if not np.all((w > 0.0) & (w < np.inf)):
                 raise ValueError("table frequencies must be positive and finite")
             with np.errstate(over="ignore"):
-                if not np.all(np.isfinite(w * w)):
-                    raise ValueError("samples: every table frequency must have a finite square")
+                square = w * w
+            if not np.all(np.isfinite(square)):
+                raise ValueError("samples: every table frequency must have a finite square")
+            if not np.all(square > 0.0):
+                raise ValueError("samples: every table frequency must have a non-zero square")
             for name, end in (("tau", t[-1]), ("omega_i", w[0]), ("omega_f", w[-1])):
                 if getattr(self, name) != end:
                     raise ValueError(f"{name} must equal the table's end value {float(end)!r}")

@@ -112,6 +112,9 @@ def classical_work_ensembles(
     scale = 1.0 / (spec.beta * protocol.omega_i)
     coefficients = [work_coefficients(protocol, c) for c in controls]
     works = [np.empty(spec.count) for _ in controls]
+    # actions, angles, the kernel's scratch and a spare row: with three rows the
+    # default classical-work-dist and jarzynski-trace, run in one process, peak
+    # 0.9 MB higher in RSS (heap layout; the traced numpy peak is the same)
     buffers = np.empty((4, min(spec.count, _BLOCK)))
     for start in range(0, spec.count, _BLOCK):
         stop = min(start + _BLOCK, spec.count)
@@ -135,27 +138,35 @@ def classical_work_ensembles(
 
 
 def _work_block(action, theta, coefficients, works, scratch) -> None:
-    """Write W = I ((a + b cos 2 theta) + c sin 2 theta) of one block into ``works``.
+    """Write each ramp's W = I (a + b cos 2 theta + c sin 2 theta) of one block into ``works``.
+
+    With t = tan theta the angle factor is one rational function,
+    g = ((a - b) t^2 + 2 c t + (a + b)) / (1 + t^2), evaluated by Horner as
+    ((a - b) t + 2 c) t + (a + b), then times I / (1 + t^2), which all ramps
+    share.  Near the minimum of g, where the work is almost zero,
+    a + b cos 2 theta cancels (3e-9 relative error on the default bare
+    ramp); this form keeps g to 1e-15 there.  A ramp with b = c = 0 (the
+    controlled one) is W = a I, with no angle math, and tan is taken only
+    if some ramp needs it.
 
     ``coefficients`` and ``works`` pair each ramp's (a, b, c) with its
-    output array of the block's length; ``scratch`` has 2 rows at least
-    that long.  ``theta`` is overwritten.
+    output array of the block's length; ``scratch`` has a row at least that
+    long.  ``theta`` is overwritten.
     """
-    cos_2theta, scale = scratch[:, : action.size]
-    # one transcendental per sample instead of a cosine and a sine: with
-    # t = tan(theta), cos 2 theta = (1 - t^2)/(1 + t^2), sin 2 theta = 2 t/(1 + t^2);
-    # t and then sin 2 theta overwrite theta, and t^2 sits where cos 2 theta goes
-    t = np.tan(theta, out=theta)
-    t2 = np.multiply(t, t, out=cos_2theta)
-    np.divide(1.0, np.add(1.0, t2, out=scale), out=scale)
-    np.multiply(np.subtract(1.0, t2, out=cos_2theta), scale, out=cos_2theta)
-    sin_2theta = np.multiply(np.multiply(2.0, t, out=t), scale, out=t)
-    term = scale  # scale is spent: each ramp's c sin 2 theta goes in its row
+    t = None
     for (a, b, c), w in zip(coefficients, works):
-        # in that order: (a + b cos 2 theta), then + c sin 2 theta, then * I
-        np.add(a, np.multiply(b, cos_2theta, out=w), out=w)
-        w += np.multiply(c, sin_2theta, out=term)
-        w *= action
+        if b == 0.0 and c == 0.0:
+            np.multiply(a, action, out=w)
+            continue
+        if t is None:
+            t = np.tan(theta, out=theta)
+            share = np.multiply(t, t, out=scratch[0, : action.size])
+            np.divide(action, np.add(1.0, share, out=share), out=share)
+        np.multiply(a - b, t, out=w)
+        w += 2.0 * c
+        w *= t
+        w += a + b
+        w *= share
 
 
 def classical_work_ensemble(
@@ -454,7 +465,7 @@ def replicate_dispersions(
         return []
     coefficients = [work_coefficients(protocol, c) for c in (True, False)]
     step = max(_batch_step(spec.count // batch_count) for spec in specs)
-    lanes = [np.empty((6, step)) for _ in specs[:2]]
+    lanes = [np.empty((5, step)) for _ in specs[:2]]
     args = (protocol.omega_i, batch_count, coefficients)
     results = [None] * len(specs)
     with ThreadPoolExecutor(max_workers=1) as worker:
@@ -473,7 +484,7 @@ def _batch_step(per: int) -> int:
 def _dispersion_lane(
     specs, omega_i, batch_count, coefficients, buffers
 ) -> list[tuple[float, float]]:
-    """Each spec's (controlled, bare) dispersion, drawn and reduced in 6 rows of ``buffers``."""
+    """Each spec's (controlled, bare) dispersion, drawn and reduced in 5 rows of ``buffers``."""
     results = []
     for spec in specs:
         n, per = spec.count, spec.count // batch_count

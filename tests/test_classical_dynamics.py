@@ -204,14 +204,15 @@ def test_sample_gibbs_deterministic_and_seed_sensitive():
     "seed,count,beta,omega", [(7, 100_000, 0.2, 10.0), (12345, 30_001, 1.3, 0.7), (3, 1, 2.0, 3.0)]
 )
 def test_draw_into_reused_buffers_is_bit_identical(seed, count, beta, omega):
-    # the draw as Generator.exponential(scale) and uniform(0, 2 pi) make it,
-    # on the two SFC64 streams the seed spawns: actions first, angles second
+    # the actions by inversion, log1p(-U) * -(1/(beta omega)), and the angles as
+    # Generator.uniform(0, 2 pi) makes them, on the two SFC64 streams the seed
+    # spawns: actions first, angles second
     spec = EnsembleSpec(beta=beta, count=count, seed=seed)
     action_rng, angle_rng = (
         np.random.Generator(np.random.SFC64(child))
         for child in np.random.SeedSequence(seed).spawn(2)
     )
-    oracle_action = action_rng.exponential(scale=1.0 / (beta * omega), size=count)
+    oracle_action = np.log1p(-action_rng.random(count)) * -(1.0 / (beta * omega))
     oracle_theta = angle_rng.uniform(0.0, 2.0 * math.pi, size=count)
     action, theta = gibbs_action_angle(spec, omega)
     assert np.array_equal(action, oracle_action) and np.array_equal(theta, oracle_theta)
@@ -257,11 +258,14 @@ def test_sample_gibbs_maps_the_action_angle_draw():
     assert back_theta == pytest.approx(theta, rel=1e-12, abs=1e-12)
 
 
-def test_work_coefficients_closed_cases():
-    # controlled: W = (omega_f - omega_i) I for every angle
-    a, b, c = work_coefficients(FAST, with_control=True)
-    assert a == pytest.approx(WF - WI, rel=1e-13)
-    assert abs(b) < 1e-12 * WF and abs(c) < 1e-12 * WF
+def test_work_coefficients_closed_cases(monkeypatch):
+    # controlled: W = (omega_f - omega_i) I for every angle, with no Phi built
+    def no_phi(*args, **kwargs):
+        raise AssertionError("the controlled work coefficients must not build Phi")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(classical_dynamics, "fundamental_matrix", no_phi)
+        assert work_coefficients(FAST, with_control=True) == (WF - WI, 0.0, 0.0)
     # sudden (Phi -> 1): W = (omega_f**2 - omega_i**2) q**2 / 2 = I a (1 - cos 2 theta)
     sudden = cosine_ramp(WI, WF, 1e-9)
     half_gap = (WF**2 - WI**2) / (2.0 * WI)
@@ -269,6 +273,37 @@ def test_work_coefficients_closed_cases():
     assert a == pytest.approx(half_gap, rel=1e-9)
     assert b == pytest.approx(-half_gap, rel=1e-9)
     assert abs(c) < 1e-6 * half_gap
+
+
+def _coefficients_off_phi(proto, phi):
+    """(a, b, c) from the endpoint work of unit-action states through phi.
+
+    W = a + b, a - b and a + c at theta = 0, pi/2 and pi/4.
+    """
+    initial = from_action_angle(np.ones(3), np.array([0.0, 0.5, 0.25]) * math.pi, proto.omega_i)
+    w0, w90, w45 = ensemble_work(initial, initial @ phi.T, proto)
+    a = 0.5 * (w0 + w90)
+    return a, 0.5 * (w0 - w90), w45 - a
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    table=st.booleans(),
+    omega_i=st.floats(0.5, 50.0),
+    ratio=st.floats(0.25, 5.0),
+    log_tau_omega_i=st.floats(-4.0, math.log10(20.0)),
+)
+def test_controlled_coefficients_match_the_controlled_phi(table, omega_i, ratio, log_tau_omega_i):
+    # the closed form (omega_f - omega_i, 0, 0) against the work of the
+    # controlled Phi; ratio < 1 covers falling ramps
+    proto = cosine_ramp(omega_i, ratio * omega_i, 10.0**log_tau_omega_i / omega_i)
+    if table:
+        t = np.linspace(0.0, proto.tau, 9)
+        proto = protocol_from_table(list(zip(t, omega_at(proto, t))))
+    closed = work_coefficients(proto, with_control=True)
+    off_phi = _coefficients_off_phi(proto, fundamental_matrix(proto, with_control=True))
+    tol = 1e-12 * max(proto.omega_i, proto.omega_f)
+    assert np.all(np.abs(np.subtract(closed, off_phi)) <= tol)
 
 
 def _basic_solution_form(proto, beta):

@@ -4,8 +4,9 @@
 a route first needs it: ``scipy.interpolate`` by table ramps and the KS
 distance, ``scipy.special`` by the cosine-ramp phase of the controlled Phi
 and the bare work density, ``scipy.integrate`` by the DOP853 references.
-The default ``engine-curves`` and ``quantum-work-atoms`` runs need none of
-them.  The import tests run in fresh interpreters, so that they see a clean
+The default ``engine-curves``, ``quantum-work-atoms`` and ``jarzynski-trace``
+runs need none of them: the controlled work is a closed form and needs no
+phase.  The import tests run in fresh interpreters, so that they see a clean
 ``sys.modules``; a module-level scipy import anywhere in the package fails
 them.
 
@@ -58,7 +59,7 @@ def test_import_loads_no_scipy_submodule(tmp_path):
     assert _fresh_process("0", tmp_path) == (0, [])
 
 
-@pytest.mark.parametrize("experiment", ["engine-curves", "quantum-work-atoms"])
+@pytest.mark.parametrize("experiment", ["engine-curves", "quantum-work-atoms", "jarzynski-trace"])
 def test_default_run_loads_no_scipy_submodule(tmp_path, experiment):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"schema_version": 1, "experiment": experiment, "seed": 7}))

@@ -333,12 +333,31 @@ def test_table_end_values_must_match_the_samples(field, value):
             lambda: protocol_from_table([(0.0, 1.0), (0.1, 1e200), (0.2, 3.0), (0.3, 4.0)]),
             "samples: every table frequency must have a finite square",
         ),
+        (
+            lambda: FrequencyProtocol(1e-200, 2e-200, 1.0),
+            "omega_i must have a non-zero square, got 1e-200",
+        ),
+        (
+            lambda: FrequencyProtocol(1.0, 2e-200, 1.0),
+            "omega_f must have a non-zero square, got 2e-200",
+        ),
+        (
+            lambda: FrequencyProtocol(1e100, 1e-100, 1.0),
+            "omega_f / omega_i must have a non-zero square, got 1e-200",
+        ),
+        (
+            lambda: protocol_from_table([(0.0, 1.0), (0.1, 1e-200), (0.2, 3.0), (0.3, 4.0)]),
+            "samples: every table frequency must have a non-zero square",
+        ),
     ],
-    ids=["omega_i", "omega_f", "ratio", "table"],
+    ids=["omega_i", "omega_f", "ratio", "table", "omega_i-underflow", "omega_f-underflow",
+         "ratio-underflow", "table-underflow"],
 )
 def test_protocol_frequencies_must_have_finite_squares(build, message):
     # omega_at(cosine_ramp(1e200, 2e200, 1.0), 0.5) raised OverflowError
-    # from omega_i**2 inside the first evaluation
+    # from omega_i**2 inside the first evaluation; at cosine_ramp(1e-200,
+    # 2e-200, 1.0) omega_at read 0.0, omega_dot_at raised ZeroDivisionError
+    # and the work coefficients came back with no error
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build()
 
