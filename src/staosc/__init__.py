@@ -56,7 +56,6 @@ from .classical_analytics import (
     quadratic_form,
 )
 from .quantum_dynamics import (
-    FockBasisConfig,
     QuantumWorkAtoms,
     TransitionMatrix,
     delta_f_quantum,

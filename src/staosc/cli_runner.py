@@ -190,9 +190,6 @@ def _run_quantum_work_atoms(resolved: dict, out_dir: Path, meta: dict):
     phys, num = resolved["physical"], resolved["numeric"]
     protocol = _protocol_from(phys)
     beta, wi, wf, hbar = phys["beta"], phys["omega_i"], phys["omega_f"], phys["hbar"]
-    cfg = qd.FockBasisConfig(
-        dimension=num["basis_size"], omega_ref=wi, hbar=hbar
-    )
 
     outputs, checks, derived = [], [], {}
     delta_f = qd.delta_f_quantum(beta, wi, wf, hbar)
@@ -200,8 +197,8 @@ def _run_quantum_work_atoms(resolved: dict, out_dir: Path, meta: dict):
     derived["jarzynski_target"] = math.exp(-beta * delta_f)
     atom_sets = {}
     for label, control in (("sta", True), ("bare", False)):
-        tm = qd.transition_matrix(protocol, control, cfg, num["n_max"])
-        atoms = qd.quantum_work_atoms(tm, beta)
+        tm = qd.transition_matrix(protocol, control, num["n_max"], num["basis_size"])
+        atoms = qd.quantum_work_atoms(tm, beta, hbar)
         atom_sets[label] = atoms
         path = out_dir / f"quantum_atoms_{label}.csv"
         _write_csv(path, meta, ["work", "probability"], [atoms.works, atoms.probs])

@@ -33,7 +33,7 @@ import numpy as np
 from .classical_analytics import adiabaticity_parameter
 from .errors import require_positive
 from .protocols import FrequencyProtocol
-from .quantum_dynamics import FockBasisConfig, transition_matrix
+from .quantum_dynamics import transition_matrix
 
 CLASSICAL = "classical"
 QUANTUM = "quantum"
@@ -156,7 +156,7 @@ def thermal_energy(beta: float, omega: float, regime: str, hbar: float = 1.0) ->
     raise ValueError(f"unknown regime {regime!r}")
 
 
-def _bare_q_star_quantum(protocol: FrequencyProtocol, hbar: float) -> float:
+def _bare_q_star_quantum(protocol: FrequencyProtocol) -> float:
     """Q* of a bare stroke from its quantum transition matrix.
 
     Mean final level obeys <m + 1/2> = Q* (n + 1/2) for every initial
@@ -165,9 +165,8 @@ def _bare_q_star_quantum(protocol: FrequencyProtocol, hbar: float) -> float:
     to 1 within 1e-6, so the slope runs up to ~1e-6 relative below the
     classical Q*.
     """
-    cfg = FockBasisConfig(dimension=256, omega_ref=protocol.omega_i, hbar=hbar)
     rows = 4
-    tm = transition_matrix(protocol, with_control=False, cfg=cfg, n_max=rows)
+    tm = transition_matrix(protocol, with_control=False, n_max=rows, dimension=256)
     m = np.arange(tm.m_max) + 0.5
     slopes = (tm.probs @ m) / (np.arange(rows) + 0.5)
     if np.max(slopes) - np.min(slopes) > 1e-4 * np.mean(slopes):
@@ -183,16 +182,15 @@ def stroke_energy_factor(
     omega_from: float,
     omega_to: float,
     regime: str,
-    hbar: float = 1.0,
 ) -> float:
     """Mean-energy multiplier of an isolated stroke, Q* omega_to/omega_from.
 
-    Only a quantum bare stroke reads hbar; a classical stroke keeps the
-    default 1.0.
+    No stroke reads hbar: the transition probabilities a quantum bare
+    stroke's Q* comes from do not depend on it.
     """
-    require_positive(omega_from=omega_from, omega_to=omega_to, hbar=hbar)
-    if regime == CLASSICAL:
-        _require_unread_hbar(hbar)
+    require_positive(omega_from=omega_from, omega_to=omega_to)
+    if regime not in (CLASSICAL, QUANTUM):
+        raise ValueError(f"unknown regime {regime!r}")
     if stroke.kind == STA:
         q_star = 1.0
     elif stroke.kind == SUDDEN:
@@ -209,10 +207,8 @@ def stroke_energy_factor(
             )
         if regime == CLASSICAL:
             q_star = adiabaticity_parameter(proto)
-        elif regime == QUANTUM:
-            q_star = _bare_q_star_quantum(proto, hbar)
         else:
-            raise ValueError(f"unknown regime {regime!r}")
+            q_star = _bare_q_star_quantum(proto)
     return q_star * (omega_to / omega_from)
 
 
@@ -220,9 +216,9 @@ def _corner_energies(spec: OttoCycleSpec, omega_f: float) -> tuple[float, float,
     """Mean energies at corners A, B, C, D of the cycle run up to omega_f."""
     wi = spec.omega_i
     e_a = thermal_energy(spec.beta_1, wi, spec.regime, spec.hbar)
-    e_b = stroke_energy_factor(spec.stroke_1, wi, omega_f, spec.regime, spec.hbar) * e_a
+    e_b = stroke_energy_factor(spec.stroke_1, wi, omega_f, spec.regime) * e_a
     e_c = thermal_energy(spec.beta_2, omega_f, spec.regime, spec.hbar)
-    e_d = stroke_energy_factor(spec.stroke_3, omega_f, wi, spec.regime, spec.hbar) * e_c
+    e_d = stroke_energy_factor(spec.stroke_3, omega_f, wi, spec.regime) * e_c
     return e_a, e_b, e_c, e_d
 
 

@@ -9,29 +9,33 @@ depends only on the adiabaticity factor Q* of the classical ramp
 with cosh 2r = Q*, built by a forward recurrence that is accurate only in
 the range :func:`_squeeze_probabilities` states.
 
+Transition probabilities depend on neither hbar nor a basis frequency, so
+this module forms them in units where hbar = 1.  hbar enters only where
+energies are formed: the two-point work atoms (:func:`quantum_work_atoms`),
+the adiabatic atoms and the free-energy difference.
+
 :func:`fock_transition_matrix` is the integrated reference that tests and
 ``staosc verify`` compare the closed form against.  It propagates the
 Schrodinger equation in a truncated number basis.  All operators are
-represented in the number basis of a fixed reference oscillator
-(frequency omega_ref, usually omega_i).  In that ladder basis the
-instantaneous Hamiltonian
+represented in the number basis of a fixed reference oscillator of
+frequency omega_ref (omega_i for the propagation).  In that ladder basis
+the instantaneous Hamiltonian of the unit-mass oscillator
 
-    H0(t) = p^2/(2m) + m omega(t)^2 q^2 / 2
+    H0(t) = p^2/2 + omega(t)^2 q^2 / 2
 
 is real, symmetric and pentadiagonal with only the (n, n) and (n, n+2)
 entries populated:
 
-    <n|H0|n>     = (hbar/4) (omega_ref + omega^2/omega_ref) (2n + 1)
-    <n+2|H0|n>   = (hbar/4) (omega^2/omega_ref - omega_ref)
-                   * sqrt((n+1)(n+2))
+    <n|H0|n>     = (1/4) (omega_ref + omega^2/omega_ref) (2n + 1)
+    <n+2|H0|n>   = (1/4) (omega^2/omega_ref - omega_ref) sqrt((n+1)(n+2))
 
 and the shortcut control
 
     Hc(t) = -(omega_dot / (4 omega)) (q p + p q)
-          = -(omega_dot / (4 omega)) * i hbar (adag^2 - a^2)
+          = -(omega_dot / (4 omega)) * i (adag^2 - a^2)
 
 contributes the purely imaginary co-diagonal
-<n+2|Hc|n> = -i (hbar omega_dot / (4 omega)) sqrt((n+1)(n+2)).  With the
+<n+2|Hc|n> = -i (omega_dot / (4 omega)) sqrt((n+1)(n+2)).  With the
 control on, the propagator maps every instantaneous eigenstate of
 H0(omega_i) onto the corresponding eigenstate of H0(omega_f) up to phase,
 for arbitrarily short ramps.
@@ -67,22 +71,11 @@ _ROW_EXCESS_TOL = 1e-9
 _EIGENVALUE_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class FockBasisConfig:
-    """Truncated number-basis setup: dimension, reference frequency, hbar.
-
-    There is no mass: H0 and Hc are mass-free in the ladder basis.
-    """
-
-    dimension: int = 512
-    omega_ref: float = 1.0
-    hbar: float = 1.0
-
-    def __post_init__(self):
-        require_int(4, dimension=self.dimension)
-        if self.dimension % 2:
-            raise ValueError(f"dimension must be even, got {self.dimension!r}")
-        require_positive(omega_ref=self.omega_ref, hbar=self.hbar)
+def _require_dimension(dimension: int) -> None:
+    """Raise ValueError unless the basis dimension is an even int >= 4."""
+    require_int(4, dimension=dimension)
+    if dimension % 2:
+        raise ValueError(f"dimension must be even, got {dimension!r}")
 
 
 @cache
@@ -95,17 +88,16 @@ def _ladder(dimension: int) -> tuple[np.ndarray, np.ndarray]:
     return arrays
 
 
-def _bands(omega: float, omega_dot: float, cfg: FockBasisConfig):
+def _bands(omega: float, omega_dot: float, omega_ref: float, dimension: int):
     """Diagonal and upper second co-diagonal of H0(omega), and that co-diagonal of Hc.
 
     These are the formulas of the module docstring; Hc has no diagonal.
     """
-    two_n_plus_1, roots = _ladder(cfg.dimension)
-    hbar, wref = cfg.hbar, cfg.omega_ref
+    two_n_plus_1, roots = _ladder(dimension)
     w2 = omega * omega
-    diag = 0.25 * hbar * (wref + w2 / wref) * two_n_plus_1
-    off = 0.25 * hbar * (w2 / wref - wref) * roots
-    control = (0.25j * hbar * omega_dot / omega) * roots
+    diag = 0.25 * (omega_ref + w2 / omega_ref) * two_n_plus_1
+    off = 0.25 * (w2 / omega_ref - omega_ref) * roots
+    control = (0.25j * omega_dot / omega) * roots
     return diag, off, control
 
 
@@ -117,23 +109,28 @@ def _apply_hamiltonian(psi, d, u):
     return y
 
 
-def h0_matrix(omega: float, cfg: FockBasisConfig) -> np.ndarray:
-    """Dense bare Hamiltonian at frequency omega, in the reference basis."""
-    require_positive(omega=omega)
-    diag, off, _ = _bands(omega, 0.0, cfg)
-    return _apply_hamiltonian(np.eye(cfg.dimension), diag, off)
+def h0_matrix(omega: float, omega_ref: float, dimension: int) -> np.ndarray:
+    """Dense bare Hamiltonian at frequency omega, in the number basis of omega_ref."""
+    require_positive(omega=omega, omega_ref=omega_ref)
+    _require_dimension(dimension)
+    diag, off, _ = _bands(omega, 0.0, omega_ref, dimension)
+    return _apply_hamiltonian(np.eye(dimension), diag, off)
 
 
-def hc_matrix(protocol: FrequencyProtocol, t: float, cfg: FockBasisConfig) -> np.ndarray:
+def hc_matrix(
+    protocol: FrequencyProtocol, t: float, omega_ref: float, dimension: int
+) -> np.ndarray:
     """Dense control Hamiltonian -(omega_dot/4 omega)(qp + pq) at time t."""
-    _, _, control = _bands(omega_at(protocol, t), omega_dot_at(protocol, t), cfg)
-    identity = np.eye(cfg.dimension, dtype=complex)
-    return _apply_hamiltonian(identity, np.zeros(cfg.dimension), control)
+    require_positive(omega_ref=omega_ref)
+    _require_dimension(dimension)
+    omega, omega_dot = omega_at(protocol, t), omega_dot_at(protocol, t)
+    _, _, control = _bands(omega, omega_dot, omega_ref, dimension)
+    return _apply_hamiltonian(np.eye(dimension, dtype=complex), np.zeros(dimension), control)
 
 
-def eigenbasis(omega: float, cfg: FockBasisConfig) -> tuple[np.ndarray, np.ndarray]:
+def eigenbasis(omega: float, omega_ref: float, dimension: int) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and eigenvector columns of H0(omega)."""
-    energies, vectors = np.linalg.eigh(h0_matrix(omega, cfg))
+    energies, vectors = np.linalg.eigh(h0_matrix(omega, omega_ref, dimension))
     return energies, vectors
 
 
@@ -152,19 +149,17 @@ def _propagate_columns(
     psi0: np.ndarray,
     protocol: FrequencyProtocol,
     with_control: bool,
-    cfg: FockBasisConfig,
     tol: float = 1e-10,
 ) -> np.ndarray:
-    """Solve i hbar dpsi/dt = H(t) psi for a stack of column vectors."""
-    N = cfg.dimension
-    cols = psi0.shape[1]
+    """Solve i dpsi/dt = H(t) psi for columns in the number basis of omega_i."""
+    N, cols = psi0.shape
 
     def rhs(t, y):
         w = omega_at(protocol, t)
         wd = omega_dot_at(protocol, t) if with_control else 0.0
-        d, u, uc = _bands(w, wd, cfg)
+        d, u, uc = _bands(w, wd, protocol.omega_i, N)
         psi = y.reshape(N, cols)
-        return (-1j / cfg.hbar) * _apply_hamiltonian(psi, d, u + uc).ravel()
+        return -1j * _apply_hamiltonian(psi, d, u + uc).ravel()
 
     sol = solve_ivp(
         rhs,
@@ -202,13 +197,12 @@ class TransitionMatrix:
     eigenstate m of H0(omega_f).  Rows cover n < n_max initial levels; the
     column count is chosen automatically so that every row sums to 1
     within the completeness tolerance (bare ramps scatter population to
-    levels well above n).
+    levels well above n).  The probabilities depend on no hbar.
     """
 
     probs: np.ndarray
     omega_i: float
     omega_f: float
-    hbar: float = 1.0
 
     @property
     def n_max(self) -> int:
@@ -222,45 +216,39 @@ class TransitionMatrix:
         return self.probs.sum(axis=1)
 
 
-def _basis_for(
-    protocol: FrequencyProtocol, cfg: FockBasisConfig | None, n_max: int
-) -> FockBasisConfig:
-    """Default basis for the protocol; n_max must lie in [1, dimension/4]."""
-    if cfg is None:
-        cfg = FockBasisConfig(omega_ref=protocol.omega_i)
+def _require_rows(n_max: int, dimension: int) -> None:
+    """Raise ValueError unless n_max is an int in [1, dimension/4] of a valid basis."""
+    _require_dimension(dimension)
     require_int(1, n_max=n_max)
-    if n_max > cfg.dimension // 4:
+    if n_max > dimension // 4:
         raise ValueError(
-            f"n_max = {n_max} exceeds dimension/4 = {cfg.dimension // 4}; "
-            "enlarge the basis"
+            f"n_max = {n_max} exceeds dimension/4 = {dimension // 4}; enlarge the basis"
         )
-    return cfg
 
 
-def _trimmed(
-    p_full: np.ndarray, protocol: FrequencyProtocol, cfg: FockBasisConfig
-) -> TransitionMatrix:
+def _trimmed(p_full: np.ndarray, protocol: FrequencyProtocol) -> TransitionMatrix:
     """Keep the fewest final levels (doubling from 16) that complete every row.
 
-    ``p_full`` holds P(n -> m) for all cfg.dimension final levels; a row
+    ``p_full`` holds P(n -> m) for all final levels of the basis; a row
     summing above 1 + 1e-9, as no probabilities can, raises IntegrationError.
     """
     worst = p_full.sum(axis=1).max()
     if worst > 1.0 + _ROW_EXCESS_TOL:
         raise IntegrationError(f"a transition row sums to {worst:.12g} > 1")
+    dimension = p_full.shape[1]
     m_max = max(16, p_full.shape[0])
     while True:
         deficits = 1.0 - p_full[:, :m_max].sum(axis=1)
         if np.all(deficits <= _ROW_SUM_TOL):
             break
-        if m_max >= cfg.dimension:
+        if m_max >= dimension:
             raise TruncationLeakageError(
-                f"transition rows stay incomplete even with all {cfg.dimension} "
+                f"transition rows stay incomplete even with all {dimension} "
                 f"final levels (worst deficit {deficits.max():.3e}); increase "
                 "the basis dimension"
             )
-        m_max = min(2 * m_max, cfg.dimension)
-    return TransitionMatrix(p_full[:, :m_max].copy(), protocol.omega_i, protocol.omega_f, cfg.hbar)
+        m_max = min(2 * m_max, dimension)
+    return TransitionMatrix(p_full[:, :m_max].copy(), protocol.omega_i, protocol.omega_f)
 
 
 def _squeeze_probabilities(q_star: float, n_max: int, m_count: int) -> np.ndarray:
@@ -297,62 +285,63 @@ def _squeeze_probabilities(q_star: float, n_max: int, m_count: int) -> np.ndarra
 def transition_matrix(
     protocol: FrequencyProtocol,
     with_control: bool = False,
-    cfg: FockBasisConfig | None = None,
     n_max: int = 32,
+    dimension: int = 512,
 ) -> TransitionMatrix:
     """Exact transition probabilities of the lowest n_max initial levels.
 
     P = I for the controlled ramp; for the bare ramp, the squeeze-operator
     probabilities with cosh 2r = Q*, Q* coming from the classical basic
     solutions (the bare Phi's doubling and det gates apply).  Q* below 1 - 1e-9 raises
-    IntegrationError; smaller round-off is clamped to 1.  cfg.dimension
-    caps the final levels and n_max <= cfg.dimension / 4, as for
+    IntegrationError; smaller round-off is clamped to 1.  dimension caps
+    the final levels and n_max <= dimension / 4, as for
     :func:`fock_transition_matrix`, the integrated reference.
     """
-    cfg = _basis_for(protocol, cfg, n_max)
+    _require_rows(n_max, dimension)
     if with_control:
-        p_full = np.eye(n_max, cfg.dimension)
+        p_full = np.eye(n_max, dimension)
     else:
         q_star = adiabaticity_parameter(protocol)
         if q_star < 1.0 - 1e-9:
             raise IntegrationError(
                 f"adiabaticity factor Q* = {q_star!r} is below 1 beyond 1e-9"
             )
-        p_full = _squeeze_probabilities(max(q_star, 1.0), n_max, cfg.dimension)
-    return _trimmed(p_full, protocol, cfg)
+        p_full = _squeeze_probabilities(max(q_star, 1.0), n_max, dimension)
+    return _trimmed(p_full, protocol)
 
 
 def fock_transition_matrix(
     protocol: FrequencyProtocol,
     with_control: bool = False,
-    cfg: FockBasisConfig | None = None,
     n_max: int = 32,
+    dimension: int = 512,
     tol: float = 1e-10,
 ) -> TransitionMatrix:
     """Propagate the lowest n_max initial eigenstates and project at tau.
 
     The integrated reference for :func:`transition_matrix`, with all the
-    propagation gates (norm drift, top-of-basis leakage, row sums).  n_max
-    is capped at a quarter of the basis dimension so the propagated states
-    stay far from the truncation edge.  The truncated basis must also
-    resolve every final level it projects onto: the m-th eigenvalue of
-    H0(omega_f) must equal hbar omega_f (m + 1/2) within 1e-9 relative for
-    every m < m_max, or TruncationLeakageError is raised.
+    propagation gates (norm drift, top-of-basis leakage, row sums), in the
+    number basis of omega_i.  n_max is capped at a quarter of the basis
+    dimension so the propagated states stay far from the truncation edge.
+    The truncated basis must also resolve every final level it projects
+    onto: the m-th eigenvalue of H0(omega_f) must equal omega_f (m + 1/2)
+    within 1e-9 relative for every m < m_max, or TruncationLeakageError is
+    raised.
     """
     require_positive(tol=tol)
-    cfg = _basis_for(protocol, cfg, n_max)
-    _, v_i = eigenbasis(protocol.omega_i, cfg)
-    e_f, v_f = eigenbasis(protocol.omega_f, cfg)
-    psi_tau = _propagate_columns(v_i[:, :n_max] + 0j, protocol, with_control, cfg, tol)
+    _require_rows(n_max, dimension)
+    _, v_i = eigenbasis(protocol.omega_i, protocol.omega_i, dimension)
+    e_f, v_f = eigenbasis(protocol.omega_f, protocol.omega_i, dimension)
+    psi_tau = _propagate_columns(v_i[:, :n_max] + 0j, protocol, with_control, tol)
     # full (final level m, initial level n) probability table
     amplitudes = v_f.conj().T @ psi_tau
-    tm = _trimmed((np.abs(amplitudes) ** 2).T, protocol, cfg)
-    exact = cfg.hbar * protocol.omega_f * (np.arange(tm.m_max) + 0.5)
+    tm = _trimmed((np.abs(amplitudes) ** 2).T, protocol)
+    exact = protocol.omega_f * (np.arange(tm.m_max) + 0.5)
     worst = float(np.max(np.abs(e_f[: tm.m_max] - exact) / exact))
     if worst > _EIGENVALUE_TOL:
         raise TruncationLeakageError(
             f"max relative eigenvalue error {worst:.3e} over m < m_max = {tm.m_max} exceeds "
-            f"{_EIGENVALUE_TOL:g} in the {cfg.dimension}-level basis; increase the dimension"
+            f"{_EIGENVALUE_TOL:g} in the {dimension}-level basis; increase the dimension"
         )
     return tm
 
@@ -421,15 +410,16 @@ def _merge_atoms(works: np.ndarray, probs: np.ndarray, scale: float):
     return merged_w, merged_p
 
 
-def quantum_work_atoms(tm: TransitionMatrix, beta: float) -> QuantumWorkAtoms:
+def quantum_work_atoms(tm: TransitionMatrix, beta: float, hbar: float = 1.0) -> QuantumWorkAtoms:
     """Two-point-measurement work atoms for a thermal initial state.
 
     Initial level n carries the truncated-and-renormalized thermal weight
     proportional to exp(-n beta hbar omega_i); each (n, m) pair contributes
-    an atom at W = hbar omega_f (m + 1/2) - hbar omega_i (n + 1/2).
+    an atom at W = hbar omega_f (m + 1/2) - hbar omega_i (n + 1/2).  hbar
+    enters here only: the probabilities of ``tm`` do not depend on it.
     """
-    require_positive(beta=beta)
-    omega_i, omega_f, hbar = tm.omega_i, tm.omega_f, tm.hbar
+    require_positive(beta=beta, hbar=hbar)
+    omega_i, omega_f = tm.omega_i, tm.omega_f
     n_max, m_max = tm.probs.shape
     x = math.exp(-beta * hbar * omega_i)
     raw = x ** np.arange(n_max)

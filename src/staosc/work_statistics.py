@@ -46,7 +46,11 @@ _BLOCK = 32768
 
 @dataclass(frozen=True)
 class SampleProvenance:
-    """Everything needed to regenerate a sample set bit-for-bit."""
+    """Where a sample set came from: its ramp's endpoints, ensemble and generator.
+
+    This regenerates a cosine-ramp set bit-for-bit.  A table ramp's samples
+    are not recorded, so for kind ``table`` it names the ramp only.
+    """
 
     kind: str
     omega_i: float
@@ -395,9 +399,8 @@ def estimator_dispersion(samples: WorkSampleSet, beta: float, batch_count: int) 
     The samples are split in order into batch_count equal batches (the
     remainder is dropped); returned is the ddof=1 variance of the batch
     means — the quantity that controls how trustworthy a finite-sample
-    free-energy estimate is.  exp(-beta W) and the batch sums are taken
-    about ``_BLOCK`` samples (at least one batch) at a time; each batch is
-    summed as ``np.mean`` sums it, so the blocks change no bit of the result.
+    free-energy estimate is.  It is the one-shot array expression, the
+    oracle that :func:`replicate_dispersions` is tested against.
     """
     require_positive(beta=beta)
     require_int(2, batch_count=batch_count)
@@ -408,29 +411,7 @@ def estimator_dispersion(samples: WorkSampleSet, beta: float, batch_count: int) 
             f"cannot split {w.size} samples into {batch_count} non-empty batches"
         )
     trimmed = w[: per * batch_count].reshape(batch_count, per)
-    rows = max(1, _BLOCK // per)
-    sums = np.empty(batch_count)
-    factors = np.empty((min(rows, batch_count), per))
-    for start in range(0, batch_count, rows):
-        stop = min(start + rows, batch_count)
-        _batch_sums(beta, trimmed[start:stop], factors[: stop - start], sums[start:stop])
-    return _dispersion_of_sums(sums, per)
-
-
-def _batch_sums(beta: float, works, factors, sums) -> None:
-    """Write each row's sum of exp(-beta W) into ``sums``, summed as ``np.mean`` sums it.
-
-    ``factors`` has the shape of ``works`` and receives exp(-beta W); it may
-    be ``works`` itself.
-    """
-    np.exp(np.multiply(-beta, works, out=factors), out=factors)
-    np.add.reduce(factors, axis=1, out=sums)
-
-
-def _dispersion_of_sums(sums: np.ndarray, per: int) -> float:
-    """ddof=1 variance of the batch means, given each batch's sum over ``per`` samples."""
-    sums /= per  # np.mean's row sums and division, one step at a time
-    return float(np.var(sums, ddof=1))
+    return float(np.var(np.mean(np.exp(-beta * trimmed), axis=1), ddof=1))
 
 
 def replicate_dispersions(
@@ -504,6 +485,9 @@ def _dispersion_lane(
             rows = slice(min(first // per, batch_count), min(stop // per, batch_count))
             for w, row_sums in zip(block_works, sums):
                 block = w[: (rows.stop - rows.start) * per].reshape(-1, per)
-                _batch_sums(spec.beta, block, block, row_sums[rows])
-        results.append(tuple(_dispersion_of_sums(row_sums, per) for row_sums in sums))
+                # exp(-beta W) in place, and each batch summed as np.mean sums it
+                np.exp(np.multiply(-spec.beta, block, out=block), out=block)
+                np.add.reduce(block, axis=1, out=row_sums[rows])
+        # np.mean's division, then the ddof=1 variance of the batch means
+        results.append(tuple(float(np.var(row_sums / per, ddof=1)) for row_sums in sums))
     return results

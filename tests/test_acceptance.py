@@ -32,7 +32,6 @@ from staosc.otto_engine import (
 )
 from staosc.protocols import cosine_ramp
 from staosc.quantum_dynamics import (
-    FockBasisConfig,
     delta_f_quantum,
     pdf_quantum_adiabatic,
     quantum_work_atoms,
@@ -152,11 +151,10 @@ def test_criterion_2_jarzynski_convergence_and_dispersion():
 # ---------------------------------------------------------------------------
 
 def test_criterion_3_quantum_work_atoms():
-    cfg = FockBasisConfig(dimension=512, omega_ref=WI, hbar=1.0)
-    tm_sta = transition_matrix(RAMP, with_control=True, n_max=64, cfg=cfg)
-    tm_bare = transition_matrix(RAMP, with_control=False, n_max=64, cfg=cfg)
-    atoms_sta = quantum_work_atoms(tm_sta, BETA)
-    atoms_bare = quantum_work_atoms(tm_bare, BETA)
+    tm_sta = transition_matrix(RAMP, with_control=True, n_max=64, dimension=512)
+    tm_bare = transition_matrix(RAMP, with_control=False, n_max=64, dimension=512)
+    atoms_sta = quantum_work_atoms(tm_sta, BETA, hbar=1.0)
+    atoms_bare = quantum_work_atoms(tm_bare, BETA, hbar=1.0)
 
     neg_sta = atoms_sta.negative_probability()
     neg_bare = atoms_bare.negative_probability()
@@ -220,12 +218,11 @@ def test_criterion_3_quantum_work_atoms():
 # ---------------------------------------------------------------------------
 
 def test_criterion_4_quantum_jarzynski():
-    cfg = FockBasisConfig(dimension=512, omega_ref=WI, hbar=1.0)
-    target = math.exp(-BETA * delta_f_quantum(BETA, WI, WF))
+    target = math.exp(-BETA * delta_f_quantum(BETA, WI, WF, hbar=1.0))
     errors = {}
     for label, control in (("sta", True), ("bare", False)):
-        tm = transition_matrix(RAMP, with_control=control, n_max=48, cfg=cfg)
-        atoms = quantum_work_atoms(tm, BETA)
+        tm = transition_matrix(RAMP, with_control=control, n_max=48, dimension=512)
+        atoms = quantum_work_atoms(tm, BETA, hbar=1.0)
         estimate = float(np.sum(atoms.probs * np.exp(-BETA * atoms.works)))
         estimate += atoms.gibbs_tail
         errors[label] = abs(estimate - target)
@@ -327,9 +324,7 @@ def test_criterion_7_property_battery():
     taus = (1e-4, 1e-2, 1.0, 20.0)
     wronskian = invariants.wronskian([cosine_ramp(WI, WF, tau) for tau in taus])
     action = invariants.action_drift(proto, gibbs)
-    identity = invariants.transitionless_deviation(
-        RAMP, FockBasisConfig(dimension=256, omega_ref=WI), n_max=16
-    )
+    identity = invariants.transitionless_deviation(RAMP, n_max=16, dimension=256)
     work_form = invariants.form_work_mismatch(proto, form, form_states)
     norms = [
         invariants.density_mass("adiabatic", lambda w: pdf_adiabatic(w, BETA, WI, WF), 300.0),

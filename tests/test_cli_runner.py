@@ -28,7 +28,6 @@ from staosc.cli_runner import (
 from staosc.errors import IntegrationError
 from staosc.invariants import Check
 from staosc.protocols import cosine_ramp
-from staosc.quantum_dynamics import FockBasisConfig
 
 
 def _config(experiment, **overrides):
@@ -655,9 +654,7 @@ def test_verify_reports_a_tripped_accuracy_gate_as_failed(tmp_path, monkeypatch,
     real = invariants.closed_form_vs_fock
     monkeypatch.setattr(
         invariants, "closed_form_vs_fock",
-        lambda protocol, cfg, n_max: real(
-            cosine_ramp(10.0, 40.0, 1e-3), FockBasisConfig(256, 10.0), 8
-        ),
+        lambda protocol, n_max, dimension: real(cosine_ramp(10.0, 40.0, 1e-3), 8, 256),
     )
     cfg_path = tmp_path / "verify.json"
     cfg_path.write_text(json.dumps(_config("verify")))

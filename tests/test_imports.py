@@ -30,7 +30,7 @@ import staosc
 from staosc import classical_dynamics, quantum_dynamics
 from staosc.classical_dynamics import integrate
 from staosc.protocols import cosine_ramp, omega_at, protocol_from_table
-from staosc.quantum_dynamics import FockBasisConfig, fock_transition_matrix
+from staosc.quantum_dynamics import fock_transition_matrix
 
 SRC = Path(staosc.__file__).resolve().parents[1]
 LAZY = ("scipy.special", "scipy.interpolate", "scipy.integrate")
@@ -87,11 +87,10 @@ def test_reference_solves_call_their_own_module_binding(monkeypatch):
     ramp = cosine_ramp(10.0, 20.0, 0.05)
     t = np.linspace(0.0, 0.05, 6)
     table = protocol_from_table(list(zip(t, omega_at(ramp, t))))
-    cfg = FockBasisConfig(dimension=128, omega_ref=10.0)
     expected = (
         integrate(states, ramp),
         integrate(states, table, with_control=True),
-        fock_transition_matrix(ramp, False, cfg, n_max=4).probs,
+        fock_transition_matrix(ramp, False, n_max=4, dimension=128).probs,
     )
     # perfbench's tracer names a span after the module that defines the function
     for module in (classical_dynamics, quantum_dynamics):
@@ -104,5 +103,7 @@ def test_reference_solves_call_their_own_module_binding(monkeypatch):
     # a table is solved from knot to knot, one call per interval
     assert np.array_equal(integrate(states, table, with_control=True), expected[1])
     assert len(classical) == 1 + 5 and quantum == []
-    assert np.array_equal(fock_transition_matrix(ramp, False, cfg, n_max=4).probs, expected[2])
+    assert np.array_equal(
+        fock_transition_matrix(ramp, False, n_max=4, dimension=128).probs, expected[2]
+    )
     assert quantum == ["staosc.quantum_dynamics"] and len(classical) == 6

@@ -73,19 +73,17 @@ ENTRY_POINTS = {
         )),
         {"mu_plus": 1.0},
     ),
-    "FockBasisConfig": (
-        lambda **kw: qd.FockBasisConfig(dimension=8, **kw), {"omega_ref": 10.0, "hbar": 1.0}
+    "h0_matrix": (
+        lambda **kw: qd.h0_matrix(dimension=8, **kw), {"omega": 10.0, "omega_ref": 10.0}
     ),
-    "h0_matrix": (lambda **kw: qd.h0_matrix(cfg=qd.FockBasisConfig(8), **kw), {"omega": 10.0}),
+    "hc_matrix": (lambda **kw: qd.hc_matrix(RAMP, 0.05, dimension=8, **kw), {"omega_ref": 10.0}),
     "fock_transition_matrix": (
-        lambda **kw: qd.fock_transition_matrix(
-            RAMP, True, qd.FockBasisConfig(64, omega_ref=10.0), n_max=2, **kw
-        ),
+        lambda **kw: qd.fock_transition_matrix(RAMP, True, n_max=2, dimension=64, **kw),
         {"tol": 1e-10},
     ),
     "quantum_work_atoms": (
         lambda **kw: qd.quantum_work_atoms(qd.TransitionMatrix(np.eye(2, 4), 10.0, 20.0), **kw),
-        {"beta": 1.0},
+        {"beta": 1.0, "hbar": 1.0},
     ),
     "pdf_quantum_adiabatic": (
         lambda **kw: qd.pdf_quantum_adiabatic(**kw),
@@ -113,7 +111,7 @@ ENTRY_POINTS = {
     ),
     "stroke_energy_factor": (
         lambda **kw: oe.stroke_energy_factor(oe.StrokeKind.sudden(), regime=oe.CLASSICAL, **kw),
-        {"omega_from": 10.0, "omega_to": 20.0, "hbar": 1.0},
+        {"omega_from": 10.0, "omega_to": 20.0},
     ),
     "optimize_frequency": (
         lambda **kw: oe.optimize_frequency(oe.OttoCycleSpec(omega_f=None, **SPEC_ARGS), **kw),
@@ -174,9 +172,35 @@ def test_ensemble_spec_integer_fields(field, value):
 
 
 @pytest.mark.parametrize("dimension", [64.0, True, 2, 5, "64"])
-def test_fock_basis_dimension_is_an_even_int(dimension):
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda dimension: qd.h0_matrix(10.0, 10.0, dimension),
+        lambda dimension: qd.hc_matrix(RAMP, 0.05, 10.0, dimension),
+        lambda dimension: qd.transition_matrix(RAMP, n_max=1, dimension=dimension),
+        lambda dimension: qd.fock_transition_matrix(RAMP, n_max=1, dimension=dimension),
+    ],
+    ids=["h0_matrix", "hc_matrix", "transition_matrix", "fock_transition_matrix"],
+)
+def test_fock_basis_dimension_is_an_even_int(call, dimension):
     with pytest.raises(ValueError, match=r"^dimension must be"):
-        qd.FockBasisConfig(dimension=dimension)
+        call(dimension)
+
+
+@pytest.mark.parametrize(
+    "stroke",
+    [oe.StrokeKind.sta(), oe.StrokeKind.sudden(), oe.StrokeKind.bare(RAMP)],
+    ids=["sta", "sudden", "bare"],
+)
+def test_stroke_energy_factor_rejects_an_unknown_regime(stroke):
+    # sta and sudden strokes used to return 2.0 and 2.5 for any regime, and a
+    # bare one took the quantum route (Q* 1.16) for any regime but "classical"
+    with pytest.raises(ValueError, match=r"^unknown regime 'bogus'$"):
+        oe.stroke_energy_factor(stroke, 10.0, 20.0, "bogus")
+    for regime in (oe.CLASSICAL, oe.QUANTUM):
+        factor = oe.stroke_energy_factor(stroke, 10.0, 20.0, regime)
+        # Q* omega_to/omega_from: exactly 2 for sta, above 2 for the others
+        assert factor == 2.0 if stroke.kind == oe.STA else factor > 2.0
 
 
 @pytest.mark.parametrize("n_max", [0, 2.0, True])

@@ -11,7 +11,6 @@ from staosc.errors import IntegrationError, TruncationLeakageError
 from staosc.invariants import transitionless_deviation
 from staosc.protocols import cosine_ramp, omega_at, omega_dot_at
 from staosc.quantum_dynamics import (
-    FockBasisConfig,
     QuantumWorkAtoms,
     delta_f_quantum,
     _log_sinh,
@@ -31,7 +30,6 @@ WI = 10.0
 WF = 10.0 * math.sqrt(3.0)
 BETA = 0.2
 FAST = cosine_ramp(WI, WF, 1e-4)
-SMALL = FockBasisConfig(dimension=128, omega_ref=WI)
 
 
 def _ladder(n: int) -> np.ndarray:
@@ -46,23 +44,21 @@ def _ladder(n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def test_h0_matrix_against_ladder_construction():
-    n, omega, wref, hbar = 24, 13.0, WI, 1.0
-    cfg = FockBasisConfig(dimension=n, omega_ref=wref, hbar=hbar)
+    n, omega, wref = 24, 13.0, WI
     a = _ladder(n)
-    # q = sqrt(hbar/(2 m wref)) (a + a+), p = i sqrt(hbar m wref / 2) (a+ - a)
-    q = math.sqrt(hbar / (2.0 * wref)) * (a + a.T)
-    p = 1j * math.sqrt(hbar * wref / 2.0) * (a.T - a)
+    # q = sqrt(1/(2 wref)) (a + a+), p = i sqrt(wref / 2) (a+ - a), hbar = m = 1
+    q = math.sqrt(1.0 / (2.0 * wref)) * (a + a.T)
+    p = 1j * math.sqrt(wref / 2.0) * (a.T - a)
     h_ref = (p @ p).real / 2.0 + 0.5 * omega**2 * (q @ q)
-    h_ours = h0_matrix(omega, cfg)
+    h_ours = h0_matrix(omega, wref, n)
     # truncation corrupts only the final ladder entries of the product
     inner = slice(0, n - 2)
     assert np.allclose(h_ours[inner, inner], h_ref[inner, inner], atol=1e-10)
 
 
 def test_h0_diagonal_and_codiagonal_values():
-    cfg = FockBasisConfig(dimension=16, omega_ref=WI)
     omega = 17.0
-    h = h0_matrix(omega, cfg)
+    h = h0_matrix(omega, WI, 16)
     for n in range(16):
         assert h[n, n] == pytest.approx(
             0.25 * (WI + omega**2 / WI) * (2 * n + 1), rel=1e-14
@@ -76,7 +72,6 @@ def test_h0_diagonal_and_codiagonal_values():
 
 def test_hc_matrix_against_ladder_construction():
     n = 24
-    cfg = FockBasisConfig(dimension=n, omega_ref=WI)
     proto = cosine_ramp(WI, WF, 0.5)
     t = 0.2
     a = _ladder(n)
@@ -84,7 +79,7 @@ def test_hc_matrix_against_ladder_construction():
     p = 1j * math.sqrt(WI / 2.0) * (a.T - a)
     rate = omega_dot_at(proto, t) / omega_at(proto, t)
     h_ref = -(rate / 4.0) * (q @ p + p @ q)
-    h_ours = hc_matrix(proto, t, cfg)
+    h_ours = hc_matrix(proto, t, WI, n)
     inner = slice(0, n - 2)
     assert np.allclose(h_ours[inner, inner], h_ref[inner, inner], atol=1e-12)
     assert np.allclose(h_ours, h_ours.conj().T)
@@ -92,19 +87,17 @@ def test_hc_matrix_against_ladder_construction():
 
 def test_hc_vanishes_at_endpoints():
     proto = cosine_ramp(WI, WF, 0.5)
-    cfg = FockBasisConfig(dimension=16, omega_ref=WI)
     # omega_dot vanishes at both ends; floating sin(pi) leaves ~1e-16 dust
     scale = abs(omega_dot_at(proto, proto.tau / 2.0))
-    assert np.max(np.abs(hc_matrix(proto, 0.0, cfg))) <= 1e-12 * scale
-    assert np.max(np.abs(hc_matrix(proto, proto.tau, cfg))) <= 1e-12 * scale
+    assert np.max(np.abs(hc_matrix(proto, 0.0, WI, 16))) <= 1e-12 * scale
+    assert np.max(np.abs(hc_matrix(proto, proto.tau, WI, 16))) <= 1e-12 * scale
 
 
 def test_hc_offdiagonal_magnitude():
-    # |<n+2|Hc|n>| = (hbar |omega_dot| / 4 omega) sqrt((n+1)(n+2))
+    # |<n+2|Hc|n>| = (|omega_dot| / 4 omega) sqrt((n+1)(n+2))
     proto = cosine_ramp(WI, WF, 0.5)
     t = proto.tau / 2.0
-    cfg = FockBasisConfig(dimension=16, omega_ref=WI)
-    h = hc_matrix(proto, t, cfg)
+    h = hc_matrix(proto, t, WI, 16)
     scale = abs(omega_dot_at(proto, t)) / (4.0 * omega_at(proto, t))
     for n in range(14):
         assert abs(h[n, n + 2]) == pytest.approx(
@@ -114,27 +107,24 @@ def test_hc_offdiagonal_magnitude():
 
 
 def test_eigenbasis_recovers_harmonic_spectrum():
-    cfg = FockBasisConfig(dimension=200, omega_ref=WI)
     omega = 14.0
-    energies, _ = eigenbasis(omega, cfg)
+    energies, _ = eigenbasis(omega, WI, 200)
     expected = omega * (np.arange(40) + 0.5)
     assert np.allclose(energies[:40], expected, rtol=1e-8)
 
 
 def test_eigenbasis_at_reference_frequency_is_fock():
-    cfg = FockBasisConfig(dimension=64, omega_ref=WI)
-    energies, vecs = eigenbasis(WI, cfg)
+    energies, vecs = eigenbasis(WI, WI, 64)
     assert np.allclose(energies, WI * (np.arange(64) + 0.5), rtol=1e-12)
     overlap = np.abs(vecs) ** 2
     assert np.allclose(overlap, np.eye(64), atol=1e-12)
 
 
 def test_bare_hamiltonian_rejects_nonpositive_or_nonfinite_omega():
-    cfg = FockBasisConfig(dimension=8, omega_ref=WI)
     for omega in (math.nan, math.inf, -math.inf, 0.0, -1.0):
         for call in (h0_matrix, eigenbasis):
-            with pytest.raises(ValueError, match="omega must be positive and finite"):
-                call(omega, cfg)
+            with pytest.raises(ValueError, match="^omega must be positive and finite"):
+                call(omega, WI, 8)
 
 
 # ---------------------------------------------------------------------------
@@ -142,11 +132,10 @@ def test_bare_hamiltonian_rejects_nonpositive_or_nonfinite_omega():
 # ---------------------------------------------------------------------------
 
 def test_stationary_state_under_constant_frequency():
-    cfg = FockBasisConfig(dimension=64, omega_ref=WI)
     psi0 = np.zeros(64, dtype=complex)
     psi0[3] = 1.0
     proto = cosine_ramp(WI, WI, 0.37)
-    final = _propagate_columns(psi0[:, None], proto, False, cfg, tol=1e-12)[:, 0]
+    final = _propagate_columns(psi0[:, None], proto, False, tol=1e-12)[:, 0]
     probs = np.abs(final) ** 2
     assert probs[3] == pytest.approx(1.0, abs=1e-10)
     # the acquired phase is exp(-i E_3 tau)
@@ -155,21 +144,19 @@ def test_stationary_state_under_constant_frequency():
 
 
 def test_controlled_drive_keeps_ground_state():
-    cfg = FockBasisConfig(dimension=256, omega_ref=WI)
-    energies, vecs = eigenbasis(WI, cfg)
+    energies, vecs = eigenbasis(WI, WI, 256)
     proto = cosine_ramp(WI, WF, 1e-3 * 2.0 * math.pi / WI)
-    final = _propagate_columns(vecs[:, :1], proto, True, cfg)[:, 0]
-    _, vecs_f = eigenbasis(WF, cfg)
+    final = _propagate_columns(vecs[:, :1], proto, True)[:, 0]
+    _, vecs_f = eigenbasis(WF, WI, 256)
     overlap = abs(np.vdot(vecs_f[:, 0], final)) ** 2
     assert overlap == pytest.approx(1.0, abs=1e-6)
 
 
 def test_bare_fast_ramp_ground_state_survival():
     # |<0_f|U|0_i>|^2 = 2 sqrt(wi wf) / (wi + wf) for an ideal jump
-    cfg = FockBasisConfig(dimension=256, omega_ref=WI)
-    _, vecs = eigenbasis(WI, cfg)
-    final = _propagate_columns(vecs[:, :1], FAST, False, cfg)[:, 0]
-    _, vecs_f = eigenbasis(WF, cfg)
+    _, vecs = eigenbasis(WI, WI, 256)
+    final = _propagate_columns(vecs[:, :1], FAST, False)[:, 0]
+    _, vecs_f = eigenbasis(WF, WI, 256)
     p00 = abs(np.vdot(vecs_f[:, 0], final)) ** 2
     expected = 2.0 * math.sqrt(WI * WF) / (WI + WF)
     assert expected == pytest.approx(0.9634330440022851, rel=1e-12)
@@ -177,23 +164,19 @@ def test_bare_fast_ramp_ground_state_survival():
 
 
 def test_propagation_preserves_norm():
-    cfg = SMALL
     rng = np.random.default_rng(5)
     psi = rng.normal(size=64) + 1j * rng.normal(size=64)
     amp = np.zeros(128, dtype=complex)
     amp[:64] = psi / np.linalg.norm(psi)
-    final = _propagate_columns(amp[:, None], cosine_ramp(WI, WF, 0.02), False, cfg)
+    final = _propagate_columns(amp[:, None], cosine_ramp(WI, WF, 0.02), False)
     assert np.linalg.norm(final) == pytest.approx(1.0, abs=1e-9)
 
 
 
 def test_norm_drift_gate_reports_checked_quantity():
     # a loose solver tolerance drifts the norm well past the 1e-9 gate
-    cfg = FockBasisConfig(dimension=32, omega_ref=WI)
     with pytest.raises(IntegrationError) as info:
-        fock_transition_matrix(
-            cosine_ramp(WI, 2.0 * WI, 1e-2), cfg=cfg, n_max=4, tol=1e-3
-        )
+        fock_transition_matrix(cosine_ramp(WI, 2.0 * WI, 1e-2), n_max=4, dimension=32, tol=1e-3)
     message = str(info.value)
     assert "max|norm(psi_tau) - norm(psi_0)| = " in message
     assert "beyond 1e-9" in message
@@ -204,9 +187,8 @@ def test_norm_drift_gate_reports_checked_quantity():
 def test_propagated_leak_gate_rejects_population_at_the_top_of_the_basis():
     # the controlled ramp ends in eigenstates of H0(40), squeezed so far in the
     # omega_ref = 10 number basis that 16 levels cannot hold the first four
-    cfg = FockBasisConfig(dimension=16, omega_ref=10)
     with pytest.raises(TruncationLeakageError, match=r"population 5\.934e-03 reached the top 10%"):
-        fock_transition_matrix(cosine_ramp(10, 40, 0.1), True, cfg, n_max=4)
+        fock_transition_matrix(cosine_ramp(10, 40, 0.1), True, n_max=4, dimension=16)
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +196,7 @@ def test_propagated_leak_gate_rejects_population_at_the_top_of_the_basis():
 # ---------------------------------------------------------------------------
 
 def test_transition_matrix_rows_sum_to_one():
-    tm = transition_matrix(FAST, n_max=16, cfg=FockBasisConfig(dimension=256, omega_ref=WI))
+    tm = transition_matrix(FAST, n_max=16, dimension=256)
     sums = tm.row_sums()
     assert sums.shape == (16,)
     assert np.all(sums >= 1.0 - 1e-6)
@@ -222,7 +204,7 @@ def test_transition_matrix_rows_sum_to_one():
 
 
 def test_transition_matrix_control_is_identity():
-    check = transitionless_deviation(FAST, FockBasisConfig(dimension=256, omega_ref=WI), 12)
+    check = transitionless_deviation(FAST, 12, 256)
     assert check.threshold == 1e-6
     assert check.passed, check.value
 
@@ -234,29 +216,27 @@ def test_closed_form_matches_fock_propagation(ratio, dimension):
     # at omega_f = 4 omega_i a 256-level reference basis misplaces its final
     # eigenvalues by 4.3e-3 and raises (see the eigenvalue-gate test)
     worst = 0.0
-    for hbar in (1.0, 1.0 / (2.0 * math.pi)):
-        cfg = FockBasisConfig(dimension=dimension, omega_ref=WI, hbar=hbar)
-        for tau_omega_i in (1e-4, 1e-2, 0.1, 0.5):
-            proto = cosine_ramp(WI, ratio * WI, tau_omega_i / WI)
-            closed = transition_matrix(proto, cfg=cfg, n_max=8)
-            fock = fock_transition_matrix(proto, cfg=cfg, n_max=8)
-            assert closed.probs.shape == fock.probs.shape
-            worst = max(worst, float(np.max(np.abs(closed.probs - fock.probs))))
+    for tau_omega_i in (1e-4, 1e-2, 0.1, 0.5):
+        proto = cosine_ramp(WI, ratio * WI, tau_omega_i / WI)
+        closed = transition_matrix(proto, n_max=8, dimension=dimension)
+        fock = fock_transition_matrix(proto, n_max=8, dimension=dimension)
+        assert closed.probs.shape == fock.probs.shape
+        worst = max(worst, float(np.max(np.abs(closed.probs - fock.probs))))
     assert worst <= 1e-9
 
 
 def test_fock_eigenvalue_gate():
-    # the truncated H0(omega_f) must reproduce hbar omega_f (m + 1/2) for
+    # the truncated H0(omega_f) must reproduce omega_f (m + 1/2) for
     # every final level m < m_max it projects onto: at omega_f = 4 omega_i
     # the worst relative error is 1.9e-14 with 512 levels, 4.3e-3 with 256
     proto = cosine_ramp(WI, 4.0 * WI, 1e-2 / WI)
-    assert fock_transition_matrix(proto, cfg=FockBasisConfig(512, WI), n_max=8).m_max == 64
+    assert fock_transition_matrix(proto, n_max=8, dimension=512).m_max == 64
     with pytest.raises(TruncationLeakageError, match=r"error 4\.33\de-03 over m < m_max = 64"):
-        fock_transition_matrix(proto, cfg=FockBasisConfig(256, WI), n_max=8)
+        fock_transition_matrix(proto, n_max=8, dimension=256)
 
 
 def test_closed_form_control_is_exact_identity():
-    tm = transition_matrix(FAST, with_control=True, n_max=24, cfg=SMALL)
+    tm = transition_matrix(FAST, with_control=True, n_max=24, dimension=128)
     assert np.array_equal(tm.probs, np.eye(24, tm.m_max))
 
 
@@ -264,10 +244,10 @@ def test_closed_form_rejects_q_star_below_one(monkeypatch):
     # Q* >= 1 for every area-preserving flow; a contracting one must not pass
     monkeypatch.setattr(quantum_dynamics, "adiabaticity_parameter", lambda proto: 0.81)
     with pytest.raises(IntegrationError, match="below 1"):
-        transition_matrix(cosine_ramp(WI, WI, 0.1), cfg=SMALL, n_max=8)
+        transition_matrix(cosine_ramp(WI, WI, 0.1), n_max=8, dimension=128)
     # round-off below 1 is clamped to the identity
     monkeypatch.setattr(quantum_dynamics, "adiabaticity_parameter", lambda proto: 1.0 - 5e-10)
-    tm = transition_matrix(cosine_ramp(WI, WI, 0.1), cfg=SMALL, n_max=8)
+    tm = transition_matrix(cosine_ramp(WI, WI, 0.1), n_max=8, dimension=128)
     assert np.array_equal(tm.probs, np.eye(8, tm.m_max))
 
 
@@ -275,14 +255,13 @@ def test_closed_form_rejects_row_sums_above_one():
     # the squeeze recurrence loses accuracy at large n_max; here its rows
     # sum to far above 1 (the value follows the last ulp of Q*), which no
     # set of probabilities can do
-    cfg = FockBasisConfig(dimension=800, omega_ref=WI)
     with pytest.raises(IntegrationError, match=r"sums to \S+ > 1") as raised:
-        transition_matrix(FAST, cfg=cfg, n_max=200)
+        transition_matrix(FAST, n_max=200, dimension=800)
     assert float(re.search(r"sums to (\S+) >", str(raised.value)).group(1)) > 1.0 + 1e-9
 
 
 def test_transition_matrix_parity_selection():
-    tm = transition_matrix(FAST, n_max=8, cfg=FockBasisConfig(dimension=256, omega_ref=WI))
+    tm = transition_matrix(FAST, n_max=8, dimension=256)
     for n in range(tm.n_max):
         for m in range(tm.m_max):
             if (n + m) % 2 == 1:
@@ -291,7 +270,7 @@ def test_transition_matrix_parity_selection():
 
 def test_transition_matrix_ideal_jump_values():
     # analytic ideal-jump ground row: P(0 -> 2m) with lambda = (wf-wi)/(wf+wi)
-    tm = transition_matrix(FAST, n_max=4, cfg=FockBasisConfig(dimension=256, omega_ref=WI))
+    tm = transition_matrix(FAST, n_max=4, dimension=256)
     lam = (WF - WI) / (WF + WI)
     p00 = 2.0 * math.sqrt(WI * WF) / (WI + WF)
     # P(0->2m) = p00 * lam^(2m) * (2m-1)!! / (2m)!!
@@ -303,23 +282,21 @@ def test_transition_matrix_ideal_jump_values():
 def test_transition_matrix_detailed_balance_symmetry():
     # microreversibility of the quadratic Hamiltonian: P(n->m) weights satisfy
     # the same ladder structure transposed; check P(0->2) vs P(2->0) ratio
-    tm = transition_matrix(FAST, n_max=8, cfg=FockBasisConfig(dimension=256, omega_ref=WI))
+    tm = transition_matrix(FAST, n_max=8, dimension=256)
     # for the ideal jump the matrix is symmetric in (n, m) up to the measure
     assert tm.probs[0, 2] == pytest.approx(tm.probs[2, 0], rel=5e-4)
 
 
 def test_transition_matrix_convergence_in_basis_size():
-    cfg_a = FockBasisConfig(dimension=256, omega_ref=WI)
-    cfg_b = FockBasisConfig(dimension=512, omega_ref=WI)
-    tm_a = transition_matrix(FAST, n_max=12, cfg=cfg_a)
-    tm_b = transition_matrix(FAST, n_max=12, cfg=cfg_b)
+    tm_a = transition_matrix(FAST, n_max=12, dimension=256)
+    tm_b = transition_matrix(FAST, n_max=12, dimension=512)
     m = min(tm_a.m_max, tm_b.m_max, 21)
     assert np.allclose(tm_a.probs[:, :m], tm_b.probs[:, :m], atol=1e-8)
 
 
 def test_transition_matrix_nmax_guard():
     with pytest.raises(ValueError):
-        transition_matrix(FAST, n_max=80, cfg=FockBasisConfig(dimension=128, omega_ref=WI))
+        transition_matrix(FAST, n_max=80, dimension=128)
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +306,7 @@ def test_transition_matrix_nmax_guard():
 def test_work_atoms_controlled_drive_adiabatic_spectrum():
     tm = transition_matrix(
         FAST, with_control=True, n_max=24,
-        cfg=FockBasisConfig(dimension=512, omega_ref=WI),
+        dimension=512,
     )
     atoms = quantum_work_atoms(tm, BETA)
     # off-diagonal dust from the integrator carries < 1e-12 total weight
@@ -345,7 +322,7 @@ def test_work_atoms_controlled_drive_adiabatic_spectrum():
 def test_work_atoms_weights_are_geometric():
     tm = transition_matrix(
         FAST, with_control=True, n_max=24,
-        cfg=FockBasisConfig(dimension=512, omega_ref=WI),
+        dimension=512,
     )
     atoms = quantum_work_atoms(tm, BETA)
     x = math.exp(-BETA * WI)
@@ -363,7 +340,7 @@ def test_work_atoms_jarzynski_exact():
     for with_control in (False, True):
         tm = transition_matrix(
             FAST, with_control=with_control, n_max=24,
-            cfg=FockBasisConfig(dimension=512, omega_ref=WI),
+            dimension=512,
         )
         atoms = quantum_work_atoms(tm, BETA)
         estimate = float(np.sum(atoms.probs * np.exp(-BETA * atoms.works)))
@@ -375,11 +352,24 @@ def test_work_atoms_jarzynski_exact():
 
 def test_work_atoms_bare_statistics():
     tm = transition_matrix(
-        FAST, n_max=64, cfg=FockBasisConfig(dimension=512, omega_ref=WI)
+        FAST, n_max=64, dimension=512
     )
     atoms = quantum_work_atoms(tm, BETA)
     assert atoms.std() == pytest.approx(9.284555547754996, rel=1e-4)
     assert atoms.negative_probability() == pytest.approx(8.05e-4, rel=0.05)
+
+
+@pytest.mark.parametrize("hbar", [1.0, 1.0 / (2.0 * math.pi)])
+@pytest.mark.parametrize("with_control", [False, True])
+def test_hbar_enters_the_atoms_only_through_beta_hbar_and_the_energies(with_control, hbar):
+    # P(n -> m) carries no hbar: halving hbar at twice beta keeps beta hbar,
+    # halves every work atom and keeps every probability, bit for bit
+    tm = transition_matrix(FAST, with_control, n_max=24, dimension=256)
+    atoms = quantum_work_atoms(tm, BETA, hbar)
+    halved = quantum_work_atoms(tm, 2.0 * BETA, hbar / 2.0)
+    assert np.array_equal(halved.works, atoms.works / 2.0)
+    assert np.array_equal(halved.probs, atoms.probs)
+    assert halved.gibbs_tail == atoms.gibbs_tail
 
 
 def _merge_atoms_loop(works, probs, scale):
@@ -411,7 +401,7 @@ def test_merge_atoms_matches_sequential_merge(ratio):
     wf = ratio * WI
     for with_control in (False, True):
         tm = transition_matrix(
-            cosine_ramp(WI, wf, 0.05 / WI), with_control, SMALL, n_max=24
+            cosine_ramp(WI, wf, 0.05 / WI), with_control, n_max=24, dimension=128
         )
         n = np.arange(tm.n_max, dtype=float)[:, None]
         m = np.arange(tm.m_max, dtype=float)[None, :]
@@ -522,9 +512,8 @@ def test_adiabaticity_parameter_sudden_substitution_exact(monkeypatch):
 def test_quantum_classical_mean_work_correspondence():
     # high-temperature quantum mean work approaches the classical formula
     hbar = 0.1
-    cfg = FockBasisConfig(dimension=512, omega_ref=WI, hbar=hbar)
-    tm = fock_transition_matrix(FAST, n_max=128, cfg=cfg, tol=1e-9)
-    atoms = quantum_work_atoms(tm, BETA)
+    tm = fock_transition_matrix(FAST, n_max=128, dimension=512, tol=1e-9)
+    atoms = quantum_work_atoms(tm, BETA, hbar)
     form = quadratic_form(FAST, BETA)
     mean_cl, std_cl = moments_from_form(form)
     assert atoms.mean() == pytest.approx(mean_cl, rel=0.01)
