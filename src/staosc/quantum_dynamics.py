@@ -117,14 +117,14 @@ def h0_matrix(omega: float, omega_ref: float, dimension: int) -> np.ndarray:
     return _apply_hamiltonian(np.eye(dimension), diag, off)
 
 
-def hc_matrix(
-    protocol: FrequencyProtocol, t: float, omega_ref: float, dimension: int
-) -> np.ndarray:
-    """Dense control Hamiltonian -(omega_dot/4 omega)(qp + pq) at time t."""
-    require_positive(omega_ref=omega_ref)
+def hc_matrix(protocol: FrequencyProtocol, t: float, dimension: int) -> np.ndarray:
+    """Dense control Hamiltonian -(omega_dot/4 omega)(qp + pq) at time t.
+
+    Its matrix is the same in the number basis of every reference frequency.
+    """
     _require_dimension(dimension)
     omega, omega_dot = omega_at(protocol, t), omega_dot_at(protocol, t)
-    _, _, control = _bands(omega, omega_dot, omega_ref, dimension)
+    _, _, control = _bands(omega, omega_dot, protocol.omega_i, dimension)
     return _apply_hamiltonian(np.eye(dimension, dtype=complex), np.zeros(dimension), control)
 
 

@@ -76,7 +76,7 @@ ENTRY_POINTS = {
     "h0_matrix": (
         lambda **kw: qd.h0_matrix(dimension=8, **kw), {"omega": 10.0, "omega_ref": 10.0}
     ),
-    "hc_matrix": (lambda **kw: qd.hc_matrix(RAMP, 0.05, dimension=8, **kw), {"omega_ref": 10.0}),
+    "hc_matrix": (lambda **kw: qd.hc_matrix(RAMP, 0.05, dimension=8, **kw), {}),
     "fock_transition_matrix": (
         lambda **kw: qd.fock_transition_matrix(RAMP, True, n_max=2, dimension=64, **kw),
         {"tol": 1e-10},
@@ -176,7 +176,7 @@ def test_ensemble_spec_integer_fields(field, value):
     "call",
     [
         lambda dimension: qd.h0_matrix(10.0, 10.0, dimension),
-        lambda dimension: qd.hc_matrix(RAMP, 0.05, 10.0, dimension),
+        lambda dimension: qd.hc_matrix(RAMP, 0.05, dimension),
         lambda dimension: qd.transition_matrix(RAMP, n_max=1, dimension=dimension),
         lambda dimension: qd.fock_transition_matrix(RAMP, n_max=1, dimension=dimension),
     ],

@@ -79,7 +79,7 @@ def test_hc_matrix_against_ladder_construction():
     p = 1j * math.sqrt(WI / 2.0) * (a.T - a)
     rate = omega_dot_at(proto, t) / omega_at(proto, t)
     h_ref = -(rate / 4.0) * (q @ p + p @ q)
-    h_ours = hc_matrix(proto, t, WI, n)
+    h_ours = hc_matrix(proto, t, n)
     inner = slice(0, n - 2)
     assert np.allclose(h_ours[inner, inner], h_ref[inner, inner], atol=1e-12)
     assert np.allclose(h_ours, h_ours.conj().T)
@@ -89,15 +89,15 @@ def test_hc_vanishes_at_endpoints():
     proto = cosine_ramp(WI, WF, 0.5)
     # omega_dot vanishes at both ends; floating sin(pi) leaves ~1e-16 dust
     scale = abs(omega_dot_at(proto, proto.tau / 2.0))
-    assert np.max(np.abs(hc_matrix(proto, 0.0, WI, 16))) <= 1e-12 * scale
-    assert np.max(np.abs(hc_matrix(proto, proto.tau, WI, 16))) <= 1e-12 * scale
+    assert np.max(np.abs(hc_matrix(proto, 0.0, 16))) <= 1e-12 * scale
+    assert np.max(np.abs(hc_matrix(proto, proto.tau, 16))) <= 1e-12 * scale
 
 
 def test_hc_offdiagonal_magnitude():
     # |<n+2|Hc|n>| = (|omega_dot| / 4 omega) sqrt((n+1)(n+2))
     proto = cosine_ramp(WI, WF, 0.5)
     t = proto.tau / 2.0
-    h = hc_matrix(proto, t, WI, 16)
+    h = hc_matrix(proto, t, 16)
     scale = abs(omega_dot_at(proto, t)) / (4.0 * omega_at(proto, t))
     for n in range(14):
         assert abs(h[n, n + 2]) == pytest.approx(

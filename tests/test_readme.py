@@ -8,11 +8,12 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 def test_readme_python_examples_run(capsys):
     blocks = re.findall(r"```python\n(.*?)```", README.read_text(), flags=re.S)
-    assert len(blocks) == 2
-    namespace = {}  # the quantum example reuses the classical one's ramp
+    assert any("fock_transition_matrix" in block for block in blocks)
+    namespace = {}  # a later example may reuse an earlier one's names
     for block in blocks:
         exec(compile(block, str(README), "exec"), namespace)
-    printed = capsys.readouterr().out.split()
-    assert len(printed) == 7
-    # the README comments: the closed form and the propagated reference agree
-    assert float(printed[-1]) < 1e-9
+        printed = capsys.readouterr().out.split()
+        if "fock_transition_matrix" in block:
+            # the README comments: the closed form and the propagated
+            # reference agree; the block prints that gap last
+            assert float(printed[-1]) < 1e-9
