@@ -352,7 +352,9 @@ class QuantumWorkAtoms:
 
     ``works`` is sorted ascending; ``probs`` sums to 1 within 1e-6 (the
     shortfall is basis truncation).  ``gibbs_tail`` reports the raw
-    thermal weight discarded by cutting the initial-level sum.
+    thermal weight discarded by cutting the initial-level sum.  The sets
+    this module builds hold outcomes only, each atom with positive
+    probability; a set built by hand may also hold atoms of probability 0.
     """
 
     works: np.ndarray
@@ -414,9 +416,13 @@ def quantum_work_atoms(tm: TransitionMatrix, beta: float, hbar: float = 1.0) -> 
     """Two-point-measurement work atoms for a thermal initial state.
 
     Initial level n carries the truncated-and-renormalized thermal weight
-    proportional to exp(-n beta hbar omega_i); each (n, m) pair contributes
-    an atom at W = hbar omega_f (m + 1/2) - hbar omega_i (n + 1/2).  hbar
-    enters here only: the probabilities of ``tm`` do not depend on it.
+    proportional to exp(-n beta hbar omega_i); each (n, m) pair of positive
+    weighted probability contributes an atom at
+    W = hbar omega_f (m + 1/2) - hbar omega_i (n + 1/2).  A pair of
+    probability 0 is no outcome and gives no atom: the controlled ramp has
+    P = I and so one atom per level, and on the bare ramp the parity rule
+    leaves no atom where n - m is odd (nor where a weight underflows).
+    hbar enters here only: the probabilities of ``tm`` do not depend on it.
     """
     require_positive(beta=beta, hbar=hbar)
     omega_i, omega_f = tm.omega_i, tm.omega_f
@@ -430,7 +436,8 @@ def quantum_work_atoms(tm: TransitionMatrix, beta: float, hbar: float = 1.0) -> 
     m = np.arange(m_max, dtype=float)
     w_grid = hbar * omega_f * (m[None, :] + 0.5) - hbar * omega_i * (n[:, None] + 0.5)
     p_grid = weights[:, None] * tm.probs
-    works, probs = _merge_atoms(w_grid.ravel(), p_grid.ravel(), scale=hbar * omega_f)
+    outcome = p_grid > 0.0
+    works, probs = _merge_atoms(w_grid[outcome], p_grid[outcome], scale=hbar * omega_f)
     return QuantumWorkAtoms(works=works, probs=probs, gibbs_tail=gibbs_tail)
 
 
@@ -439,10 +446,11 @@ def pdf_quantum_adiabatic(
 ) -> QuantumWorkAtoms:
     """Atoms of the transitionless (or infinitely slow) quantum ramp.
 
-    Level populations never change, so the only outcomes are
+    Level populations never change (P = I), so the only outcomes are
     W = hbar (omega_f - omega_i)(n + 1/2) with geometric thermal weights
-    (1 - x) x^n, x = exp(-beta hbar omega_i).  n_max must leave a raw
-    geometric tail below 1e-10.
+    (1 - x) x^n, x = exp(-beta hbar omega_i); a level whose weight
+    underflows to 0 gives no atom.  n_max must leave a raw geometric tail
+    below 1e-10.
     """
     require_positive(beta=beta, omega_i=omega_i, omega_f=omega_f, hbar=hbar)
     require_int(1, n_max=n_max)
@@ -455,9 +463,10 @@ def pdf_quantum_adiabatic(
         )
         raise ValueError(f"geometric tail {tail:.3e} at n_max={n_max} exceeds 1e-10; {fix}")
     n = np.arange(n_max, dtype=float)
-    works = hbar * (omega_f - omega_i) * (n + 0.5)
     probs = (1.0 - x) * x**n
-    probs = probs / probs.sum()  # absorb the sub-1e-10 truncation remainder
+    outcome = probs > 0.0  # a level whose weight x^n underflows is no outcome
+    works = hbar * (omega_f - omega_i) * (n[outcome] + 0.5)
+    probs = probs[outcome] / probs.sum()  # absorb the sub-1e-10 truncation remainder
     if omega_f < omega_i:
         works = works[::-1].copy()
         probs = probs[::-1].copy()

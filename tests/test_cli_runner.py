@@ -386,6 +386,10 @@ def test_quantum_work_atoms_experiment(tmp_path):
     for label in ("sta", "bare"):
         rows = (tmp_path / f"quantum_atoms_{label}.csv").read_text().splitlines()
         assert rows[2] == "work,probability"
+        # atoms are outcomes: no row of probability 0, one per level under P = I
+        assert all(float(r.split(",")[1]) > 0.0 for r in rows[3:])
+        if label == "sta":
+            assert len(rows[3:]) == 16
         rows = (tmp_path / f"quantum_atoms_{label}_semilog.csv").read_text().splitlines()
         assert rows[2] == "work,log10_probability"
         values = [float(r.split(",")[1]) for r in rows[3:]]

@@ -24,7 +24,7 @@ from staosc.quantum_dynamics import (
     quantum_work_atoms,
     transition_matrix,
 )
-from staosc.work_statistics import delta_f_classical
+from staosc.work_statistics import delta_f_classical, jarzynski
 
 WI = 10.0
 WF = 10.0 * math.sqrt(3.0)
@@ -309,11 +309,11 @@ def test_work_atoms_controlled_drive_adiabatic_spectrum():
         dimension=512,
     )
     atoms = quantum_work_atoms(tm, BETA)
-    # off-diagonal dust from the integrator carries < 1e-12 total weight
-    assert atoms.negative_probability() <= 1e-12
-    # the dominant atom is the ground-to-ground gap
-    top = int(np.argmax(atoms.probs))
-    assert atoms.works[top] == pytest.approx(0.5 * (WF - WI), rel=1e-9)
+    # P = I: level n is the only outcome of level n, one atom each
+    assert atoms.works.size == 24
+    assert atoms.negative_probability() == 0.0
+    expected = (WF - WI) * (np.arange(24) + 0.5)
+    np.testing.assert_allclose(atoms.works, expected, rtol=1e-12, atol=0.0)
     # mean matches the adiabatic-invariant prediction <W> = (wf-wi)<n+1/2>
     occ = 0.5 / math.tanh(0.5 * BETA * WI)
     assert atoms.mean() == pytest.approx((WF - WI) * occ, rel=1e-6)
@@ -325,15 +325,57 @@ def test_work_atoms_weights_are_geometric():
         dimension=512,
     )
     atoms = quantum_work_atoms(tm, BETA)
-    x = math.exp(-BETA * WI)
-    weights = (1 - x) * x ** np.arange(24)
-    weights /= weights.sum()  # truncated-geometric renormalization
-    expected_works = 0.5 * (WF - WI) + (WF - WI) * np.arange(24)
-    # locate each expected atom among the (dust-padded) set by position
-    for w_exp, p_exp in zip(expected_works[:12], weights[:12]):
-        idx = int(np.argmin(np.abs(atoms.works - w_exp)))
-        assert atoms.works[idx] == pytest.approx(w_exp, rel=1e-9)
-        assert atoms.probs[idx] == pytest.approx(p_exp, abs=1e-9)
+    raw = math.exp(-BETA * WI) ** np.arange(24)
+    assert np.array_equal(atoms.probs, raw / raw.sum())  # truncated-geometric renormalization
+
+
+@pytest.mark.parametrize("ratio", [math.sqrt(3.0), 2.0, 0.5])
+def test_work_atoms_are_the_positive_groups_of_the_full_grid(ratio):
+    # the oracle merges every (n, m) pair, zero-probability ones included,
+    # and drops the groups that carry no probability; at ratios 2 and 1/2
+    # exact coincidences pool atoms, whose sums may round in another order
+    wf = ratio * WI
+    for with_control in (False, True):
+        tm = transition_matrix(
+            cosine_ramp(WI, wf, 0.05 / WI), with_control, n_max=24, dimension=128
+        )
+        n = np.arange(tm.n_max, dtype=float)[:, None]
+        m = np.arange(tm.m_max, dtype=float)[None, :]
+        raw = math.exp(-BETA * WI) ** np.arange(tm.n_max)
+        probs = (raw / raw.sum())[:, None] * tm.probs
+        works = wf * (m + 0.5) - WI * (n + 0.5)
+        want_w, want_p = _merge_atoms(works.ravel(), probs.ravel(), wf)
+        outcome = want_p > 0.0
+        atoms = quantum_work_atoms(tm, BETA)
+        assert np.all(atoms.probs > 0.0)
+        assert atoms.works.shape == want_w[outcome].shape
+        if ratio == math.sqrt(3.0):
+            assert np.array_equal(atoms.works, want_w[outcome])
+            assert np.array_equal(atoms.probs, want_p[outcome])
+        else:
+            np.testing.assert_allclose(atoms.works, want_w[outcome], rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(atoms.probs, want_p[outcome], rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("omega_i, omega_f, beta", [(10.0, 5.0, 3.0), (30.0, 10.0, 1.0)])
+@pytest.mark.parametrize("with_control", [False, True])
+def test_jarzynski_of_falling_ramps_reads_no_impossible_atom(omega_i, omega_f, beta, with_control):
+    # on these falling ramps some (n, m) pairs of probability 0 lie at
+    # -beta W > 709, where exp overflows and 0 * inf would be nan; they are
+    # no outcome, so they are no atom.  The bare 30 -> 10 ramp still raises:
+    # a transition of positive probability reaches -beta W = 730, and an
+    # overflowing exponential raises as jarzynski documents
+    tm = transition_matrix(
+        cosine_ramp(omega_i, omega_f, 0.1 / omega_i), with_control, n_max=32, dimension=512
+    )
+    atoms = quantum_work_atoms(tm, beta)
+    delta_f = delta_f_quantum(beta, omega_i, omega_f)
+    if omega_i == 30.0 and not with_control:
+        with pytest.raises(ValueError, match="-beta W reaches 730.0"):
+            jarzynski(atoms, beta, delta_f)
+        return
+    trace = jarzynski(atoms, beta, delta_f)
+    assert trace.final == pytest.approx(trace.target, rel=1e-10)
 
 
 def test_work_atoms_jarzynski_exact():
@@ -479,6 +521,16 @@ def test_pdf_quantum_adiabatic_matches_atoms():
     assert atoms.works[1] - atoms.works[0] == pytest.approx(WF - WI, rel=1e-12)
     jarz = float(np.sum(atoms.probs * np.exp(-BETA * atoms.works))) + atoms.gibbs_tail
     assert jarz == pytest.approx(0.4292727403497249, abs=1e-9)
+
+
+def test_pdf_quantum_adiabatic_keeps_only_outcomes():
+    # at beta hbar omega_i = 500, x^n underflows to 0 for every n >= 2
+    atoms = pdf_quantum_adiabatic(50.0, WI, 2.0 * WI)
+    assert np.array_equal(atoms.works, [5.0, 15.0])
+    assert atoms.probs[0] == 1.0 and 0.0 < atoms.probs[1] < 1e-200
+    falling = pdf_quantum_adiabatic(50.0, WI, 0.5 * WI)
+    assert np.array_equal(falling.works, [-7.5, -2.5])
+    assert np.array_equal(falling.probs, atoms.probs[::-1])
 
 
 def test_pdf_quantum_adiabatic_tail_guard():
