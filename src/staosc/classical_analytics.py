@@ -1,8 +1,8 @@
 """Closed-form work statistics for a classical thermal oscillator ramp.
 
-Both flows are linear, so the work of a bare ramp is a quadratic form in
-the initial state.  :func:`staosc.classical_dynamics.work_coefficients`
-reads it off the ramp's fundamental matrix Phi in action-angle variables,
+Both flows are linear, so the work of a ramp is a quadratic form in the
+initial state.  :func:`staosc.classical_dynamics.work_coefficients` reads
+it off the ramp's fundamental matrix Phi in action-angle variables,
 
     W = I (a + b cos 2 theta + c sin 2 theta),
 
@@ -17,13 +17,14 @@ Its trace gives Husimi's adiabaticity factor Q* = (a + omega_i)/omega_f
 (Prog. Theor. Phys. 9, 381 (1953)), which also fixes the quantum transition
 probabilities and the bare Otto stroke.
 
-mu_plus >= mu_minus >= 0 whenever omega increases monotonically.  The work
-density is then an exponential-times-Bessel law; its two degenerate limits
-are the adiabatic exponential (mu_plus = mu_minus) and the sudden
-inverse-square-root law (mu_minus = 0).  The oscillator has unit mass, as
-in :mod:`staosc.classical_dynamics` (a mass only rescales phase space and
-cancels from every result here), so the basic solutions C, S of
-x'' + omega(t)**2 x = 0 are the entries of the bare Phi.
+mu_plus >= mu_minus >= 0 whenever omega increases monotonically, and one
+law, :func:`pdf_nonadiabatic`, an exponential times a Bessel function,
+gives the work density of each such form: the bare ramp's, the shortcut's
+(b = c = 0: mu_plus = mu_minus, the exponential of :func:`pdf_adiabatic`)
+and the sudden jump's (mu_minus = 0, :func:`pdf_sudden`).  The oscillator
+has unit mass, as in :mod:`staosc.classical_dynamics` (a mass only
+rescales phase space and cancels from every result here), so the basic
+solutions C, S of x'' + omega(t)**2 x = 0 are the entries of the bare Phi.
 """
 
 from __future__ import annotations
@@ -95,43 +96,50 @@ def adiabaticity_parameter(protocol: FrequencyProtocol) -> float:
 
 @dataclass(frozen=True)
 class QuadraticWorkForm:
-    """The bare work form W = I (a + b cos 2 theta + c sin 2 theta) and its eigenvalues."""
+    """The work form W = I (a + b cos 2 theta + c sin 2 theta) and its eigenvalues."""
 
     a: float
     b: float
     c: float
     mu_plus: float
     mu_minus: float
-    beta: float
-    omega_i: float
-    omega_f: float
 
 
-def quadratic_form(protocol: FrequencyProtocol, beta: float) -> QuadraticWorkForm:
-    """The bare ramp's work form at inverse temperature beta.
+def _work_form(
+    beta: float, omega_i: float, omega_f: float, coefficients=None
+) -> QuadraticWorkForm:
+    """The QuadraticWorkForm of (a, b, c) at beta; None gives the sudden jump's.
 
-    mu_pm = (a +- hypot(b, c))/(beta omega_i), mu_minus by the determinant
-    route (a^2 - b^2 - c^2)/((beta omega_i)^2 mu_plus) when mu_plus > 0.
-    When mu_minus is tiny (fast ramps) it cancels in either route and is
-    good to about ulp(a)/(beta omega_i) absolute.  Floating-point dust
-    below -1e-12*mu_plus is clamped to zero; a genuinely negative mu_minus
-    (decreasing ramp) is preserved so the caller can detect it.
+    The jump keeps (p, q): a = -b = (omega_f^2 - omega_i^2)/(2 omega_i), c = 0
+    and mu_minus == 0.0.  b = c = 0 gives mu_minus == mu_plus.  Otherwise
+    mu_minus is (a^2 - b^2 - c^2)/((beta omega_i)^2 mu_plus) when mu_plus > 0;
+    tiny (fast ramps), it is good to about ulp(a)/(beta omega_i) absolute.
+    Dust below -1e-12*mu_plus is clamped to zero; a genuinely negative
+    mu_minus (decreasing ramp) is kept.
     """
-    require_positive(beta=beta)
-    a, b, c = work_coefficients(protocol)
-    scale = beta * protocol.omega_i
+    require_positive(beta=beta, omega_i=omega_i, omega_f=omega_f)
+    if coefficients is None:
+        a = (omega_f**2 - omega_i**2) / (2.0 * omega_i)
+        coefficients = (a, -a, 0.0)
+    a, b, c = coefficients
+    scale = beta * omega_i
     r = math.hypot(b, c)
     mu_plus = (a + r) / scale
-    if mu_plus > 0.0:
+    if mu_plus > 0.0 and r > 0.0:
         mu_minus = (a * a - b * b - c * c) / (scale * scale * mu_plus)
     else:
         mu_minus = (a - r) / scale
     if -1e-12 * max(mu_plus, 1e-300) < mu_minus < 0.0:
         mu_minus = 0.0
-    return QuadraticWorkForm(
-        a=a, b=b, c=c, mu_plus=mu_plus, mu_minus=mu_minus,
-        beta=beta, omega_i=protocol.omega_i, omega_f=protocol.omega_f,
-    )
+    return QuadraticWorkForm(a=a, b=b, c=c, mu_plus=mu_plus, mu_minus=mu_minus)
+
+
+def quadratic_form(
+    protocol: FrequencyProtocol, beta: float, with_control: bool = False
+) -> QuadraticWorkForm:
+    """The form of ``work_coefficients(protocol, with_control)`` at inverse temperature beta."""
+    coefficients = work_coefficients(protocol, with_control)
+    return _work_form(beta, protocol.omega_i, protocol.omega_f, coefficients)
 
 
 def moments_from_form(form: QuadraticWorkForm) -> tuple[float, float]:
@@ -149,16 +157,6 @@ def moments_from_form(form: QuadraticWorkForm) -> tuple[float, float]:
 # Work densities
 # ---------------------------------------------------------------------------
 
-def _require_increasing(beta: float, omega_i: float, omega_f: float):
-    require_positive(beta=beta, omega_i=omega_i, omega_f=omega_f)
-    if omega_f <= omega_i:
-        raise ValueError(
-            "closed-form work densities require omega_f > omega_i "
-            f"(got omega_i={omega_i!r}, omega_f={omega_f!r}); decreasing ramps "
-            "have no non-negative work form"
-        )
-
-
 def pdf_adiabatic(W, beta: float, omega_i: float, omega_f: float):
     """Work density of an infinitely slow (or shortcut-controlled) ramp.
 
@@ -166,13 +164,7 @@ def pdf_adiabatic(W, beta: float, omega_i: float, omega_f: float):
     controlled ramp reproduces it at any speed because the action of every
     trajectory is preserved.
     """
-    _require_increasing(beta, omega_i, omega_f)
-    rate = beta * omega_i / (omega_f - omega_i)
-    W = np.asarray(W, dtype=float)
-    scalar = W.ndim == 0
-    W = np.atleast_1d(W)
-    out = np.where(W >= 0.0, rate * np.exp(-rate * np.maximum(W, 0.0)), 0.0)
-    return float(out[0]) if scalar else out
+    return pdf_nonadiabatic(W, _work_form(beta, omega_i, omega_f, (omega_f - omega_i, 0.0, 0.0)))
 
 
 def pdf_sudden(W, beta: float, omega_i: float, omega_f: float):
@@ -183,20 +175,11 @@ def pdf_sudden(W, beta: float, omega_i: float, omega_f: float):
     beta*omega_i^2/(omega_f^2 - omega_i^2) — always slower than the
     adiabatic law's decay.
     """
-    _require_increasing(beta, omega_i, omega_f)
-    rate = beta * omega_i**2 / (omega_f**2 - omega_i**2)
-    W = np.asarray(W, dtype=float)
-    scalar = W.ndim == 0
-    W = np.atleast_1d(W)
-    out = np.zeros_like(W)
-    pos = W > 0.0
-    out[pos] = np.sqrt(rate / (np.pi * W[pos])) * np.exp(-rate * W[pos])
-    out[W == 0.0] = np.inf
-    return float(out[0]) if scalar else out
+    return pdf_nonadiabatic(W, _work_form(beta, omega_i, omega_f))
 
 
 def pdf_nonadiabatic(W, form: QuadraticWorkForm):
-    """Work density of a bare ramp at any speed, from its quadratic form.
+    """Work density of a ramp at any speed, from its quadratic form.
 
     The textbook expression is
 
@@ -207,14 +190,15 @@ def pdf_nonadiabatic(W, form: QuadraticWorkForm):
     exp(-W/mu_+) * [exp(-x) I0(x)] / sqrt(mu_+ mu_-).  When
     mu_-/mu_+ < DEGENERACY_SWITCH the Bessel form loses all precision and
     the exact sudden-limit law exp(-W/mu_+)/sqrt(pi W mu_+) is used
-    instead.
+    instead.  mu_minus is checked first, so every falling-ramp form (shortcut
+    mu_+ = mu_- < 0, jump mu_+ = 0 > mu_-) raises the increasing-ramp error.
     """
     mu_p, mu_m = form.mu_plus, form.mu_minus
-    require_positive(mu_plus=mu_p)
     if not 0.0 <= mu_m < math.inf:
         raise ValueError(
             f"mu_minus must be finite and >= 0, got {mu_m!r}: the density needs an increasing ramp"
         )
+    require_positive(mu_plus=mu_p)
     W = np.asarray(W, dtype=float)
     scalar = W.ndim == 0
     W = np.atleast_1d(W)

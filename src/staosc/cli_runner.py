@@ -37,6 +37,7 @@ import json
 import math
 import sys
 from dataclasses import asdict
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -81,29 +82,23 @@ def _protocol_from(phys: dict):
 def _run_classical_work_dist(resolved: dict, out_dir: Path, meta: dict):
     phys, num = resolved["physical"], resolved["numeric"]
     protocol = _protocol_from(phys)
-    beta, wi, wf = phys["beta"], phys["omega_i"], phys["omega_f"]
-    seed = resolved["seed"]
+    beta, seed = phys["beta"], resolved["seed"]
 
     spec = cd.EnsembleSpec(beta=beta, count=num["samples"], seed=seed)
     by_control = ws.classical_work_ensembles(protocol, spec)
     sets = {"sta": by_control[True], "bare": by_control[False]}
-
-    form = ca.quadratic_form(protocol, beta)
-    densities = {
-        "sta": lambda w: ca.pdf_adiabatic(w, beta, wi, wf),
-        "bare": lambda w: ca.pdf_nonadiabatic(w, form),
-    }
+    forms = {label: ca.quadratic_form(protocol, beta, label == "sta") for label in sets}
 
     outputs, checks, derived = [], [], {"generator": cd.GIBBS_GENERATOR}
-    mean_ad = (wf - wi) / (wi * beta)
-    mean_na, std_na = ca.moments_from_form(form)
+    mean_ad, std_ad = ca.moments_from_form(forms["sta"])
+    mean_na, std_na = ca.moments_from_form(forms["bare"])
     derived["analytic"] = {
         "adiabatic_mean": mean_ad,
-        "adiabatic_std": mean_ad,
+        "adiabatic_std": std_ad,
         "nonadiabatic_mean": mean_na,
         "nonadiabatic_std": std_na,
-        "mu_plus": form.mu_plus,
-        "mu_minus": form.mu_minus,
+        "mu_plus": forms["bare"].mu_plus,
+        "mu_minus": forms["bare"].mu_minus,
     }
     for label in ("sta", "bare"):
         # each set's grid ends past its own samples, so no output of one
@@ -115,11 +110,12 @@ def _run_classical_work_dist(resolved: dict, out_dir: Path, meta: dict):
         hist_path = out_dir / f"classical_work_{label}_hist.csv"
         _write_csv(hist_path, meta, ["work", "density"], [centers, hist.density])
         dens_path = out_dir / f"classical_work_{label}_density.csv"
-        _write_csv(dens_path, meta, ["work", "density"], [grid, densities[label](grid)])
+        density = partial(ca.pdf_nonadiabatic, form=forms[label])
+        _write_csv(dens_path, meta, ["work", "density"], [grid, density(grid)])
         outputs += [hist_path.name, dens_path.name]
 
         stats = ws.summary(sets[label])
-        ks = ws.ks_distance(sets[label], densities[label], w_max=w_max * 1.2)
+        ks = ws.ks_distance(sets[label], density, w_max=w_max * 1.2)
         derived[label] = {"mean": stats.mean, "std": stats.std, "ks_distance": ks}
         checks.append(
             Check.below(

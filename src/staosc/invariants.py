@@ -89,7 +89,7 @@ def form_work_mismatch(protocol, form: ca.QuadraticWorkForm, states) -> Check:
     """
     finals = cd.integrate(states, protocol, with_control=False, tol=1e-12)
     w_traj = cd.ensemble_work(states, finals, protocol)
-    action, theta = cd.to_action_angle(states, form.omega_i)
+    action, theta = cd.to_action_angle(states, protocol.omega_i)
     w_form = action * (form.a + form.b * np.cos(2.0 * theta) + form.c * np.sin(2.0 * theta))
     worst = float(np.max(np.abs(w_traj - w_form) / np.maximum(np.abs(w_traj), 1e-12)))
     return Check.below("quadratic_form_route", worst, 1e-6, f"over {len(states)} trajectories")

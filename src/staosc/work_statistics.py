@@ -260,8 +260,8 @@ def jarzynski(data, beta: float, delta_f: float) -> JarzynskiTrace:
     For a sample set the trace is the running mean after each draw
     (``running[k - 1]`` uses exactly the first k samples).  For a discrete
     atom set the expectation is exact and the trace collapses to a single
-    point.  An
-    exponential or a mean that overflows a float raises ValueError.
+    point.  An exponential or a mean that overflows a float raises
+    ValueError.
     """
     require_positive(beta=beta)
     if not math.isfinite(delta_f):

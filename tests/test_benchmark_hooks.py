@@ -2,9 +2,12 @@
 
 ``perfbench/layers.py`` hooks ``classical_work_ensemble`` and
 ``propagate_ensemble``, counts distinct calls of ``sample_gibbs`` and
-``basic_solutions``, and replaces ``solve_ivp`` in each solver layer.  A
-deleted or renamed target breaks ``perfbench/run.py --trace``, so one test
-instruments the imported package as that run does and undoes it again.
+``basic_solutions``, counts the points of the densities it names in
+``layers.PDFS`` (``pdf_adiabatic``, ``pdf_nonadiabatic``, ``pdf_sudden``:
+the first and last are kept as one-call wrappers of the one law for this
+hook alone), and replaces ``solve_ivp`` in each solver layer.  A deleted or
+renamed target breaks ``perfbench/run.py --trace``, so one test instruments
+the imported package as that run does and undoes it again.
 
 ``perfbench/workloads.py`` builds Otto cycles from ``StrokeKind.bare``,
 ``OttoCycleSpec`` fields and the ``CLASSICAL``/``QUANTUM`` regimes, reads

@@ -6,6 +6,7 @@ from scipy.integrate import quad
 
 from staosc import classical_dynamics
 from staosc.classical_analytics import (
+    _work_form,
     basic_solutions,
     moments_from_form,
     pdf_adiabatic,
@@ -193,18 +194,80 @@ def test_pdf_nonadiabatic_moments_match_form():
     assert math.sqrt(second - mean**2) == pytest.approx(std_exp, rel=1e-6)
 
 
+FALLING = r"^mu_minus must be finite and >= 0, got -.*: the density needs an increasing ramp$"
+
+
 def test_pdf_nonadiabatic_rejects_negative_mu():
     bad = quadratic_form(cosine_ramp(WF, WI, 1e-4), BETA)
     assert bad.mu_minus < 0.0  # decreasing ramp: form is indefinite
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=FALLING):
         pdf_nonadiabatic(1.0, bad)
 
 
 def test_densities_reject_decreasing_frequencies():
-    with pytest.raises(ValueError):
+    # mu_minus is checked first: the falling shortcut has mu_+ = mu_- < 0 and
+    # the falling jump mu_+ = 0 > mu_-, and both used to fail on mu_plus
+    with pytest.raises(ValueError, match=FALLING):
         pdf_adiabatic(1.0, BETA, WF, WI)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=FALLING):
         pdf_sudden(1.0, BETA, WF, WI)
+    with pytest.raises(ValueError, match=FALLING):
+        pdf_nonadiabatic(1.0, quadratic_form(cosine_ramp(WF, WI, 0.1), BETA, with_control=True))
+    # no ramp at all: every work is 0 and there is no density
+    for pdf in (pdf_adiabatic, pdf_sudden):
+        with pytest.raises(ValueError, match=r"^mu_plus must be positive and finite, got 0.0$"):
+            pdf(1.0, BETA, WI, WI)
+
+
+# ---------------------------------------------------------------------------
+# one law, three forms
+# ---------------------------------------------------------------------------
+
+LAW_GRID = [
+    (WI * ratio, beta)
+    for ratio in (1.01, 1.1, math.sqrt(3.0), 3.0, 10.0, 100.0)
+    for beta in (0.01, 0.2, 1.0, 5.0)
+]
+
+
+def _exponential(w, rate):
+    """The adiabatic law written out: rate exp(-rate W) on W >= 0."""
+    return rate * np.exp(-rate * w)
+
+
+def _jump(w, rate):
+    """The sudden-jump law written out: sqrt(rate/(pi W)) exp(-rate W), inf at W = 0."""
+    with np.errstate(divide="ignore"):
+        return np.sqrt(rate / (np.pi * w)) * np.exp(-rate * w)
+
+
+@pytest.mark.parametrize("wf,beta", LAW_GRID)
+def test_degenerate_forms_are_exact(wf, beta):
+    # the determinant route left the controlled mu_minus an ulp off mu_plus,
+    # at some points above it, against the documented mu_plus >= mu_minus
+    sta = quadratic_form(cosine_ramp(WI, wf, 0.1), beta, with_control=True)
+    assert (sta.a, sta.b, sta.c) == (wf - WI, 0.0, 0.0)
+    assert sta.mu_minus == sta.mu_plus == (wf - WI) / (beta * WI)
+    jump = _work_form(beta, WI, wf)
+    assert jump.a == -jump.b == (wf**2 - WI**2) / (2.0 * WI)
+    assert jump.c == 0.0
+    assert jump.mu_minus == 0.0
+    assert jump.mu_plus == pytest.approx((wf**2 - WI**2) / (beta * WI**2), rel=1e-15)
+
+
+@pytest.mark.parametrize("wf,beta", LAW_GRID)
+def test_adiabatic_and_sudden_laws_are_the_one_law_on_their_forms(wf, beta):
+    sta = quadratic_form(cosine_ramp(WI, wf, 0.1), beta, with_control=True)
+    w = np.linspace(0.0, 60.0 * sta.mu_plus, 4001)
+    np.testing.assert_allclose(
+        pdf_adiabatic(w, beta, WI, wf), _exponential(w, beta * WI / (wf - WI)), rtol=1e-13, atol=0
+    )
+    w = np.linspace(0.0, 60.0 * _work_form(beta, WI, wf).mu_plus, 4001)
+    got = pdf_sudden(w, beta, WI, wf)
+    assert got[0] == math.inf
+    np.testing.assert_allclose(
+        got, _jump(w, beta * WI**2 / (wf**2 - WI**2)), rtol=1e-13, atol=0
+    )
 
 
 def test_decay_rate_inequality():

@@ -3,7 +3,8 @@
 ``import staosc`` loads numpy only.  Each scipy submodule is imported where
 a route first needs it: ``scipy.interpolate`` by table ramps and the KS
 distance, ``scipy.special`` by the cosine-ramp phase of the controlled Phi
-and the bare work density, ``scipy.integrate`` by the DOP853 references.
+and the one work-density law on the shortcut and bare forms (the sudden
+form is its closed limit), ``scipy.integrate`` by the DOP853 references.
 The default ``engine-curves``, ``quantum-work-atoms`` and ``jarzynski-trace``
 runs need none of them: the controlled work is a closed form and needs no
 phase.  The import tests run in fresh interpreters, so that they see a clean

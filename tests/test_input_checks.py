@@ -69,7 +69,6 @@ ENTRY_POINTS = {
     "pdf_nonadiabatic": (
         lambda mu_plus: ca.pdf_nonadiabatic(1.0, ca.QuadraticWorkForm(
             a=1.0, b=0.5, c=0.0, mu_plus=mu_plus, mu_minus=0.1,
-            beta=0.2, omega_i=10.0, omega_f=20.0,
         )),
         {"mu_plus": 1.0},
     ),
