@@ -56,19 +56,24 @@ SCHEMA_VERSION = 1
 
 def _write_csv(path: Path, meta: dict, names, columns) -> None:
     # Python floats and ints format through "%.17g" exactly as numpy scalars
-    # do through f"{v:.17g}", so one row template keeps every byte.
+    # do through f"{v:.17g}", so one row template keeps every byte; the
+    # template repeated once per row formats the whole table in one call.
     columns = [np.asarray(c).tolist() for c in columns]
     lengths = [len(c) for c in columns]
     if len(set(lengths)) > 1:
         raise ValueError(f"CSV columns must have equal lengths, got {lengths}")
     if len(names) != len(columns):
         raise ValueError(f"CSV has {len(names)} names for {len(columns)} columns")
+    rows = lengths[0] if columns else 0
+    cells = [None] * (rows * len(columns))
+    for j, column in enumerate(columns):
+        cells[j :: len(columns)] = column
     template = ",".join(["%.17g"] * len(columns)) + "\n"
     with open(path, "w") as fh:
         for key, value in meta.items():
             fh.write(f"# {key}={value}\n")
         fh.write(",".join(names) + "\n")
-        fh.writelines(template % row for row in zip(*columns, strict=True))
+        fh.write(template * rows % tuple(cells))
 
 
 def _protocol_from(phys: dict):

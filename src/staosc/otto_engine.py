@@ -139,6 +139,13 @@ class CycleResult:
     feasible: bool
 
 
+def _thermal_energy(beta: float, omega: float, regime: str, hbar: float) -> float:
+    """The formula of :func:`thermal_energy`, for inputs already checked."""
+    if regime == CLASSICAL:
+        return 1.0 / beta
+    return 0.5 * hbar * omega / math.tanh(0.5 * beta * hbar * omega)
+
+
 def thermal_energy(beta: float, omega: float, regime: str, hbar: float = 1.0) -> float:
     """Mean energy of a thermal oscillator: 1/beta, or the coth law.
 
@@ -150,10 +157,9 @@ def thermal_energy(beta: float, omega: float, regime: str, hbar: float = 1.0) ->
     require_positive(beta=beta, omega=omega, hbar=hbar)
     if regime == CLASSICAL:
         _require_unread_hbar(hbar)
-        return 1.0 / beta
-    if regime == QUANTUM:
-        return 0.5 * hbar * omega / math.tanh(0.5 * beta * hbar * omega)
-    raise ValueError(f"unknown regime {regime!r}")
+    elif regime != QUANTUM:
+        raise ValueError(f"unknown regime {regime!r}")
+    return _thermal_energy(beta, omega, regime, hbar)
 
 
 def _bare_q_star_quantum(protocol: FrequencyProtocol) -> float:
@@ -177,20 +183,14 @@ def _bare_q_star_quantum(protocol: FrequencyProtocol) -> float:
     return float(np.mean(slopes))
 
 
-def stroke_energy_factor(
-    stroke: StrokeKind,
-    omega_from: float,
-    omega_to: float,
-    regime: str,
+def _stroke_energy_factor(
+    stroke: StrokeKind, omega_from: float, omega_to: float, regime: str
 ) -> float:
-    """Mean-energy multiplier of an isolated stroke, Q* omega_to/omega_from.
+    """The formula of :func:`stroke_energy_factor`, for positive frequencies and a known regime.
 
-    No stroke reads hbar: the transition probabilities a quantum bare
-    stroke's Q* comes from do not depend on it.
+    A bare stroke's endpoints are checked here: they must match the
+    frequencies the stroke is asked to run between.
     """
-    require_positive(omega_from=omega_from, omega_to=omega_to)
-    if regime not in (CLASSICAL, QUANTUM):
-        raise ValueError(f"unknown regime {regime!r}")
     if stroke.kind == STA:
         q_star = 1.0
     elif stroke.kind == SUDDEN:
@@ -212,14 +212,39 @@ def stroke_energy_factor(
     return q_star * (omega_to / omega_from)
 
 
-def _corner_energies(spec: OttoCycleSpec, omega_f: float) -> tuple[float, float, float, float]:
-    """Mean energies at corners A, B, C, D of the cycle run up to omega_f."""
-    wi = spec.omega_i
-    e_a = thermal_energy(spec.beta_1, wi, spec.regime, spec.hbar)
-    e_b = stroke_energy_factor(spec.stroke_1, wi, omega_f, spec.regime) * e_a
-    e_c = thermal_energy(spec.beta_2, omega_f, spec.regime, spec.hbar)
-    e_d = stroke_energy_factor(spec.stroke_3, omega_f, wi, spec.regime) * e_c
-    return e_a, e_b, e_c, e_d
+def stroke_energy_factor(
+    stroke: StrokeKind,
+    omega_from: float,
+    omega_to: float,
+    regime: str,
+) -> float:
+    """Mean-energy multiplier of an isolated stroke, Q* omega_to/omega_from.
+
+    No stroke reads hbar: the transition probabilities a quantum bare
+    stroke's Q* comes from do not depend on it.
+    """
+    require_positive(omega_from=omega_from, omega_to=omega_to)
+    if regime not in (CLASSICAL, QUANTUM):
+        raise ValueError(f"unknown regime {regime!r}")
+    return _stroke_energy_factor(stroke, omega_from, omega_to, regime)
+
+
+def _energy_a(spec: OttoCycleSpec) -> float:
+    """Mean energy at corner A, which no choice of omega_f moves."""
+    return _thermal_energy(spec.beta_1, spec.omega_i, spec.regime, spec.hbar)
+
+
+def _corners_bcd(spec: OttoCycleSpec, e_a: float, omega_f: float) -> tuple[float, float, float]:
+    """Mean energies at corners B, C, D of the cycle run from E_A = e_a up to omega_f.
+
+    The spec was checked when it was built and omega_f is finite and above
+    omega_i, so the formulas run without their input checks.
+    """
+    wi, regime = spec.omega_i, spec.regime
+    e_b = _stroke_energy_factor(spec.stroke_1, wi, omega_f, regime) * e_a
+    e_c = _thermal_energy(spec.beta_2, omega_f, regime, spec.hbar)
+    e_d = _stroke_energy_factor(spec.stroke_3, omega_f, wi, regime) * e_c
+    return e_b, e_c, e_d
 
 
 def evaluate_cycle(spec: OttoCycleSpec) -> CycleResult:
@@ -231,7 +256,8 @@ def evaluate_cycle(spec: OttoCycleSpec) -> CycleResult:
     """
     if spec.omega_f is None:
         raise ValueError("omega_f is unset; call optimize_frequency instead")
-    e_a, e_b, e_c, e_d = _corner_energies(spec, spec.omega_f)
+    e_a = _energy_a(spec)
+    e_b, e_c, e_d = _corners_bcd(spec, e_a, spec.omega_f)
     work_in_1 = e_b - e_a
     heat_in_2 = e_c - e_b
     work_in_3 = e_d - e_c
@@ -287,9 +313,12 @@ def optimize_frequency(
         raise ValueError(f"bracket {bracket!r} must be finite with omega_i < lo < hi")
 
     # the operations of evaluate_cycle's w_net, without building a cycle per
-    # probe; every probe lies inside the checked bracket, so it is a valid omega_f
+    # probe; every probe lies inside the checked bracket, so it is a valid
+    # omega_f, and E_A does not depend on it
+    e_a = _energy_a(spec)
+
     def w_net(omega_f: float) -> float:
-        e_a, e_b, e_c, e_d = _corner_energies(spec, omega_f)
+        e_b, e_c, e_d = _corners_bcd(spec, e_a, omega_f)
         return -((e_b - e_a) + (e_d - e_c))
 
     # golden-section: iteration count fixed by the bracket and tolerance

@@ -330,9 +330,10 @@ def fock_transition_matrix(
     """
     require_positive(tol=tol)
     _require_rows(n_max, dimension)
-    _, v_i = eigenbasis(protocol.omega_i, protocol.omega_i, dimension)
+    # the lowest n_max number states of omega_i are the first unit vectors
+    psi_0 = np.eye(dimension, n_max, dtype=complex)
     e_f, v_f = eigenbasis(protocol.omega_f, protocol.omega_i, dimension)
-    psi_tau = _propagate_columns(v_i[:, :n_max] + 0j, protocol, with_control, tol)
+    psi_tau = _propagate_columns(psi_0, protocol, with_control, tol)
     # full (final level m, initial level n) probability table
     amplitudes = v_f.conj().T @ psi_tau
     tm = _trimmed((np.abs(amplitudes) ** 2).T, protocol)

@@ -254,14 +254,24 @@ class JarzynskiTrace:
         return self.final - self.target
 
 
+def _mean_exp_on_log_scale(probs: np.ndarray, exponents: np.ndarray) -> float:
+    """sum(probs * exp(exponents)) by log-sum-exp; inf where the sum itself overflows."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        logs = np.log(probs) + exponents
+        top = np.max(logs)
+        return float(np.exp(top + np.log(np.sum(np.exp(logs - top)))))
+
+
 def jarzynski(data, beta: float, delta_f: float) -> JarzynskiTrace:
     """Estimate <exp(-beta W)> and compare with exp(-beta Delta F).
 
     For a sample set the trace is the running mean after each draw
     (``running[k - 1]`` uses exactly the first k samples).  For a discrete
     atom set the expectation is exact and the trace collapses to a single
-    point.  An exponential or a mean that overflows a float raises
-    ValueError.
+    point; where a single term overflows, the atoms are summed on a log
+    scale, so an atom of tiny probability far out in the tail still counts.
+    A mean that overflows a float raises ValueError, and so does a sample
+    whose exponential overflows.
     """
     require_positive(beta=beta)
     if not math.isfinite(delta_f):
@@ -276,6 +286,8 @@ def jarzynski(data, beta: float, delta_f: float) -> JarzynskiTrace:
         if isinstance(data, QuantumWorkAtoms):
             works = data.works
             final = float(np.dot(data.probs, np.exp(-beta * works)))
+            if not math.isfinite(final):
+                final = _mean_exp_on_log_scale(data.probs, -beta * works)
             running = np.array([final])
         else:
             works = data.samples

@@ -490,6 +490,19 @@ _SPECIAL = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 2.2250738
             1.7976931348623157e308, 0.1, 1.0 / 3.0, -123456.789, 1e16, 1e17, 2.0**53 + 2.0]
 
 
+def _big_table(rows=5003):
+    """Three columns of mixed magnitudes 1e-320..1e300, int64 values, nan and +-inf."""
+    rng = np.random.default_rng(11)
+    wide = rng.normal(size=rows) * 10.0 ** rng.uniform(-320.0, 300.0, rows)
+    wide[::97] = math.nan
+    wide[1::89] = math.inf
+    wide[2::83] = -math.inf
+    ints = rng.integers(-(2**63), 2**63 - 1, size=rows, dtype=np.int64)
+    ints[::7] = rng.integers(-1000, 1000, size=ints[::7].size)
+    mixed = np.where(rng.random(rows) < 0.5, rng.standard_cauchy(rows), 10.0 ** -np.arange(rows))
+    return [wide, ints, mixed]
+
+
 @pytest.mark.parametrize(
     "columns",
     [
@@ -500,10 +513,14 @@ _SPECIAL = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 2.2250738
          np.random.default_rng(3).normal(size=8) * 10.0 ** np.arange(-300, 300, 75)],
         [np.random.default_rng(5).standard_cauchy(1000)],
         [[1.5, 2.5], (3, 4), np.array([5.0, 6.0])],
+        _big_table(),
         [np.array([]), np.array([], dtype=np.int64)],
         [],
     ],
-    ids=["special", "float32", "int64", "one-column", "sequences", "zero-rows", "no-columns"],
+    ids=[
+        "special", "float32", "int64", "one-column", "sequences", "big-mixed", "zero-rows",
+        "no-columns",
+    ],
 )
 def test_write_csv_matches_the_per_value_writer(tmp_path, columns):
     meta = {"seed": 7, "config_sha256": "ab" * 32}

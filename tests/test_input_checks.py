@@ -273,11 +273,14 @@ MEAN_OVERFLOWS = "the mean of exp(-beta W) overflows: -beta W reaches "
         # each of these returned final = inf or nan with only a RuntimeWarning
         (_sample_set([-800.0, 1.0]), 0.0, MEAN_OVERFLOWS + "800.0"),
         (_atoms([-800.0, 1.0], [0.5, 0.5]), 0.0, MEAN_OVERFLOWS + "800.0"),
-        (_atoms([-800.0, 1.0], [0.0, 1.0]), 0.0, MEAN_OVERFLOWS + "800.0"),
+        # a zero-weight atom beside atoms whose mean overflows on any scale
+        (_atoms([-800.0, -720.0, 1.0], [0.0, 0.5, 0.5]), 0.0, MEAN_OVERFLOWS + "800.0"),
         # three finite exponentials whose sum overflows
         (_sample_set([-709.0] * 3), 0.0, MEAN_OVERFLOWS + "709.0"),
+        # an atom mean just above the largest float, e^709.9 * 0.9 > 1.798e308
+        (_atoms([-709.9, 0.0], [0.9, 0.1]), 0.0, MEAN_OVERFLOWS + "709.9"),
     ],
-    ids=["target", "sample", "atom", "zero-weight-atom", "sum"],
+    ids=["target", "sample", "atom", "zero-weight-atom", "sum", "atom-at-the-edge"],
 )
 def test_jarzynski_overflow_is_a_value_error(data, delta_f, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -292,6 +295,24 @@ def test_jarzynski_near_overflow_stays_finite():
     assert trace.running.tolist() == (np.cumsum(exps) / [1, 2]).tolist()
     atoms = _atoms([-700.0, 1.0], [0.5, 0.5])
     assert ws.jarzynski(atoms, 1.0, 0.0).final == float(np.dot([0.5, 0.5], exps))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "works, probs, final",
+    [
+        # an atom of probability 0 is no outcome; 0 * exp(800) read nan and raised
+        ([-800.0, 1.0], [0.0, 1.0], math.exp(-1.0)),
+        # exp(800) overflows alone, but its weight brings the mean back in range
+        ([-800.0, 0.0], [1e-300, 1.0], 1.0 + math.exp(800.0 + math.log(1e-300))),
+        # just below the largest float: e^709.9 * 0.8 < 1.798e308
+        ([-709.9, 0.0], [0.8, 0.2], 0.8 * math.exp(709.0) * math.exp(0.9)),
+    ],
+    ids=["zero-weight", "tiny-weight", "just-finite"],
+)
+def test_jarzynski_of_atoms_sums_an_overflowing_term_on_a_log_scale(works, probs, final):
+    # exp of a log mean near 710 is good to about 710 ulp, 1.6e-13 relative
+    assert ws.jarzynski(_atoms(works, probs), 1.0, 0.0).final == pytest.approx(final, rel=1e-12)
 
 
 @pytest.mark.parametrize("provenance", [None, {"seed": 1}, SAMPLES])

@@ -12,6 +12,7 @@ from staosc.otto_engine import (
     QUANTUM,
     STA,
     SUDDEN,
+    CycleResult,
     OptimizationResult,
     OttoCycleSpec,
     StrokeKind,
@@ -293,18 +294,18 @@ def test_optimizer_boundary_flag():
         optimize_frequency(spec, bracket=(WI * 2.0, WI * 1.5))
 
 
-def _optimize_frequency_by_cycles(spec, bracket=None, tol=1e-8):
-    """The optimizer as it was, evaluating a full cycle at every probe."""
+def _golden_section(spec, cycle, bracket=None, tol=1e-8):
+    """The optimizer's golden-section loop, probing cycle(omega_f).w_net."""
+
+    def w_net(omega_f):
+        return cycle(omega_f).w_net
+
     golden = (math.sqrt(5.0) - 1.0) / 2.0
     if bracket is None:
         ratio = spec.beta_1 / spec.beta_2
         hi = spec.omega_i * max(10.0, 3.0 * math.sqrt(ratio))
         bracket = (spec.omega_i * (1.0 + 1e-6), hi)
     lo, hi = bracket
-
-    def w_net(omega_f):
-        return evaluate_cycle(dataclasses.replace(spec, omega_f=omega_f)).w_net
-
     span = hi - lo
     steps = max(1, math.ceil(math.log(tol * spec.omega_i / span) / math.log(golden)))
     a, b = lo, hi
@@ -321,10 +322,46 @@ def _optimize_frequency_by_cycles(spec, bracket=None, tol=1e-8):
             d = a + golden * (b - a)
             fd = w_net(d)
     omega_star = 0.5 * (a + b)
-    cycle = evaluate_cycle(dataclasses.replace(spec, omega_f=omega_star))
     edge = 10.0 * max(tol * spec.omega_i, 1e-12 * span)
     at_boundary = (omega_star - lo) < edge or (hi - omega_star) < edge
-    return OptimizationResult(omega_f=omega_star, cycle=cycle, at_boundary=at_boundary)
+    return OptimizationResult(omega_f=omega_star, cycle=cycle(omega_star), at_boundary=at_boundary)
+
+
+def _optimize_frequency_by_cycles(spec, bracket=None, tol=1e-8):
+    """The optimizer as it was, evaluating a full cycle at every probe."""
+
+    def cycle(omega_f):
+        return evaluate_cycle(dataclasses.replace(spec, omega_f=omega_f))
+
+    return _golden_section(spec, cycle, bracket, tol)
+
+
+def _checked_cycle(spec, omega_f):
+    """The cycle at omega_f, every corner energy through the checked public formulas."""
+    wi = spec.omega_i
+    e_a = thermal_energy(spec.beta_1, wi, spec.regime, spec.hbar)
+    e_b = stroke_energy_factor(spec.stroke_1, wi, omega_f, spec.regime) * e_a
+    e_c = thermal_energy(spec.beta_2, omega_f, spec.regime, spec.hbar)
+    e_d = stroke_energy_factor(spec.stroke_3, omega_f, wi, spec.regime) * e_c
+    work_in_1, heat_in_2, work_in_3, heat_in_4 = e_b - e_a, e_c - e_b, e_d - e_c, e_a - e_d
+    w_net = -(work_in_1 + work_in_3)
+    feasible = w_net > 0.0 and heat_in_2 > 0.0
+    return CycleResult(
+        e_a, e_b, e_c, e_d, work_in_1, work_in_3, heat_in_2, heat_in_4, w_net,
+        w_net / heat_in_2 if feasible else math.nan, feasible,
+    )
+
+
+def _optimize_frequency_checked(spec, bracket=None, tol=1e-8):
+    """The optimizer as it was, running every input check and E_A again at each probe."""
+
+    return _golden_section(spec, lambda omega_f: _checked_cycle(spec, omega_f), bracket, tol)
+
+
+def _assert_same_optimum(new, old):
+    assert new.omega_f == old.omega_f
+    assert new.at_boundary == old.at_boundary
+    np.testing.assert_equal(dataclasses.astuple(new.cycle), dataclasses.astuple(old.cycle))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -342,16 +379,36 @@ def test_optimizer_matches_the_full_cycle_objective(
     regime, kind_1, kind_3, beta_1, ratio, omega_i, hbar, tol
 ):
     # every probe, comparison and omega* is bit-identical to the optimizer
-    # that built and evaluated a whole cycle per probe
+    # that built and evaluated a whole cycle per probe, and to the one that
+    # ran every input check at every probe
     spec = OttoCycleSpec(
         beta_1=beta_1, beta_2=beta_1 / ratio, omega_i=omega_i, omega_f=None,
         regime=regime, stroke_1=StrokeKind(kind_1), stroke_3=StrokeKind(kind_3),
         hbar=hbar if regime == QUANTUM else 1.0,
     )
-    new, old = optimize_frequency(spec, tol=tol), _optimize_frequency_by_cycles(spec, tol=tol)
-    assert new.omega_f == old.omega_f
-    assert new.at_boundary == old.at_boundary
-    np.testing.assert_equal(dataclasses.astuple(new.cycle), dataclasses.astuple(old.cycle))
+    new = optimize_frequency(spec, tol=tol)
+    _assert_same_optimum(new, _optimize_frequency_by_cycles(spec, tol=tol))
+    _assert_same_optimum(new, _optimize_frequency_checked(spec, tol=tol))
+
+
+@pytest.mark.parametrize("kind", [STA, SUDDEN])
+def test_optimizer_matches_the_checked_probes_on_the_engine_curves_grid(kind):
+    # the 25 beta ratios x stroke kinds of the default engine-curves run
+    for ratio in np.geomspace(1.5, 100.0, 25).tolist():
+        spec = OttoCycleSpec(10.0, 10.0 / ratio, WI, None, QUANTUM,
+                             StrokeKind(kind), StrokeKind(kind), HBAR_SCALED)
+        _assert_same_optimum(optimize_frequency(spec), _optimize_frequency_checked(spec))
+
+
+@pytest.mark.parametrize("regime", [CLASSICAL, QUANTUM])
+@pytest.mark.parametrize("stroke", ["stroke_1", "stroke_3"])
+def test_optimizer_rejects_a_bare_stroke_at_its_first_probe(regime, stroke):
+    # a bare stroke is built for one omega_f; every probe asks for another
+    bare = StrokeKind.bare(cosine_ramp(WI, WF, 0.1) if stroke == "stroke_1"
+                           else cosine_ramp(WF, WI, 0.1))
+    spec = _spec(omega_f=None, regime=regime, **{stroke: bare})
+    with pytest.raises(ValueError, match="^bare stroke protocol runs "):
+        optimize_frequency(spec)
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
