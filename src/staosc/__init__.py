@@ -79,6 +79,7 @@ from .work_statistics import (
     estimator_dispersion,
     histogram,
     jarzynski,
+    jarzynski_at_counts,
     ks_distance,
     summary,
 )

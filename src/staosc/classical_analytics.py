@@ -190,8 +190,10 @@ def pdf_nonadiabatic(W, form: QuadraticWorkForm):
     exp(-W/mu_+) * [exp(-x) I0(x)] / sqrt(mu_+ mu_-).  When
     mu_-/mu_+ < DEGENERACY_SWITCH the Bessel form loses all precision and
     the exact sudden-limit law exp(-W/mu_+)/sqrt(pi W mu_+) is used
-    instead.  mu_minus is checked first, so every falling-ramp form (shortcut
-    mu_+ = mu_- < 0, jump mu_+ = 0 > mu_-) raises the increasing-ramp error.
+    instead; when mu_- == mu_+ (the shortcut) it is exp(-W/mu_+)/mu_+,
+    with no Bessel function.  mu_minus is checked first, so every
+    falling-ramp form (shortcut mu_+ = mu_- < 0, jump mu_+ = 0 > mu_-)
+    raises the increasing-ramp error.
     """
     mu_p, mu_m = form.mu_plus, form.mu_minus
     if not 0.0 <= mu_m < math.inf:
@@ -207,6 +209,11 @@ def pdf_nonadiabatic(W, form: QuadraticWorkForm):
     if mu_m < DEGENERACY_SWITCH * mu_p:
         out[pos] = np.exp(-W[pos] / mu_p) / np.sqrt(np.pi * W[pos] * mu_p)
         out[W == 0.0] = np.inf
+    elif mu_m == mu_p:
+        # the shortcut's exponential: the Bessel form's bits, as i0e(0) == 1
+        # and sqrt(mu_+ mu_+) == mu_+
+        out[pos] = np.exp(-W[pos] / mu_p) / mu_p
+        out[W == 0.0] = 1.0 / mu_p
     else:
         from scipy import special
 

@@ -142,15 +142,12 @@ def _run_jarzynski_trace(resolved: dict, out_dir: Path, meta: dict):
     outputs, checks = [], []
     derived = {"target": target, "delta_f": delta_f, "generator": cd.GIBBS_GENERATOR}
     spec = cd.EnsembleSpec(beta=beta, count=num["samples"], seed=seed)
-    sets = ws.classical_work_ensembles(protocol, spec)
     counts = np.unique(np.geomspace(1, num["samples"], num["trace_points"]).astype(int))
+    traces = ws.jarzynski_at_counts(protocol, spec, delta_f, counts)
     for label, control in (("sta", True), ("bare", False)):
-        samples = sets.pop(control)  # keep no 1e6-sample set alive into the replicates
-        trace = ws.jarzynski(samples, beta, delta_f)
+        trace = traces[control]
         path = out_dir / f"jarzynski_{label}.csv"
-        _write_csv(
-            path, meta, ["count", "estimate"], [counts, trace.running[counts - 1]]
-        )
+        _write_csv(path, meta, ["count", "estimate"], [counts, trace.running])
         outputs.append(path.name)
         derived[label] = {"final": trace.final, "error": trace.final - target}
         checks.append(
@@ -159,7 +156,6 @@ def _run_jarzynski_trace(resolved: dict, out_dir: Path, meta: dict):
                 f"final estimate {trace.final:.5f} vs target {target:.5f}",
             )
         )
-        del samples, trace  # free 3 x 8n bytes before the next trace or draw
 
     # batched dispersion across seed replicates
     batch = num["batch_size"]

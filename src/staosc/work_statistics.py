@@ -107,24 +107,17 @@ def classical_work_ensembles(
     :mod:`staosc.classical_dynamics` (``sample_gibbs``, then
     ``propagate_ensemble`` and ``ensemble_work``).
 
-    The draw and the formula run in blocks of ``_BLOCK`` samples, into
-    reused buffers, with each sample's operations in the order of the
-    one-shot array expression: the blocks change no bit of the result, and
-    no full-length array is built beyond the outputs.
+    The draw and the formula run in blocks of ``_BLOCK`` samples
+    (:func:`_work_blocks`), with each sample's operations in the order of
+    the one-shot array expression: the blocks change no bit of the result,
+    and no full-length array is built beyond the outputs.
     """
-    streams = _gibbs_streams(spec.seed)
-    scale = 1.0 / (spec.beta * protocol.omega_i)
     coefficients = [work_coefficients(protocol, c) for c in controls]
     works = [np.empty(spec.count) for _ in controls]
-    # actions, angles, the kernel's scratch and a spare row: with three rows the
-    # default classical-work-dist and jarzynski-trace, run in one process, peak
-    # 0.9 MB higher in RSS (heap layout; the traced numpy peak is the same)
-    buffers = np.empty((4, min(spec.count, _BLOCK)))
-    for start in range(0, spec.count, _BLOCK):
-        stop = min(start + _BLOCK, spec.count)
-        action, theta = buffers[:2, : stop - start]
-        _draw_action_angle(streams, scale, action, theta)
-        _work_block(action, theta, coefficients, [w[start:stop] for w in works], buffers[2:])
+    buffers = np.empty((3 + len(controls), min(spec.count, _BLOCK)))
+    for start, block in _work_blocks(spec, protocol.omega_i, coefficients, buffers, _BLOCK):
+        for w, block_w in zip(works, block):
+            w[start : start + block_w.size] = block_w
     sets = {}
     for with_control, samples in zip(controls, works):
         prov = SampleProvenance(
@@ -139,6 +132,28 @@ def classical_work_ensembles(
         )
         sets[with_control] = WorkSampleSet(samples=samples, provenance=prov)
     return sets
+
+
+def _work_blocks(spec: EnsembleSpec, omega_i: float, coefficients, buffers, step: int):
+    """Draw ``spec``'s ensemble ``step`` samples at a time and yield each ramp's work.
+
+    Yields (start, works) per block, ``works`` holding one row per entry of
+    ``coefficients`` with the works of samples start, start + 1, ...; it is
+    a view into ``buffers`` (rows: action, angle, one per ramp, scratch;
+    at least ``step`` long), valid until the next block, and may be
+    overwritten.  Each block is checked finite before it is yielded.
+    """
+    streams = _gibbs_streams(spec.seed)
+    scale = 1.0 / (spec.beta * omega_i)
+    ramps = len(coefficients)
+    for start in range(0, spec.count, step):
+        size = min(step, spec.count - start)
+        action, theta = buffers[:2, :size]
+        works = buffers[2 : 2 + ramps, :size]
+        _draw_action_angle(streams, scale, action, theta)
+        _work_block(action, theta, coefficients, works, buffers[2 + ramps :])
+        _require_finite(works)
+        yield start, works
 
 
 def _work_block(action, theta, coefficients, works, scratch) -> None:
@@ -243,7 +258,11 @@ def histogram(samples: WorkSampleSet, bins=None) -> BinnedDensity:
 
 @dataclass(frozen=True)
 class JarzynskiTrace:
-    """Running exponential-average estimate against its exact target."""
+    """Running exponential-average estimate against its exact target.
+
+    ``running`` holds the estimate after each draw (:func:`jarzynski`) or
+    after each of chosen counts of draws (:func:`jarzynski_at_counts`).
+    """
 
     running: np.ndarray
     final: float
@@ -262,6 +281,25 @@ def _mean_exp_on_log_scale(probs: np.ndarray, exponents: np.ndarray) -> float:
         return float(np.exp(top + np.log(np.sum(np.exp(logs - top)))))
 
 
+def _jarzynski_target(beta: float, delta_f: float) -> float:
+    """exp(-beta Delta F), with beta and Delta F checked."""
+    require_positive(beta=beta)
+    if not math.isfinite(delta_f):
+        raise ValueError(f"delta_f must be finite, got {delta_f!r}")
+    try:
+        return math.exp(-beta * delta_f)
+    except OverflowError:
+        raise ValueError(
+            f"exp(-beta delta_f) overflows at beta * delta_f = {beta * delta_f!r}"
+        ) from None
+
+
+def _overflow_error(beta: float, lowest_work: float) -> ValueError:
+    return ValueError(
+        f"the mean of exp(-beta W) overflows: -beta W reaches {-beta * lowest_work!r}"
+    )
+
+
 def jarzynski(data, beta: float, delta_f: float) -> JarzynskiTrace:
     """Estimate <exp(-beta W)> and compare with exp(-beta Delta F).
 
@@ -273,15 +311,7 @@ def jarzynski(data, beta: float, delta_f: float) -> JarzynskiTrace:
     A mean that overflows a float raises ValueError, and so does a sample
     whose exponential overflows.
     """
-    require_positive(beta=beta)
-    if not math.isfinite(delta_f):
-        raise ValueError(f"delta_f must be finite, got {delta_f!r}")
-    try:
-        target = math.exp(-beta * delta_f)
-    except OverflowError:
-        raise ValueError(
-            f"exp(-beta delta_f) overflows at beta * delta_f = {beta * delta_f!r}"
-        ) from None
+    target = _jarzynski_target(beta, delta_f)
     with np.errstate(over="ignore", invalid="ignore"):
         if isinstance(data, QuantumWorkAtoms):
             works = data.works
@@ -297,10 +327,59 @@ def jarzynski(data, beta: float, delta_f: float) -> JarzynskiTrace:
             np.divide(running, np.arange(1, works.size + 1), out=running)
             final = float(running[-1])
     if not math.isfinite(final):
-        raise ValueError(
-            f"the mean of exp(-beta W) overflows: -beta W reaches {-beta * float(works.min())!r}"
-        )
+        raise _overflow_error(beta, float(works.min()))
     return JarzynskiTrace(running=running, final=final, target=target)
+
+
+def jarzynski_at_counts(
+    protocol: FrequencyProtocol, spec: EnsembleSpec, delta_f: float, counts
+) -> dict[bool, JarzynskiTrace]:
+    """The controlled and the bare :func:`jarzynski` trace of one Gibbs draw, kept at ``counts``.
+
+    ``counts`` are sample counts in [1, spec.count].  Entry c is
+    ``jarzynski(sets[c], spec.beta, delta_f)`` with ``sets =
+    classical_work_ensembles(protocol, spec)``, bit for bit, except that
+    ``running[i]`` is only that trace's ``running[counts[i] - 1]``.  The
+    same inputs raise the same errors: a non-finite work, then an
+    overflowing mean, the controlled ramp's first.
+
+    The draw, the work formula, exp(-beta W) and the running sum go
+    block by block (:func:`_work_blocks`), the sum carried from one block
+    into the next in the order of the one-shot ``cumsum``; no array as
+    long as the sample count is built.
+    """
+    target = _jarzynski_target(spec.beta, delta_f)
+    counts = np.asarray(counts)
+    if not (
+        counts.ndim == 1 and counts.size and np.issubdtype(counts.dtype, np.integer)
+        and counts.min() >= 1 and counts.max() <= spec.count
+    ):
+        raise ValueError(
+            f"counts must be a non-empty 1-d integer array in [1, {spec.count}], got {counts!r}"
+        )
+    controls = (True, False)
+    coefficients = [work_coefficients(protocol, c) for c in controls]
+    running = np.empty((2, counts.size))
+    sums = np.zeros(2)
+    lowest = np.full(2, math.inf)
+    buffers = np.empty((3 + len(controls), min(spec.count, _BLOCK)))
+    blocks = _work_blocks(spec, protocol.omega_i, coefficients, buffers, _BLOCK)
+    with np.errstate(over="ignore"):
+        for start, works in blocks:
+            np.minimum(lowest, works.min(axis=1), out=lowest)
+            np.exp(np.multiply(works, -spec.beta, out=works), out=works)
+            works[:, 0] += sums
+            np.cumsum(works, axis=1, out=works)
+            sums = works[:, -1].copy()
+            here = (counts > start) & (counts <= start + works.shape[1])
+            running[:, here] = works[:, counts[here] - 1 - start] / counts[here]
+    traces = {}
+    for c, row, total, low in zip(controls, running, sums.tolist(), lowest.tolist()):
+        final = total / spec.count
+        if not math.isfinite(final):
+            raise _overflow_error(spec.beta, low)
+        traces[c] = JarzynskiTrace(running=row, final=final, target=target)
+    return traces
 
 
 def delta_f_classical(beta: float, omega_i: float, omega_f: float) -> float:
@@ -312,6 +391,36 @@ def delta_f_classical(beta: float, omega_i: float, omega_f: float) -> float:
 #: 16-point Gauss-Legendre nodes and weights on [-1, 1]; one rule
 #: integrates every panel of the CDF grid.
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
+
+
+#: Hermite knots per CDF panel, evenly spaced in the panel's u.  At 32 the
+#: KS CDF is within 3.5e-10 of adaptive quadrature on the shortcut, sudden
+#: and bare forms at omega_f/omega_i in {1.1, sqrt 3, 4, 10}, tau omega_i
+#: 1e-4..3 and w_max up to 200 mu_plus; with the 16 Gauss nodes as knots it
+#: is off by up to 8e-9 where mu_minus/mu_plus ~ 1e-3.
+_KNOTS_PER_PANEL = 32
+
+
+def _interpolant_maps(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Linear maps from a panel's 16 node values to its interpolant's integral and value at ``z``.
+
+    The interpolant is the degree-15 polynomial through the node values,
+    in Legendre coefficients c_m = (m + 1/2) sum_j w_j P_m(x_j) f_j (the
+    rule is exact for these degree-30 products).  Returned are the
+    (z.size, 16) matrices of its integral from -1 to each z and of its
+    value at each z.
+    """
+    legendre = np.polynomial.legendre
+    to_coefficients = (np.arange(16) + 0.5)[:, None] * legendre.legvander(_GL_X, 15).T
+    to_coefficients *= _GL_W
+    antiderivative = legendre.legint(to_coefficients, lbnd=-1.0)
+    return legendre.legval(z, antiderivative).T, legendre.legval(z, to_coefficients).T
+
+
+#: Each panel's knots in [-1, 1], its far end included, and the maps from
+#: its node values of dF/du to the CDF increment and to dF/du at them.
+_KNOT_Z = np.linspace(-1.0, 1.0, _KNOTS_PER_PANEL + 1)
+_KNOT_CDF, _KNOT_SLOPE = _interpolant_maps(_KNOT_Z)
 
 #: The first grid panel [0, h] is split at h/2, h/4, ..., h/2**60.  A bare
 #: ramp whose work form has mu_minus << mu_plus has a feature at
@@ -339,17 +448,17 @@ def _density_values(density, w: np.ndarray) -> np.ndarray:
     return values
 
 
-def _cdf_on_grid(density, w_max: float, nodes: int = 513):
-    """Cumulative distribution of a density on [0, w_max].
+def _panel_rule(density, w_max: float, nodes: int = 513):
+    """The Gauss-Legendre panels of the CDF on [0, w_max], in u = sqrt(W).
 
-    Integration runs in u = sqrt(W), which turns the inverse-square-root
-    endpoint divergence of the sudden law into a bounded integrand;
-    smooth densities are unaffected.  Each panel of the uniform u grid gets
-    a 16-point Gauss-Legendre rule, the first panel is graded geometrically
-    toward u = 0, and the density is called once on all quadrature nodes.
-    Against adaptive quadrature the CDF agrees to 1e-12 at every grid node
-    (to rounding for the package's work densities).  Returns
-    (w_grid, cdf_values).
+    Integration runs in u, which turns the inverse-square-root endpoint
+    divergence of the sudden law into a bounded integrand dF/du =
+    2 u p(u^2); smooth densities are unaffected.  The uniform u grid of
+    ``nodes`` points has its first panel graded geometrically toward u = 0
+    and every panel gets a 16-point rule; the density is called once on
+    all quadrature nodes.  Returns (u_grid, center, half, slopes): the
+    grid, each panel's center and half-width, and the (panels, 16) array
+    of dF/du at the nodes.
     """
     require_positive(w_max=w_max)
     u_grid = np.linspace(0.0, math.sqrt(w_max), nodes)
@@ -358,13 +467,63 @@ def _cdf_on_grid(density, w_max: float, nodes: int = 513):
     hi = np.concatenate((first, u_grid[2:]))
     center, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
     u = center[:, None] + half[:, None] * _GL_X
-    panels = half * ((2.0 * u * _density_values(density, u * u)) @ _GL_W)
+    return u_grid, center, half, 2.0 * u * _density_values(density, u * u)
 
+
+def _cdf_on_grid(density, w_max: float, nodes: int = 513):
+    """Cumulative distribution of a density on [0, w_max], at the grid of :func:`_panel_rule`.
+
+    Against adaptive quadrature the CDF agrees to 1e-12 at every grid node
+    (to rounding for the package's work densities).  Returns
+    (w_grid, cdf_values).
+    """
+    u_grid, _, half, slopes = _panel_rule(density, w_max, nodes)
+    panels = half * (slopes @ _GL_W)
     pieces = np.zeros(nodes)
-    pieces[1] = panels[: first.size].sum()
-    pieces[2:] = panels[first.size:]
+    pieces[1] = panels[: _FIRST_PANEL_HALVINGS + 1].sum()
+    pieces[2:] = panels[_FIRST_PANEL_HALVINGS + 1 :]
     cdf = np.cumsum(pieces)
     return u_grid**2, np.minimum(cdf, 1.0)
+
+
+def _cdf_at(density, w_max: float, w: np.ndarray) -> np.ndarray:
+    """Cumulative distribution of a density at sorted works ``w`` in [0, w_max].
+
+    Each panel of :func:`_panel_rule` carries ``_KNOTS_PER_PANEL`` knots,
+    the last panel also its far end u = sqrt(w_max).  At a knot the CDF is
+    the panels before plus the integral of the panel's interpolant of
+    dF/du up to it, and the slope is that interpolant's value, which stays
+    finite at u = 0 where the sudden law's p diverges.  Between knots the
+    CDF is the cubic Hermite of those values and slopes, in powers of the
+    distance d from the knot below: F0 + d (s0 + d (c2 + d c3)).
+    """
+    u_grid, center, half, slopes = _panel_rule(density, w_max)
+    panels = half * (slopes @ _GL_W)
+    before = np.concatenate(([0.0], np.cumsum(panels[:-1])))
+    knots = center[:, None] + half[:, None] * _KNOT_Z
+    cdf = before[:, None] + half[:, None] * (slopes @ _KNOT_CDF.T)
+    slope = slopes @ _KNOT_SLOPE.T
+    # each panel's far end is the next one's first knot, except the last panel's
+    knots = np.append(knots[:, :-1], u_grid[-1])
+    cdf = np.minimum(np.append(cdf[:, :-1], cdf[-1, -1]), 1.0)
+    slope = np.append(slope[:, :-1], slope[-1, -1])
+    step = np.diff(knots)
+    secant = np.diff(cdf) / step
+    c2 = (3.0 * secant - 2.0 * slope[:-1] - slope[1:]) / step
+    c3 = (slope[:-1] + slope[1:] - 2.0 * secant) / (step * step)
+
+    # the samples are sorted: piece k holds those in [knots[k], knots[k + 1])
+    d = np.sqrt(w)
+    below = np.searchsorted(d, knots[1:-1])
+    k = np.repeat(np.arange(step.size), np.diff(below, prepend=0, append=d.size))
+    f = knots.take(k)
+    d -= f
+    c3.take(k, out=f)
+    term = np.empty_like(d)
+    for c in (c2, slope, cdf):
+        f *= d
+        f += c.take(k, out=term)
+    return f
 
 
 def integrate_density(density, w_max: float) -> float:
@@ -380,25 +539,20 @@ def integrate_density(density, w_max: float) -> float:
 def ks_distance(samples: WorkSampleSet, density, w_max: float | None = None) -> float:
     """Kolmogorov-Smirnov distance between samples and an analytic density.
 
-    The analytic CDF is built on a 513-node grid in sqrt-work coordinates
-    (so densities divergent at W = 0 integrate cleanly) by fixed-node
-    Gauss-Legendre panels, the first graded toward W = 0, and interpolated
-    monotonically.  The density is assumed to be supported on W >= 0, and
-    must be vectorized: it is called once on a numpy array of works and
-    must return an array of the same shape.
+    The analytic CDF at each sample is :func:`_cdf_at`'s: fixed-node
+    16-point Gauss-Legendre panels in sqrt-work coordinates (so densities
+    divergent at W = 0 integrate cleanly), the first graded toward W = 0,
+    and a cubic Hermite between knots set by each panel's interpolant,
+    within 1e-9 of adaptive quadrature.  The density is assumed to be
+    supported on W >= 0, and must be vectorized: it is called once on a
+    numpy array of works and must return an array of the same shape.
     """
     w = np.sort(samples.samples)
     if w_max is None:
         w_max = max(float(w[-1]) * 1.05, 1e-12)
-    from scipy.interpolate import PchipInterpolator
-
-    grid, cdf = _cdf_on_grid(density, w_max)
-    interp = PchipInterpolator(np.sqrt(grid + 0.0), cdf, extrapolate=False)
-
-    u = np.sqrt(np.clip(w, 0.0, w_max))
-    f = interp(u)
+    f = _cdf_at(density, w_max, np.clip(w, 0.0, w_max))
     f = np.where(w <= 0.0, 0.0, f)
-    f = np.where(w >= w_max, 1.0, np.nan_to_num(f, nan=1.0))
+    f = np.where(w >= w_max, 1.0, f)
     n = w.size
     upper = np.max(np.arange(1, n + 1) / n - f)
     lower = np.max(f - np.arange(0, n) / n)
@@ -480,20 +634,13 @@ def _dispersion_lane(
     """Each spec's (controlled, bare) dispersion, drawn and reduced in 5 rows of ``buffers``."""
     results = []
     for spec in specs:
-        n, per = spec.count, spec.count // batch_count
+        per = spec.count // batch_count
         step = _batch_step(per)
-        streams = _gibbs_streams(spec.seed)
-        scale = 1.0 / (spec.beta * omega_i)
         sums = np.empty((2, batch_count))
-        for first in range(0, n, step):
-            stop = min(first + step, n)
-            action, theta = buffers[:2, : stop - first]
-            block_works = buffers[2:4, : stop - first]
-            _draw_action_angle(streams, scale, action, theta)
-            _work_block(action, theta, coefficients, block_works, buffers[4:])
-            _require_finite(block_works)
+        for first, block_works in _work_blocks(spec, omega_i, coefficients, buffers, step):
             # whole batches only: the remainder past batch_count * per is
-            # checked above but enters no batch, and may span whole steps
+            # checked but enters no batch, and may span whole steps
+            stop = first + block_works.shape[1]
             rows = slice(min(first // per, batch_count), min(stop // per, batch_count))
             for w, row_sums in zip(block_works, sums):
                 block = w[: (rows.stop - rows.start) * per].reshape(-1, per)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 from scipy.integrate import quad
 
 from staosc import classical_dynamics
@@ -268,6 +269,19 @@ def test_adiabatic_and_sudden_laws_are_the_one_law_on_their_forms(wf, beta):
     np.testing.assert_allclose(
         got, _jump(w, beta * WI**2 / (wf**2 - WI**2)), rtol=1e-13, atol=0
     )
+
+
+@pytest.mark.parametrize("wf,beta", LAW_GRID)
+def test_shortcut_law_keeps_the_bits_of_the_bessel_form(wf, beta):
+    # mu_minus == mu_plus takes exp(-W/mu_+)/mu_+ with no Bessel function; it
+    # must give the i0e expression's bits (i0e(0) == 1, sqrt(mu mu) == mu)
+    sta = quadratic_form(cosine_ramp(WI, wf, 0.1), beta, with_control=True)
+    mu_p, mu_m = sta.mu_plus, sta.mu_minus
+    w = np.linspace(0.0, 60.0 * mu_p, 4001)
+    arg = (mu_p - mu_m) * w / (2.0 * mu_p * mu_m)
+    bessel = np.exp(-w / mu_p) * special.i0e(arg) / math.sqrt(mu_p * mu_m)
+    assert np.array_equal(pdf_nonadiabatic(w, sta), bessel)
+    assert pdf_nonadiabatic(0.0, sta) == 1.0 / math.sqrt(mu_p * mu_m)
 
 
 def test_decay_rate_inequality():

@@ -1,15 +1,16 @@
 """What a fresh process imports, and which binding each reference solve calls.
 
 ``import staosc`` loads numpy only.  Each scipy submodule is imported where
-a route first needs it: ``scipy.interpolate`` by table ramps and the KS
-distance, ``scipy.special`` by the cosine-ramp phase of the controlled Phi
-and the one work-density law on the shortcut and bare forms (the sudden
-form is its closed limit), ``scipy.integrate`` by the DOP853 references.
-The default ``engine-curves``, ``quantum-work-atoms`` and ``jarzynski-trace``
-runs need none of them: the controlled work is a closed form and needs no
-phase.  The import tests run in fresh interpreters, so that they see a clean
-``sys.modules``; a module-level scipy import anywhere in the package fails
-them.
+a route first needs it: ``scipy.interpolate`` by table ramps only,
+``scipy.special`` by the cosine-ramp phase of the controlled Phi and the
+one work-density law on bare forms (the shortcut and sudden forms are its
+closed limits), ``scipy.integrate`` by the DOP853 references.  The default
+``engine-curves``, ``quantum-work-atoms`` and ``jarzynski-trace`` runs need
+none of them: the controlled work is a closed form and needs no phase.  The
+default ``classical-work-dist`` needs ``scipy.special`` for its bare
+density only: the KS distance builds its CDF with numpy alone.  The import
+tests run in fresh interpreters, so that they see a clean ``sys.modules``;
+a module-level scipy import anywhere in the package fails them.
 
 The reference solvers call the ``solve_ivp`` of their own module, which
 imports ``scipy.integrate`` on its first call.  ``perfbench/layers.py``
@@ -60,15 +61,26 @@ def test_import_loads_no_scipy_submodule(tmp_path):
     assert _fresh_process("0", tmp_path) == (0, [])
 
 
-@pytest.mark.parametrize("experiment", ["engine-curves", "quantum-work-atoms", "jarzynski-trace"])
-def test_default_run_loads_no_scipy_submodule(tmp_path, experiment):
+@pytest.mark.parametrize(
+    "experiment, expected",
+    [
+        pytest.param(experiment, expected, id=experiment)
+        for experiment, expected in (
+            ("engine-curves", []),
+            ("quantum-work-atoms", []),
+            ("jarzynski-trace", []),
+            ("classical-work-dist", ["scipy.special"]),
+        )
+    ],
+)
+def test_default_run_loads_no_scipy_submodule(tmp_path, experiment, expected):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"schema_version": 1, "experiment": experiment, "seed": 7}))
     run = f"staosc.cli_runner.main(['run', {str(config)!r}, '--out-dir', 'out'])"
     code, loaded = _fresh_process(run, tmp_path)
     assert code == 0
     assert (tmp_path / "out" / "summary.json").is_file()
-    assert loaded == []
+    assert loaded == expected
 
 
 def _count_solves(monkeypatch, module) -> list:

@@ -228,6 +228,10 @@ FINITE_INPUTS = {
     "jarzynski-delta_f": (
         lambda bad: ws.jarzynski(ATOMS, 1.0, bad), "delta_f must be finite, got {bad!r}"
     ),
+    "jarzynski_at_counts-delta_f": (
+        lambda bad: ws.jarzynski_at_counts(RAMP, SPEC, bad, [1]),
+        "delta_f must be finite, got {bad!r}",
+    ),
     # an explicit nan edge returned nan densities without a word
     "histogram-edges": (
         lambda bad: ws.histogram(SAMPLES, [0.0, bad, 5.0]),

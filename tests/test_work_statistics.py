@@ -2,16 +2,19 @@ import json
 import math
 import threading
 import tracemalloc
+from functools import partial
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 from scipy.integrate import quad
 
 import staosc.work_statistics as work_statistics
 from staosc.classical_analytics import (
+    _work_form,
     pdf_adiabatic,
     pdf_nonadiabatic,
     pdf_sudden,
@@ -32,6 +35,7 @@ from staosc.work_statistics import (
     BinnedDensity,
     WorkSampleSet,
     SampleProvenance,
+    _cdf_at,
     _cdf_on_grid,
     classical_work_ensemble,
     classical_work_ensembles,
@@ -41,6 +45,7 @@ from staosc.work_statistics import (
     histogram,
     integrate_density,
     jarzynski,
+    jarzynski_at_counts,
     ks_distance,
     replicate_dispersions,
     summary,
@@ -315,6 +320,92 @@ def test_jarzynski_accepts_quantum_atoms():
     assert trace.final == pytest.approx(trace.target, abs=1e-6)
 
 
+def _default_counts(count):
+    """The sample counts a jarzynski-trace run keeps, at its default 400 trace points."""
+    return np.unique(np.geomspace(1, count, 400).astype(int))
+
+
+@pytest.mark.parametrize("count", [1, _B - 1, _B, 2 * _B + 1, 1_000_000])
+def test_jarzynski_at_counts_keeps_the_bits_of_the_full_trace(count):
+    spec = EnsembleSpec(beta=BETA, count=count, seed=71)
+    df = delta_f_classical(BETA, WI, WF)
+    counts = _default_counts(count)
+    traces = jarzynski_at_counts(FAST, spec, df, counts)
+    sets = classical_work_ensembles(FAST, spec)
+    assert list(traces) == [True, False]
+    for with_control, trace in traces.items():
+        full = jarzynski(sets[with_control], BETA, df)
+        assert np.array_equal(trace.running, full.running[counts - 1])
+        assert trace.final == full.final
+        assert trace.target == full.target
+
+
+def test_jarzynski_at_counts_takes_counts_in_any_order():
+    spec = EnsembleSpec(beta=BETA, count=2 * _B + 1, seed=73)
+    df = delta_f_classical(BETA, WI, WF)
+    counts = [2 * _B + 1, 5, _B, 5, 1, _B + 1]
+    full = jarzynski(classical_work_ensemble(FAST, spec), BETA, df)
+    trace = jarzynski_at_counts(FAST, spec, df, counts)[False]
+    assert np.array_equal(trace.running, full.running[np.array(counts) - 1])
+
+
+@pytest.mark.parametrize(
+    "counts", [[0, 5], [1, 101], [1.0, 5.0], [[1, 5]], [], [True]],
+    ids=["zero", "past-count", "float", "2-d", "empty", "bool"],
+)
+def test_jarzynski_at_counts_rejects_bad_counts(counts):
+    spec = EnsembleSpec(beta=BETA, count=100, seed=1)
+    message = r"^counts must be a non-empty 1-d integer array in \[1, 100\], got "
+    with pytest.raises(ValueError, match=message):
+        jarzynski_at_counts(FAST, spec, 0.0, counts)
+
+
+def test_jarzynski_at_counts_keeps_the_finite_work_check(monkeypatch):
+    monkeypatch.setattr(
+        work_statistics, "work_coefficients", lambda protocol, c: (math.inf, 0.0, 0.0)
+    )
+    with pytest.raises(ValueError, match="^work samples must be finite$"):
+        jarzynski_at_counts(FAST, EnsembleSpec(BETA, 100, 1), 0.0, [1, 100])
+
+
+@pytest.mark.parametrize(
+    "falling", [(True,), (False,), (True, False)], ids=["sta", "bare", "both"]
+)
+def test_jarzynski_at_counts_raises_the_full_trace_overflow(monkeypatch, falling):
+    # -beta W <= beta omega_i I <= 36.7 for any real ramp of a Gibbs draw, so
+    # a mean that overflows needs a work form lowered far below -E_i
+    real = work_statistics.work_coefficients
+
+    def lowered(protocol, with_control):
+        a, b, c = real(protocol, with_control)
+        return (a - 300.0 * protocol.omega_i, b, c) if with_control in falling else (a, b, c)
+
+    monkeypatch.setattr(work_statistics, "work_coefficients", lowered)
+    spec = EnsembleSpec(BETA, 2 * _B + 1, 5)
+    df = delta_f_classical(BETA, WI, WF)
+    sets = classical_work_ensembles(FAST, spec)
+    with pytest.raises(ValueError, match="^the mean of exp\\(-beta W\\) overflows") as full:
+        jarzynski(sets[falling[0]], BETA, df)
+    with pytest.raises(ValueError) as streamed:
+        jarzynski_at_counts(FAST, spec, df, _default_counts(spec.count))
+    assert str(streamed.value) == str(full.value)
+
+
+def test_jarzynski_at_counts_holds_no_count_length_array():
+    # the default 1e6-sample trace: one 1e6-sample array alone is 8 MB
+    df = delta_f_classical(BETA, WI, WF)
+    jarzynski_at_counts(FAST, EnsembleSpec(BETA, 100, 0), df, [1])  # imports and Phi untraced
+    spec = EnsembleSpec(BETA, 1_000_000, 12345)
+    counts = _default_counts(spec.count)
+    tracemalloc.start()
+    try:
+        jarzynski_at_counts(FAST, spec, df, counts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
+
+
 def test_delta_f_classical_value():
     df = delta_f_classical(BETA, WI, WF)
     assert df == pytest.approx(math.log(math.sqrt(3.0)) / BETA, rel=1e-14)
@@ -377,6 +468,63 @@ def test_cdf_matches_adaptive_quadrature(w_max):
         grid, cdf = _cdf_on_grid(density, w_max)
         assert grid[-1] == pytest.approx(w_max, rel=1e-14)
         assert np.max(np.abs(cdf - _quad_cdf(density, w_max))) <= 1e-12
+
+
+def _ks_forms():
+    for ratio in (math.sqrt(3.0), 4.0):
+        wf = ratio * WI
+        yield f"{ratio:.3g}-sta", quadratic_form(cosine_ramp(WI, wf, 1e-3 / WI), BETA, True)
+        yield f"{ratio:.3g}-sudden", _work_form(BETA, WI, wf)
+        for tau_omega in (1e-4, 1e-3, 1e-2, 0.5, 3.0):
+            ramp = cosine_ramp(WI, wf, tau_omega / WI)
+            yield f"{ratio:.3g}-bare-{tau_omega:g}", quadratic_form(ramp, BETA)
+
+
+KS_FORMS = dict(_ks_forms())
+
+
+@pytest.mark.parametrize("form", KS_FORMS.values(), ids=KS_FORMS.keys())
+def test_ks_cdf_matches_adaptive_quadrature_between_nodes(form):
+    # off the quadrature nodes, spread uniformly and log-spaced down to
+    # 1e-10 w_max; a PCHIP through the grid-node CDF is off by 2.7e-7 to 7.4e-4 here
+    density = partial(pdf_nonadiabatic, form=form)
+    w_max = 40.0 * form.mu_plus
+    w = np.unique(np.concatenate((
+        np.linspace(0.0, w_max, 101)[1:], w_max * np.geomspace(1e-10, 1.0, 61)
+    )))
+    u = np.sqrt(w)
+    pieces = [
+        quad(lambda x: 2.0 * x * density(x * x), a, b, epsabs=1e-16, epsrel=1e-13, limit=400)[0]
+        for a, b in zip(np.append(0.0, u[:-1]), u)
+    ]
+    assert np.max(np.abs(_cdf_at(density, w_max, w) - np.cumsum(pieces))) <= 1e-9
+
+
+def test_ks_interpolant_maps_are_exact_for_polynomials():
+    z = work_statistics._KNOT_Z
+    for degree in range(16):
+        f = work_statistics._GL_X**degree
+        integral = (z ** (degree + 1) - (-1.0) ** (degree + 1)) / (degree + 1)
+        assert np.max(np.abs(work_statistics._KNOT_CDF @ f - integral)) <= 1e-14
+        assert np.max(np.abs(work_statistics._KNOT_SLOPE @ f - z**degree)) <= 1e-13
+
+
+def test_ks_distance_on_the_sudden_law_is_exact():
+    # dF/du of the jump law is 0 * inf at W = 0; its CDF is erf(sqrt(W/mu_+))
+    form = _work_form(BETA, WI, WF)
+    z = np.random.default_rng(3).standard_normal(20_000)
+    works = np.append(0.0, form.mu_plus * z * z / 2.0)  # mu_+ x^2, x ~ N(0, 1/2)
+    prov = SampleProvenance(
+        kind="cosine-ramp", omega_i=WI, omega_f=WF, tau=0.0,
+        with_control=False, beta=BETA, count=works.size, seed=3,
+    )
+    ws = WorkSampleSet(samples=works, provenance=prov)
+    ks = ks_distance(ws, partial(pdf_nonadiabatic, form=form))
+    w = np.sort(works)
+    f = special.erf(np.sqrt(w / form.mu_plus))
+    n = w.size
+    exact = max(np.max(np.arange(1, n + 1) / n - f), np.max(f - np.arange(n) / n))
+    assert math.isfinite(ks) and abs(ks - exact) <= 1e-9
 
 
 @pytest.mark.parametrize(
