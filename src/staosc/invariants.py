@@ -96,7 +96,7 @@ def form_work_mismatch(protocol, form: ca.QuadraticWorkForm, states) -> Check:
 
 
 def density_mass(name: str, density, w_max: float) -> Check:
-    """|mass - 1| of a work density integrated over [0, w_max]."""
+    """|mass - 1| of a work density integrated over [0, w_max], unclipped: excess mass fails too."""
     mass = ws.integrate_density(density, w_max)
     return Check.below(name, abs(mass - 1.0), 1e-6, f"mass = {mass:.9f} on [0, {w_max:g}]")
 

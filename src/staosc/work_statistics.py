@@ -241,12 +241,14 @@ def default_bin_count(n: int) -> int:
 
 
 def histogram(samples: WorkSampleSet, bins=None) -> BinnedDensity:
-    """Area-one histogram of the samples; bins is a count or explicit edges."""
+    """Area-one histogram of the samples; bins is a count or at least two explicit edges."""
     w = samples.samples
     if bins is None:
         bins = default_bin_count(w.size)
     if np.ndim(bins) == 1:
         edges = np.asarray(bins, dtype=float)
+        if edges.size < 2:
+            raise ValueError(f"histogram bins need at least two edges, got {edges.size}")
         if not (np.all(np.isfinite(edges)) and np.all(np.diff(edges) > 0.0)):
             raise ValueError("histogram bin edges must be finite and strictly increasing")
     else:
@@ -389,38 +391,20 @@ def delta_f_classical(beta: float, omega_i: float, omega_f: float) -> float:
 
 
 #: 16-point Gauss-Legendre nodes and weights on [-1, 1]; one rule
-#: integrates every panel of the CDF grid.
+#: integrates every panel of the CDF.
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
 
+#: The (17, 16) map from a panel's 16 node values of dF/du to the Chebyshev
+#: series in z of the integral from -1 to z of their degree-15 interpolant.
+#: It is exact to rounding; in monomials its entries would reach 1.4e3 and
+#: its integral of x**d would be off by up to 2e-13.
+_INTEGRAL_MAP = np.polynomial.chebyshev.chebint(
+    np.linalg.inv(np.polynomial.chebyshev.chebvander(_GL_X, 15)), lbnd=-1.0
+)
 
-#: Hermite knots per CDF panel, evenly spaced in the panel's u.  At 32 the
-#: KS CDF is within 3.5e-10 of adaptive quadrature on the shortcut, sudden
-#: and bare forms at omega_f/omega_i in {1.1, sqrt 3, 4, 10}, tau omega_i
-#: 1e-4..3 and w_max up to 200 mu_plus; with the 16 Gauss nodes as knots it
-#: is off by up to 8e-9 where mu_minus/mu_plus ~ 1e-3.
-_KNOTS_PER_PANEL = 32
-
-
-def _interpolant_maps(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Linear maps from a panel's 16 node values to its interpolant's integral and value at ``z``.
-
-    The interpolant is the degree-15 polynomial through the node values,
-    in Legendre coefficients c_m = (m + 1/2) sum_j w_j P_m(x_j) f_j (the
-    rule is exact for these degree-30 products).  Returned are the
-    (z.size, 16) matrices of its integral from -1 to each z and of its
-    value at each z.
-    """
-    legendre = np.polynomial.legendre
-    to_coefficients = (np.arange(16) + 0.5)[:, None] * legendre.legvander(_GL_X, 15).T
-    to_coefficients *= _GL_W
-    antiderivative = legendre.legint(to_coefficients, lbnd=-1.0)
-    return legendre.legval(z, antiderivative).T, legendre.legval(z, to_coefficients).T
-
-
-#: Each panel's knots in [-1, 1], its far end included, and the maps from
-#: its node values of dF/du to the CDF increment and to dF/du at them.
-_KNOT_Z = np.linspace(-1.0, 1.0, _KNOTS_PER_PANEL + 1)
-_KNOT_CDF, _KNOT_SLOPE = _interpolant_maps(_KNOT_Z)
+#: Samples per step of :func:`_cdf_at`, whose (17, step) gathered series
+#: take about 0.5 MB; no bit depends on the step.
+_CDF_STEP = 4096
 
 #: The first grid panel [0, h] is split at h/2, h/4, ..., h/2**60.  A bare
 #: ramp whose work form has mu_minus << mu_plus has a feature at
@@ -448,92 +432,72 @@ def _density_values(density, w: np.ndarray) -> np.ndarray:
     return values
 
 
-def _panel_rule(density, w_max: float, nodes: int = 513):
+def _panel_rule(density, w_max: float):
     """The Gauss-Legendre panels of the CDF on [0, w_max], in u = sqrt(W).
 
     Integration runs in u, which turns the inverse-square-root endpoint
     divergence of the sudden law into a bounded integrand dF/du =
-    2 u p(u^2); smooth densities are unaffected.  The uniform u grid of
-    ``nodes`` points has its first panel graded geometrically toward u = 0
-    and every panel gets a 16-point rule; the density is called once on
-    all quadrature nodes.  Returns (u_grid, center, half, slopes): the
-    grid, each panel's center and half-width, and the (panels, 16) array
-    of dF/du at the nodes.
+    2 u p(u^2); smooth densities are unaffected.  The 512 panels of a
+    uniform u grid of 513 nodes, the first graded geometrically toward
+    u = 0, each get a 16-point rule; the density is called once on all
+    quadrature nodes.  Returns (lo, center, half, slopes): each panel's
+    lower end, center and half-width, and the (panels, 16) array of dF/du
+    at the nodes.
     """
     require_positive(w_max=w_max)
-    u_grid = np.linspace(0.0, math.sqrt(w_max), nodes)
+    u_grid = np.linspace(0.0, math.sqrt(w_max), 513)
     first = u_grid[1] * np.exp2(-np.arange(_FIRST_PANEL_HALVINGS, -1, -1.0))
     lo = np.concatenate(([0.0], first[:-1], u_grid[1:-1]))
     hi = np.concatenate((first, u_grid[2:]))
     center, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
     u = center[:, None] + half[:, None] * _GL_X
-    return u_grid, center, half, 2.0 * u * _density_values(density, u * u)
-
-
-def _cdf_on_grid(density, w_max: float, nodes: int = 513):
-    """Cumulative distribution of a density on [0, w_max], at the grid of :func:`_panel_rule`.
-
-    Against adaptive quadrature the CDF agrees to 1e-12 at every grid node
-    (to rounding for the package's work densities).  Returns
-    (w_grid, cdf_values).
-    """
-    u_grid, _, half, slopes = _panel_rule(density, w_max, nodes)
-    panels = half * (slopes @ _GL_W)
-    pieces = np.zeros(nodes)
-    pieces[1] = panels[: _FIRST_PANEL_HALVINGS + 1].sum()
-    pieces[2:] = panels[_FIRST_PANEL_HALVINGS + 1 :]
-    cdf = np.cumsum(pieces)
-    return u_grid**2, np.minimum(cdf, 1.0)
+    return lo, center, half, 2.0 * u * _density_values(density, u * u)
 
 
 def _cdf_at(density, w_max: float, w: np.ndarray) -> np.ndarray:
     """Cumulative distribution of a density at sorted works ``w`` in [0, w_max].
 
-    Each panel of :func:`_panel_rule` carries ``_KNOTS_PER_PANEL`` knots,
-    the last panel also its far end u = sqrt(w_max).  At a knot the CDF is
-    the panels before plus the integral of the panel's interpolant of
-    dF/du up to it, and the slope is that interpolant's value, which stays
-    finite at u = 0 where the sudden law's p diverges.  Between knots the
-    CDF is the cubic Hermite of those values and slopes, in powers of the
-    distance d from the knot below: F0 + d (s0 + d (c2 + d c3)).
+    In the panel of :func:`_panel_rule` that holds u = sqrt(W), at
+    z = (u - center)/half, the CDF is the panels before plus the integral
+    from -1 to z of the panel's interpolant of dF/du: a Chebyshev series
+    (``_INTEGRAL_MAP``) whose constant term carries the panels before, read
+    by Clenshaw's recurrence.  The interpolant stays finite at u = 0, where
+    the sudden law's 2 u p(u^2) is 0 * inf.
     """
-    u_grid, center, half, slopes = _panel_rule(density, w_max)
-    panels = half * (slopes @ _GL_W)
-    before = np.concatenate(([0.0], np.cumsum(panels[:-1])))
-    knots = center[:, None] + half[:, None] * _KNOT_Z
-    cdf = before[:, None] + half[:, None] * (slopes @ _KNOT_CDF.T)
-    slope = slopes @ _KNOT_SLOPE.T
-    # each panel's far end is the next one's first knot, except the last panel's
-    knots = np.append(knots[:, :-1], u_grid[-1])
-    cdf = np.minimum(np.append(cdf[:, :-1], cdf[-1, -1]), 1.0)
-    slope = np.append(slope[:, :-1], slope[-1, -1])
-    step = np.diff(knots)
-    secant = np.diff(cdf) / step
-    c2 = (3.0 * secant - 2.0 * slope[:-1] - slope[1:]) / step
-    c3 = (slope[:-1] + slope[1:] - 2.0 * secant) / (step * step)
-
-    # the samples are sorted: piece k holds those in [knots[k], knots[k + 1])
-    d = np.sqrt(w)
-    below = np.searchsorted(d, knots[1:-1])
-    k = np.repeat(np.arange(step.size), np.diff(below, prepend=0, append=d.size))
-    f = knots.take(k)
-    d -= f
-    c3.take(k, out=f)
-    term = np.empty_like(d)
-    for c in (c2, slope, cdf):
-        f *= d
-        f += c.take(k, out=term)
-    return f
+    lo, center, half, slopes = _panel_rule(density, w_max)
+    series = half[:, None] * (slopes @ _INTEGRAL_MAP.T)
+    series[1:, 0] += np.cumsum(half[:-1] * (slopes[:-1] @ _GL_W))
+    series = np.ascontiguousarray(series.T)
+    # the samples are sorted: panel k holds u[starts[k]:starts[k + 1]]
+    u = np.sqrt(w)
+    starts = np.append(np.searchsorted(u, lo), u.size)
+    for first in range(0, u.size, _CDF_STEP):
+        f = u[first : first + _CDF_STEP]  # each sample's u, then its CDF
+        counts = np.diff(np.clip(starts, first, first + f.size))
+        z = (f - np.repeat(center, counts)) / np.repeat(half, counts)
+        b = np.repeat(series, counts, axis=1)
+        # b[j] = c_j + 2 z b[j + 1] - b[j + 2], from j = 15 down to 1
+        z2, term = np.multiply(2.0, z, out=f), np.empty_like(z)
+        for j in range(15, 0, -1):
+            np.multiply(z2, b[j + 1], out=term)
+            if j < 15:
+                term -= b[j + 2]
+            b[j] += term
+        np.multiply(z, b[1], out=f)
+        f -= b[2]
+        f += b[0]
+    return u
 
 
 def integrate_density(density, w_max: float) -> float:
     """Total mass of a work density on [0, w_max] (normalization check).
 
-    The density must be vectorized: it is called once on a numpy array of
-    works and must return an array of the same shape.
+    The exactly rounded, unclipped sum of the panel integrals: a density of
+    mass 2 reads 2.  The density must be vectorized: it is called once on
+    a numpy array of works and must return an array of the same shape.
     """
-    _, cdf = _cdf_on_grid(density, w_max)
-    return float(cdf[-1])
+    _, _, half, slopes = _panel_rule(density, w_max)
+    return math.fsum(half * (slopes @ _GL_W))
 
 
 def ks_distance(samples: WorkSampleSet, density, w_max: float | None = None) -> float:
@@ -542,10 +506,11 @@ def ks_distance(samples: WorkSampleSet, density, w_max: float | None = None) -> 
     The analytic CDF at each sample is :func:`_cdf_at`'s: fixed-node
     16-point Gauss-Legendre panels in sqrt-work coordinates (so densities
     divergent at W = 0 integrate cleanly), the first graded toward W = 0,
-    and a cubic Hermite between knots set by each panel's interpolant,
-    within 1e-9 of adaptive quadrature.  The density is assumed to be
-    supported on W >= 0, and must be vectorized: it is called once on a
-    numpy array of works and must return an array of the same shape.
+    each read through its own interpolant, within 1e-13 of adaptive
+    quadrature.  Samples are clipped to [0, w_max], outside which no panel
+    is read.  The density is assumed to be supported on W >= 0, and must
+    be vectorized: it is called once on a numpy array of works and must
+    return an array of the same shape.
     """
     w = np.sort(samples.samples)
     if w_max is None:

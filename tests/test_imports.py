@@ -8,9 +8,11 @@ closed limits), ``scipy.integrate`` by the DOP853 references.  The default
 ``engine-curves``, ``quantum-work-atoms`` and ``jarzynski-trace`` runs need
 none of them: the controlled work is a closed form and needs no phase.  The
 default ``classical-work-dist`` needs ``scipy.special`` for its bare
-density only: the KS distance builds its CDF with numpy alone.  The import
-tests run in fresh interpreters, so that they see a clean ``sys.modules``;
-a module-level scipy import anywhere in the package fails them.
+density only: the KS distance builds its CDF with numpy alone.  ``verify``
+adds ``scipy.integrate`` for its DOP853 references; its normalization
+checks load no ``scipy.interpolate`` either.  The import tests run in
+fresh interpreters, so that they see a clean ``sys.modules``; a
+module-level scipy import anywhere in the package fails them.
 
 The reference solvers call the ``solve_ivp`` of their own module, which
 imports ``scipy.integrate`` on its first call.  ``perfbench/layers.py``
@@ -70,6 +72,7 @@ def test_import_loads_no_scipy_submodule(tmp_path):
             ("quantum-work-atoms", []),
             ("jarzynski-trace", []),
             ("classical-work-dist", ["scipy.special"]),
+            ("verify", ["scipy.special", "scipy.integrate"]),
         )
     ],
 )

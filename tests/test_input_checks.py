@@ -241,6 +241,10 @@ FINITE_INPUTS = {
         lambda bad: ws.histogram(SAMPLES, [bad, 0.0, 1.0]),
         "histogram bin edges must be finite and strictly increasing",
     ),
+    # a lone edge, finite or not, returned an empty histogram without a word
+    "histogram-one-edge": (
+        lambda bad: ws.histogram(SAMPLES, [bad]), "histogram bins need at least two edges, got 1"
+    ),
 }
 FINITE_CASES = [(entry, bad) for entry in FINITE_INPUTS for bad in BAD[:3]]
 
@@ -250,6 +254,11 @@ def test_estimator_inputs_must_be_finite(entry, bad):
     call, message = FINITE_INPUTS[entry]
     with pytest.raises(ValueError, match=f"^{re.escape(message.format(bad=bad))}$"):
         call(bad)
+
+
+def test_histogram_rejects_a_single_finite_edge():
+    with pytest.raises(ValueError, match="^histogram bins need at least two edges, got 1$"):
+        ws.histogram(SAMPLES, bins=[0.0])
 
 
 def test_estimator_inputs_accept_finite_values():

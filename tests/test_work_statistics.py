@@ -29,6 +29,7 @@ from staosc.classical_dynamics import (
     sample_gibbs,
     work_coefficients,
 )
+from staosc.invariants import density_mass
 from staosc.protocols import cosine_ramp, omega_at, protocol_from_table
 from staosc.quantum_dynamics import quantum_work_atoms, transition_matrix
 from staosc.work_statistics import (
@@ -36,7 +37,6 @@ from staosc.work_statistics import (
     WorkSampleSet,
     SampleProvenance,
     _cdf_at,
-    _cdf_on_grid,
     classical_work_ensemble,
     classical_work_ensembles,
     default_bin_count,
@@ -464,9 +464,9 @@ def test_cdf_matches_adaptive_quadrature(w_max):
         ramp = cosine_ramp(WI, WF, tau_omega / WI)
         form = quadratic_form(ramp, BETA)
         densities.append(lambda w, form=form: pdf_nonadiabatic(w, form))
+    grid = np.minimum(np.linspace(0.0, math.sqrt(w_max), 513) ** 2, w_max)
     for density in densities:
-        grid, cdf = _cdf_on_grid(density, w_max)
-        assert grid[-1] == pytest.approx(w_max, rel=1e-14)
+        cdf = _cdf_at(density, w_max, grid)
         assert np.max(np.abs(cdf - _quad_cdf(density, w_max))) <= 1e-12
 
 
@@ -486,7 +486,8 @@ KS_FORMS = dict(_ks_forms())
 @pytest.mark.parametrize("form", KS_FORMS.values(), ids=KS_FORMS.keys())
 def test_ks_cdf_matches_adaptive_quadrature_between_nodes(form):
     # off the quadrature nodes, spread uniformly and log-spaced down to
-    # 1e-10 w_max; a PCHIP through the grid-node CDF is off by 2.7e-7 to 7.4e-4 here
+    # 1e-10 w_max; a PCHIP through the grid-node CDF is off by 2.7e-7 to
+    # 7.4e-4 here, and a cubic Hermite between 32 knots per panel by 1.7e-11
     density = partial(pdf_nonadiabatic, form=form)
     w_max = 40.0 * form.mu_plus
     w = np.unique(np.concatenate((
@@ -497,16 +498,47 @@ def test_ks_cdf_matches_adaptive_quadrature_between_nodes(form):
         quad(lambda x: 2.0 * x * density(x * x), a, b, epsabs=1e-16, epsrel=1e-13, limit=400)[0]
         for a, b in zip(np.append(0.0, u[:-1]), u)
     ]
-    assert np.max(np.abs(_cdf_at(density, w_max, w) - np.cumsum(pieces))) <= 1e-9
+    assert np.max(np.abs(_cdf_at(density, w_max, w) - np.cumsum(pieces))) <= 1e-13
 
 
 def test_ks_interpolant_maps_are_exact_for_polynomials():
-    z = work_statistics._KNOT_Z
+    # the interpolant of x**d through the 16 nodes is x**d itself, for d <= 15
+    nodes = work_statistics._GL_X
+    z = np.linspace(-1.0, 1.0, 2001)
+    z = z[np.min(np.abs(z[:, None] - nodes), axis=1) > 1e-4]
     for degree in range(16):
-        f = work_statistics._GL_X**degree
+        series = work_statistics._INTEGRAL_MAP @ nodes**degree
         integral = (z ** (degree + 1) - (-1.0) ** (degree + 1)) / (degree + 1)
-        assert np.max(np.abs(work_statistics._KNOT_CDF @ f - integral)) <= 1e-14
-        assert np.max(np.abs(work_statistics._KNOT_SLOPE @ f - z**degree)) <= 1e-13
+        assert np.max(np.abs(np.polynomial.chebyshev.chebval(z, series) - integral)) <= 1e-14
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    ratio=st.floats(1.01, 100.0),
+    beta=st.floats(0.01, 10.0),
+    reach=st.floats(2.0, 300.0),
+    sudden=st.booleans(),
+)
+def test_cdf_matches_the_closed_forms_of_the_degenerate_laws(ratio, beta, reach, sudden):
+    # the shortcut's CDF is 1 - exp(-W/mu_+), the jump's erf(sqrt(W/mu_+))
+    if sudden:
+        form = _work_form(beta, 1.0, ratio)
+        exact = lambda w: special.erf(np.sqrt(w / form.mu_plus))  # noqa: E731
+    else:
+        form = _work_form(beta, 1.0, ratio, (ratio - 1.0, 0.0, 0.0))
+        exact = lambda w: -np.expm1(-w / form.mu_plus)  # noqa: E731
+    w_max = reach * form.mu_plus
+    w = w_max * np.geomspace(1e-12, 1.0, 49)
+    cdf = _cdf_at(partial(pdf_nonadiabatic, form=form), w_max, w)
+    assert np.max(np.abs(cdf - exact(w))) <= 1e-13
+
+
+def test_integrate_density_reports_excess_mass():
+    # a density of mass 2 read 1.0 while the CDF was clipped at 1
+    density = lambda w: 0.5 * np.exp(-w / 4.0)  # noqa: E731
+    assert abs(integrate_density(density, 200.0) - 2.0) <= 1e-12
+    check = density_mass("norm_excess", density, 200.0)
+    assert not check.passed
 
 
 def test_ks_distance_on_the_sudden_law_is_exact():
