@@ -44,6 +44,16 @@ from .protocols import FrequencyProtocol
 #: degenerate and the sudden-limit density is used instead.
 DEGENERACY_SWITCH = 1e-9
 
+#: Above this argument exp(-x) I0(x) is summed from its asymptotic series;
+#: np.i0 computes exp(x) first, which overflows past x = 709.78.
+_I0E_SWITCH = 700.0
+#: [(2k - 1)!!]^2 / (k! 8^k) for k = 0..7, each exact in binary; the first
+#: term left out, k = 8, is below 1.1e-22 of the sum at the switch.
+_I0E_SERIES = (
+    1.0, 1 / 8, 9 / 128, 75 / 1024, 3675 / 32768, 59535 / 262144,
+    2401245 / 4194304, 57972915 / 33554432,
+)
+
 
 # ---------------------------------------------------------------------------
 # Basic solutions and the work quadratic form
@@ -187,7 +197,9 @@ def pdf_nonadiabatic(W, form: QuadraticWorkForm):
                * I0((mu_+ - mu_-) W / (2 mu_+ mu_-))        for W >= 0,
 
     evaluated here in the overflow-free arrangement
-    exp(-W/mu_+) * [exp(-x) I0(x)] / sqrt(mu_+ mu_-).  When
+    exp(-W/mu_+) * [exp(-x) I0(x)] / sqrt(mu_+ mu_-), with exp(-x) I0(x)
+    from numpy's i0 and, above x = 700, its asymptotic series, so the law
+    imports no scipy.  When
     mu_-/mu_+ < DEGENERACY_SWITCH the Bessel form loses all precision and
     the exact sudden-limit law exp(-W/mu_+)/sqrt(pi W mu_+) is used
     instead; when mu_- == mu_+ (the shortcut) it is exp(-W/mu_+)/mu_+,
@@ -215,11 +227,27 @@ def pdf_nonadiabatic(W, form: QuadraticWorkForm):
         out[pos] = np.exp(-W[pos] / mu_p) / mu_p
         out[W == 0.0] = 1.0 / mu_p
     else:
-        from scipy import special
-
         # exp(-(mu_+ + mu_-) W / (2 mu_+ mu_-)) * I0(arg) with
         # arg = (mu_+ - mu_-) W / (2 mu_+ mu_-)  ==  exp(-W/mu_+) * i0e(arg)
         arg = (mu_p - mu_m) * W[pos] / (2.0 * mu_p * mu_m)
-        out[pos] = np.exp(-W[pos] / mu_p) * special.i0e(arg) / math.sqrt(mu_p * mu_m)
+        out[pos] = np.exp(-W[pos] / mu_p) * _i0e(arg) / math.sqrt(mu_p * mu_m)
         out[W == 0.0] = 1.0 / math.sqrt(mu_p * mu_m)
     return float(out[0]) if scalar else out
+
+
+def _i0e(x: np.ndarray) -> np.ndarray:
+    """exp(-x) I0(x) for a float array x >= 0, with numpy alone.
+
+    np.i0(x) * exp(-x) up to _I0E_SWITCH; above it the asymptotic series
+    (2 pi x)^(-1/2) sum_k [(2k - 1)!!]^2 / (k! (8x)^k) of Abramowitz &
+    Stegun 9.7.1, whose other exponential, exp(-2x), is below 1e-600 there.
+    """
+    out = np.empty_like(x)
+    low = x <= _I0E_SWITCH
+    out[low] = np.i0(x[low]) * np.exp(-x[low])
+    high = x[~low]
+    series = np.full_like(high, _I0E_SERIES[-1])
+    for coefficient in _I0E_SERIES[-2::-1]:
+        series = series / high + coefficient
+    out[~low] = series / np.sqrt(2.0 * math.pi * high)
+    return out

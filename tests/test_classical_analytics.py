@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import special
@@ -7,6 +8,9 @@ from scipy.integrate import quad
 
 from staosc import classical_dynamics
 from staosc.classical_analytics import (
+    DEGENERACY_SWITCH,
+    _I0E_SWITCH,
+    _i0e,
     _work_form,
     basic_solutions,
     moments_from_form,
@@ -282,6 +286,86 @@ def test_shortcut_law_keeps_the_bits_of_the_bessel_form(wf, beta):
     bessel = np.exp(-w / mu_p) * special.i0e(arg) / math.sqrt(mu_p * mu_m)
     assert np.array_equal(pdf_nonadiabatic(w, sta), bessel)
     assert pdf_nonadiabatic(0.0, sta) == 1.0 / math.sqrt(mu_p * mu_m)
+
+
+# ---------------------------------------------------------------------------
+# the Bessel factor exp(-x) I0(x)
+# ---------------------------------------------------------------------------
+
+#: stated before the numpy i0e replaced scipy's: 2e-15 relative, everywhere
+I0E_RTOL = 2e-15
+
+
+def _i0e_points():
+    """0, tiny x, numpy's own switch at 8, the series switch and its neighbours, up to 1e8."""
+    return np.unique(np.concatenate((
+        [0.0, 5e-324, 1e-300, 1e-20, 1e-8, np.nextafter(8.0, 0.0), 8.0, np.nextafter(8.0, 9.0)],
+        [np.nextafter(_I0E_SWITCH, 0.0), _I0E_SWITCH, np.nextafter(_I0E_SWITCH, np.inf)],
+        np.geomspace(1e-6, 1e8, 400),
+    )))
+
+
+def test_i0e_matches_mpmath():
+    x = _i0e_points()
+    got = _i0e(x)
+    with mpmath.workdps(40):
+        worst = max(
+            abs(mpmath.mpf(float(g)) / (mpmath.besseli(0, float(v)) * mpmath.exp(-float(v))) - 1)
+            for v, g in zip(x, got)
+        )
+    assert worst <= I0E_RTOL
+
+
+def test_i0e_matches_scipy():
+    x = np.concatenate((
+        _i0e_points(), np.linspace(0.0, 1000.0, 20001), np.geomspace(1e-6, 1e8, 20001)
+    ))
+    assert np.max(np.abs(_i0e(x) / special.i0e(x) - 1.0)) <= I0E_RTOL
+    assert _i0e(np.array([0.0]))[0] == 1.0
+    assert _i0e(np.array([])).shape == (0,)
+
+
+def _switch_form():
+    """A bare form whose Bessel argument passes the series switch at W = w_switch."""
+    form = quadratic_form(cosine_ramp(WI, WF, 1e-3 / WI), BETA)
+    mu_p, mu_m = form.mu_plus, form.mu_minus
+    assert DEGENERACY_SWITCH * mu_p < mu_m < mu_p  # the Bessel branch
+    return form, _I0E_SWITCH * 2.0 * mu_p * mu_m / (mu_p - mu_m)
+
+
+def _bessel_arg(w, form):
+    return (form.mu_plus - form.mu_minus) * w / (2.0 * form.mu_plus * form.mu_minus)
+
+
+def test_bare_density_on_a_scalar_keeps_the_bits_of_the_array_call():
+    form, w_switch = _switch_form()
+    w = np.concatenate((
+        [-1.0, 0.0, 5e-324, 1e-12],
+        w_switch * np.array([0.5, 1.0 - 1e-15, 1.0, 1.0 + 1e-15, 2.0]),
+        np.linspace(0.0, 40.0 * form.mu_plus, 41)[1:],
+    ))
+    arg = _bessel_arg(w, form)
+    assert np.any((0.0 < arg) & (arg <= _I0E_SWITCH)) and np.any(arg > _I0E_SWITCH)
+    whole = pdf_nonadiabatic(w, form)
+    assert np.array_equal(np.array([pdf_nonadiabatic(float(v), form) for v in w]), whole)
+    assert whole[0] == 0.0
+    assert whole[1] == pdf_nonadiabatic(0.0, form) == 1.0 / math.sqrt(form.mu_plus * form.mu_minus)
+
+
+def test_bare_density_on_one_side_of_the_switch_or_none():
+    form, w_switch = _switch_form()
+    low = w_switch * np.linspace(0.0, 1.0, 9)[1:]
+    high = w_switch * np.linspace(1.0, 50.0, 9)[1:]
+    assert np.all(_bessel_arg(low, form) <= _I0E_SWITCH)
+    assert np.all(_bessel_arg(high, form) > _I0E_SWITCH)
+    both = pdf_nonadiabatic(np.concatenate((low, high)), form)
+    halves = (pdf_nonadiabatic(low, form), pdf_nonadiabatic(high, form))
+    assert np.array_equal(np.concatenate(halves), both)
+    assert np.all(np.diff(both) < 0.0)  # the bare density falls with W > 0, across the switch too
+    # no positive work at all: the Bessel factor sees an empty selection
+    assert pdf_nonadiabatic(np.array([]), form).shape == (0,)
+    none = pdf_nonadiabatic(np.array([-2.0, -1e-300, 0.0]), form)
+    assert np.array_equal(none, [0.0, 0.0, 1.0 / math.sqrt(form.mu_plus * form.mu_minus)])
 
 
 def test_decay_rate_inequality():

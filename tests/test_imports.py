@@ -2,15 +2,16 @@
 
 ``import staosc`` loads numpy only.  Each scipy submodule is imported where
 a route first needs it: ``scipy.interpolate`` by table ramps only,
-``scipy.special`` by the cosine-ramp phase of the controlled Phi and the
-one work-density law on bare forms (the shortcut and sudden forms are its
-closed limits), ``scipy.integrate`` by the DOP853 references.  The default
+``scipy.special`` by the cosine-ramp phase of the controlled Phi,
+``scipy.integrate`` by the DOP853 references.  The default
 ``engine-curves``, ``quantum-work-atoms`` and ``jarzynski-trace`` runs need
-none of them: the controlled work is a closed form and needs no phase.  The
-default ``classical-work-dist`` needs ``scipy.special`` for its bare
-density only: the KS distance builds its CDF with numpy alone.  ``verify``
-adds ``scipy.integrate`` for its DOP853 references; its normalization
-checks load no ``scipy.interpolate`` either.  The import tests run in
+none of them: the controlled work is a closed form and needs no phase.  Nor
+does the default ``classical-work-dist``: the work-density law takes its
+Bessel factor from numpy's ``i0`` and an asymptotic series, and the KS
+distance builds its CDF with numpy alone.  ``verify`` loads
+``scipy.integrate`` for its DOP853 references, and with it
+``scipy.special``; its normalization checks load no ``scipy.interpolate``
+either.  The import tests run in
 fresh interpreters, so that they see a clean ``sys.modules``; a
 module-level scipy import anywhere in the package fails them.
 
@@ -71,7 +72,7 @@ def test_import_loads_no_scipy_submodule(tmp_path):
             ("engine-curves", []),
             ("quantum-work-atoms", []),
             ("jarzynski-trace", []),
-            ("classical-work-dist", ["scipy.special"]),
+            ("classical-work-dist", []),
             ("verify", ["scipy.special", "scipy.integrate"]),
         )
     ],
