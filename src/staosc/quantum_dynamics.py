@@ -5,9 +5,8 @@ Production transition matrices come in closed form
 P(n -> m) = delta_nm.  For the bare ramp of a harmonic oscillator P(n -> m)
 depends only on the adiabaticity factor Q* of the classical ramp
 (Husimi, Prog. Theor. Phys. 9, 381 (1953); Deffner & Lutz, PRE 77, 021128
-(2008)): it is the squared number-basis element of a squeeze operator
-with cosh 2r = Q*, built by a forward recurrence that is accurate only in
-the range :func:`_squeeze_probabilities` states.
+(2008)): the squared number-basis element of a squeeze operator with
+cosh 2r = Q*, in Husimi's Legendre form (:func:`_squeeze_probabilities`).
 
 Transition probabilities depend on neither hbar nor a basis frequency, so
 this module forms them in units where hbar = 1.  hbar enters only where
@@ -254,32 +253,36 @@ def _trimmed(p_full: np.ndarray, protocol: FrequencyProtocol) -> TransitionMatri
 def _squeeze_probabilities(q_star: float, n_max: int, m_count: int) -> np.ndarray:
     """|<m|S(r)|n>|^2 of the squeeze operator with cosh 2r = q_star, as (n, m).
 
-    With t = tanh r and s = sech r the amplitudes c[m, n] obey
-    c[0, 0] = sqrt(s), c[0, n] = t sqrt((n-1)/n) c[0, n-2] and
-    sqrt(m) c[m, n] = -t sqrt(m-1) c[m-2, n] + s sqrt(n) c[m-1, n-1].
-    The forward sweep is not stable: its rounding error grows with n_max
-    and Q*.  Over 512 final levels (800 at n_max 160) the largest
-    |row sum - 1| is below 1e-14 at the shipped n_max of 24-64 with
-    Q* <= 1.16, but 2.5e-5 at Q* = 1.1547 with n_max 160, 5.6e-2 at Q* = 2
-    with n_max 100 and 31 at Q* = 1.5 with n_max 128.  The two gates of
-    :func:`_trimmed` (a row sum above 1 + 1e-9, a deficit above 1e-6) are
-    what stop such results.  The stable route is Husimi's Legendre form
-    with fully normalised Ferrers functions.
+    Husimi's Legendre form: with s = sech r, t = tanh r, l = (n+m)/2 and
+    mu = |n-m|/2, P(n -> m) = s 2/(n+m+1) [Pbar_l^mu(s)]^2 for even n - m,
+    0 otherwise, Pbar the fully normalised Ferrers function.  As P is
+    symmetric, row k holds the columns m = k + 2 mu and the block m < n is
+    its transpose (m_count >= n_max).  Since l - mu = k < n_max, the upward
+    recurrence in l (DLMF 14.10.3) takes every mu at once in n_max - 1 steps
+    from Pbar_mu^mu = sqrt(1/2) prod_{j <= mu} t sqrt((2j+1)/(2j)), about
+    s = 1 (Reinsch's modification) so that rounding does not grow with l
+    near Q* = 1: Pbar_k = rho_k Pbar_{k-1} + D_k, with
+    rho_k = sqrt((2l+1)(l+mu) / ((2l-1) k)) and
+    D_k = rho_k ((k-1) D_{k-1} - (2l-1)(1-s) Pbar_{k-1}) / (l+mu).
     """
-    t = math.sqrt((q_star - 1.0) / (q_star + 1.0))
-    s = math.sqrt(2.0 / (q_star + 1.0))
-    c = np.zeros((m_count, n_max))
-    c[0, 0] = math.sqrt(s)
-    for n in range(2, n_max, 2):
-        c[0, n] = t * math.sqrt((n - 1) / n) * c[0, n - 2]
-    s_root_n = s * np.sqrt(np.arange(1, n_max, dtype=float))
-    for m in range(1, m_count):
-        row = c[m]
-        row[1:] = s_root_n * c[m - 1, :-1]
-        if m >= 2:
-            row -= (t * math.sqrt(m - 1)) * c[m - 2]
-        row /= math.sqrt(m)
-    return (c * c).T
+    t2 = (q_star - 1.0) / (q_star + 1.0)  # t^2
+    s = math.sqrt(1.0 - t2)
+    one_minus_s = t2 / (1.0 + s)  # without the cancellation
+    two_mu = 2.0 * np.arange((m_count + 1) // 2)
+    row = np.cumprod(np.sqrt(np.append(0.5, t2 * (two_mu[1:] + 1.0) / two_mu[1:])))
+    diff = 0.0
+    probs = np.zeros((n_max, m_count))
+    for k in range(n_max):
+        two_l_plus_1 = two_mu + (2 * k + 1)
+        if k:
+            l_plus_mu = two_mu + k
+            rho = np.sqrt(two_l_plus_1 * l_plus_mu / ((two_l_plus_1 - 2.0) * k))
+            diff = rho * ((k - 1) * diff - one_minus_s * (two_l_plus_1 - 2.0) * row) / l_plus_mu
+            row = rho * row + diff
+        probs[k, k::2] = ((2.0 * s / two_l_plus_1) * row**2)[: (m_count - k + 1) // 2]
+    block = probs[:, :n_max]
+    block += np.triu(block, 1).T
+    return probs
 
 
 def transition_matrix(
@@ -292,22 +295,18 @@ def transition_matrix(
 
     P = I for the controlled ramp; for the bare ramp, the squeeze-operator
     probabilities with cosh 2r = Q*, Q* coming from the classical basic
-    solutions (the bare Phi's doubling and det gates apply).  Q* below 1 - 1e-9 raises
-    IntegrationError; smaller round-off is clamped to 1.  dimension caps
-    the final levels and n_max <= dimension / 4, as for
-    :func:`fock_transition_matrix`, the integrated reference.
+    solutions (the bare Phi's doubling and det gates apply).  Q* below
+    1 - 1e-9 raises IntegrationError; Q* <= 1 within that round-off gives
+    P = I.  dimension caps the final levels and n_max <= dimension / 4, as
+    for :func:`fock_transition_matrix`, the integrated reference.
     """
     _require_rows(n_max, dimension)
-    if with_control:
-        p_full = np.eye(n_max, dimension)
-    else:
-        q_star = adiabaticity_parameter(protocol)
-        if q_star < 1.0 - 1e-9:
-            raise IntegrationError(
-                f"adiabaticity factor Q* = {q_star!r} is below 1 beyond 1e-9"
-            )
-        p_full = _squeeze_probabilities(max(q_star, 1.0), n_max, dimension)
-    return _trimmed(p_full, protocol)
+    q_star = 1.0 if with_control else adiabaticity_parameter(protocol)
+    if not q_star >= 1.0 - 1e-9:  # NaN too
+        raise IntegrationError(f"adiabaticity factor Q* = {q_star!r} is below 1 beyond 1e-9")
+    if q_star > 1.0:
+        return _trimmed(_squeeze_probabilities(q_star, n_max, dimension), protocol)
+    return _trimmed(np.eye(n_max, dimension), protocol)  # Q* = 1 is transitionless
 
 
 def fock_transition_matrix(

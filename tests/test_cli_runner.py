@@ -400,6 +400,23 @@ def test_quantum_work_atoms_experiment(tmp_path):
     assert "hbar_convention" in summary["derived"]
 
 
+def test_quantum_work_atoms_completes_a_doubling_ramp_at_n_max_128(tmp_path):
+    # 128 initial levels of a Q* = 1.25 ramp: every row must stay complete
+    # and below 1, or the row gates raise
+    summary = run_experiment(
+        _config(
+            "quantum-work-atoms",
+            physical={"omega_f": 20.0},
+            numeric={"basis_size": 512, "n_max": 128},
+        ),
+        out_dir=tmp_path,
+    )
+    assert summary["all_checks_passed"]
+    rows = (tmp_path / "quantum_atoms_bare.csv").read_text().splitlines()[3:]
+    mass = math.fsum(float(row.split(",")[1]) for row in rows)
+    assert mass == pytest.approx(1.0, abs=1e-12)
+
+
 def test_engine_curves_experiment(tmp_path):
     summary = run_experiment(
         _config("engine-curves", numeric={"ratios": [2.0, 10.0]}),

@@ -1,9 +1,10 @@
 import math
-import re
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from staosc import classical_dynamics, quantum_dynamics
 from staosc.classical_analytics import adiabaticity_parameter, moments_from_form, quadratic_form
@@ -245,19 +246,93 @@ def test_closed_form_rejects_q_star_below_one(monkeypatch):
     monkeypatch.setattr(quantum_dynamics, "adiabaticity_parameter", lambda proto: 0.81)
     with pytest.raises(IntegrationError, match="below 1"):
         transition_matrix(cosine_ramp(WI, WI, 0.1), n_max=8, dimension=128)
+    monkeypatch.setattr(quantum_dynamics, "adiabaticity_parameter", lambda proto: math.nan)
+    with pytest.raises(IntegrationError, match="Q\\* = nan"):
+        transition_matrix(cosine_ramp(WI, WI, 0.1), n_max=8, dimension=128)
     # round-off below 1 is clamped to the identity
     monkeypatch.setattr(quantum_dynamics, "adiabaticity_parameter", lambda proto: 1.0 - 5e-10)
     tm = transition_matrix(cosine_ramp(WI, WI, 0.1), n_max=8, dimension=128)
     assert np.array_equal(tm.probs, np.eye(8, tm.m_max))
 
 
-def test_closed_form_rejects_row_sums_above_one():
-    # the squeeze recurrence loses accuracy at large n_max; here its rows
-    # sum to far above 1 (the value follows the last ulp of Q*), which no
-    # set of probabilities can do
-    with pytest.raises(IntegrationError, match=r"sums to \S+ > 1") as raised:
-        transition_matrix(FAST, n_max=200, dimension=800)
-    assert float(re.search(r"sums to (\S+) >", str(raised.value)).group(1)) > 1.0 + 1e-9
+def test_closed_form_rejects_row_sums_above_one(monkeypatch):
+    # no set of probabilities sums to more than 1; a closed form that did
+    # must raise, not return
+    monkeypatch.setattr(
+        quantum_dynamics, "_squeeze_probabilities", lambda q, n, m: (1.0 + 2e-9) * np.eye(n, m)
+    )
+    with pytest.raises(IntegrationError, match=r"sums to 1\.000000002 > 1"):
+        transition_matrix(FAST, n_max=8, dimension=128)
+
+
+def test_closed_form_rows_complete_at_large_n_max():
+    # 200 rows reach l = 600; rounding that grew with l would break the rows
+    tm = transition_matrix(FAST, n_max=200, dimension=800)
+    assert tm.m_max == 400
+    # the 400 kept final levels leave a tail of 6.8e-12, below the 1e-6 gate
+    assert np.all(np.abs(tm.row_sums() - 1.0) <= 1e-11)
+    full = quantum_dynamics._squeeze_probabilities(adiabaticity_parameter(FAST), 200, 800)
+    assert np.max(np.abs(full.sum(axis=1) - 1.0)) <= 1e-12
+
+
+def _squeeze_oracle(q_star: float, n_max: int, m_count: int) -> np.ndarray:
+    """P(n -> m) by the squeeze amplitudes' forward recurrence, at 110 digits.
+
+    With t = tanh r and s = sech r: c[0, 0] = sqrt(s),
+    c[0, n] = t sqrt((n-1)/n) c[0, n-2] and
+    sqrt(m) c[m, n] = -t sqrt(m-1) c[m-2, n] + s sqrt(n) c[m-1, n-1].
+    """
+    with mpmath.workdps(110):
+        q = mpmath.mpf(q_star)
+        t, s = mpmath.sqrt((q - 1) / (q + 1)), mpmath.sqrt(2 / (q + 1))
+        roots = [mpmath.sqrt(j) for j in range(max(n_max, m_count))]
+        c = [[mpmath.mpf(0)] * n_max for _ in range(m_count)]
+        c[0][0] = mpmath.sqrt(s)
+        for n in range(2, n_max, 2):
+            c[0][n] = t * roots[n - 1] / roots[n] * c[0][n - 2]
+        for m in range(1, m_count):
+            for n in range(n_max):
+                value = s * roots[n] * c[m - 1][n - 1] if n else mpmath.mpf(0)
+                if m >= 2:
+                    value -= t * roots[m - 1] * c[m - 2][n]
+                c[m][n] = value / roots[m]
+        return np.array([[float(c[m][n] ** 2) for m in range(m_count)] for n in range(n_max)])
+
+
+@pytest.mark.parametrize("q_star", [1.0 + 1e-9, 1.15, 1.5, 2.0, 5.0])
+def test_squeeze_probabilities_match_high_precision_amplitudes(q_star):
+    closed = quantum_dynamics._squeeze_probabilities(q_star, 24, 96)
+    assert np.max(np.abs(closed - _squeeze_oracle(q_star, 24, 96))) <= 1e-14
+
+
+@pytest.mark.parametrize("q_star, m_count", [(1.001, 600), (1.1547, 1200), (2.0, 2400)])
+def test_squeeze_rows_obey_husimi_moments_at_every_level(q_star, m_count):
+    # each row is complete, its mean level is Q* (n + 1/2) and its variance
+    # (Q*^2 - 1)(n^2 + n + 1)/2 (Husimi 1953), for every n < 300; the
+    # variance is taken about the predicted mean, so Q* near 1 does not cancel
+    probs = quantum_dynamics._squeeze_probabilities(q_star, 300, m_count)
+    n = np.arange(300) + 0.5
+    level = np.arange(m_count) + 0.5
+    mean = q_star * n
+    variance = (q_star**2 - 1.0) * (n * n + 0.75) / 2.0
+    assert np.max(np.abs(probs.sum(axis=1) - 1.0)) <= 1e-13
+    assert np.max(np.abs(probs @ level / mean - 1.0)) <= 1e-13
+    spread = np.sum(probs * (level - mean[:, None]) ** 2, axis=1)
+    assert np.max(np.abs(spread / variance - 1.0)) <= 5e-13
+
+
+@settings(max_examples=8, deadline=None, derandomize=True, database=None)
+@given(
+    ratio=st.floats(0.5, math.sqrt(3.0)),
+    log_tau_omega_i=st.floats(-4.0, math.log10(0.5)),
+)
+def test_closed_form_matches_fock_propagation_over_ramps(ratio, log_tau_omega_i):
+    # rising and falling ramps, sudden to moderately slow
+    proto = cosine_ramp(WI, ratio * WI, 10.0**log_tau_omega_i / WI)
+    closed = transition_matrix(proto, n_max=8, dimension=128)
+    fock = fock_transition_matrix(proto, n_max=8, dimension=128)
+    assert closed.probs.shape == fock.probs.shape
+    assert np.max(np.abs(closed.probs - fock.probs)) <= 1e-9
 
 
 def test_transition_matrix_parity_selection():
