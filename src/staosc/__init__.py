@@ -70,7 +70,6 @@ from .quantum_dynamics import (
 from .work_statistics import (
     BinnedDensity,
     JarzynskiTrace,
-    SampleProvenance,
     SummaryStats,
     WorkSampleSet,
     classical_work_ensemble,

@@ -58,7 +58,7 @@ _SERIES_CUT = 1e-2
 #: The 3-point Gauss nodes on [0, 1], and the weight sqrt(15)/3 of the first moment.
 _GAUSS = np.array((0.5 - math.sqrt(15.0) / 10.0, 0.5, 0.5 + math.sqrt(15.0) / 10.0))
 _SQRT15_3 = math.sqrt(15.0) / 3.0
-#: The generator of every Gibbs draw, as sample provenance records it.
+#: The generator of every Gibbs draw, as the `generator` entry of `summary.json` records it.
 GIBBS_GENERATOR = (
     "numpy SFC64 on SeedSequence(seed).spawn(2), U = random(): "
     "actions log1p(-U) * (-1/(beta omega)), angles U * 2 pi"

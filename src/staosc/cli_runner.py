@@ -48,7 +48,7 @@ from . import classical_dynamics as cd
 from . import otto_engine as oe
 from . import quantum_dynamics as qd
 from . import work_statistics as ws
-from .invariants import Check, verify_battery
+from .invariants import Check, atom_mass, verify_battery
 from .protocols import cosine_ramp
 
 SCHEMA_VERSION = 1
@@ -220,6 +220,7 @@ def _run_quantum_work_atoms(resolved: dict, out_dir: Path, meta: dict):
                 f"atom estimate {jz.final:.9f} vs target {jz.target:.9f}",
             )
         )
+        checks.append(atom_mass(f"norm_atoms_{label}", atoms))
     negative = atom_sets["sta"].negative_probability()
     checks.append(
         Check(
@@ -313,7 +314,7 @@ _KEY_TYPES = {
         "bins": {"type": "integer", "minimum": 1},
         "grid_points": {"type": "integer", "minimum": 2},
         "w_max": _POSITIVE,
-        "basis_size": {"type": "integer", "minimum": 4},
+        "basis_size": {"type": "integer", "minimum": 4, "multipleOf": 2},
         "n_max": {"type": "integer", "minimum": 1},
         "batch_size": {"type": "integer", "minimum": 2},
         "replicates": {"type": "integer", "minimum": 1},

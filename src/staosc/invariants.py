@@ -101,10 +101,11 @@ def density_mass(name: str, density, w_max: float) -> Check:
     return Check.below(name, abs(mass - 1.0), 1e-6, f"mass = {mass:.9f} on [0, {w_max:g}]")
 
 
-def atom_mass(atoms: qd.QuantumWorkAtoms) -> Check:
-    """|total probability + discarded Gibbs tail - 1| of an atom set."""
-    mass = float(np.sum(atoms.probs)) + atoms.gibbs_tail
-    return Check.below("norm_atoms", abs(mass - 1.0), 1e-6, f"mass = {mass:.12f}")
+def atom_mass(name: str, atoms: qd.QuantumWorkAtoms) -> Check:
+    """max(|sum p - 1|, Gibbs tail) of an atom set: p is renormalised over the kept levels."""
+    mass = float(np.sum(atoms.probs))
+    detail = f"mass = {mass:.12f}, Gibbs tail = {atoms.gibbs_tail:.3g}"
+    return Check.below(name, max(abs(mass - 1.0), atoms.gibbs_tail), 1e-6, detail)
 
 
 def decay_rate_ordering(beta: float, omega_i: float, omega_f: float) -> Check:

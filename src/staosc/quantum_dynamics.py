@@ -351,10 +351,11 @@ class QuantumWorkAtoms:
     """Discrete two-point-measurement work distribution.
 
     ``works`` is sorted ascending; ``probs`` sums to 1 within 1e-6 (the
-    shortfall is basis truncation).  ``gibbs_tail`` reports the raw
-    thermal weight discarded by cutting the initial-level sum.  The sets
-    this module builds hold outcomes only, each atom with positive
-    probability; a set built by hand may also hold atoms of probability 0.
+    shortfall is basis truncation).  The sets this module builds renormalise
+    the thermal weights over the initial levels they keep, so ``probs`` does
+    not show that cut: ``gibbs_tail`` reports the raw thermal weight it
+    drops.  They hold outcomes only, each atom with positive probability;
+    a set built by hand may also hold atoms of probability 0.
     """
 
     works: np.ndarray

@@ -1,7 +1,8 @@
 """Estimators over work samples: summaries, histograms, free energies.
 
 Functions here accept either a :class:`WorkSampleSet` (Monte Carlo draws
-from the classical simulator) or :class:`~staosc.quantum_dynamics.QuantumWorkAtoms`
+from the classical simulator, held with the ramp, ensemble spec and control
+flag that redraw them) or :class:`~staosc.quantum_dynamics.QuantumWorkAtoms`
 (exact discrete distributions), wherever both make sense.  The
 exponential-average estimator
 
@@ -21,12 +22,11 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
 from .classical_dynamics import (
-    GIBBS_GENERATOR,
     EnsembleSpec,
     _draw_action_angle,
     _gibbs_streams,
@@ -45,37 +45,24 @@ _BLOCK = 32768
 
 
 @dataclass(frozen=True)
-class SampleProvenance:
-    """Where a sample set came from: its ramp's endpoints, ensemble and generator.
+class WorkSampleSet:
+    """Work draws plus the ramp and the ensemble that drew them.
 
-    This regenerates a cosine-ramp set bit-for-bit.  A table ramp's samples
-    are not recorded, so for kind ``table`` it names the ramp only.
+    ``classical_work_ensembles(protocol, spec, (with_control,))`` redraws
+    the samples bit for bit, for every ramp kind.
     """
 
-    kind: str
-    omega_i: float
-    omega_f: float
-    tau: float
-    with_control: bool
-    beta: float
-    count: int
-    seed: int
-    generator: str = GIBBS_GENERATOR
-
-    def as_dict(self) -> dict:
-        return asdict(self)
-
-
-@dataclass(frozen=True)
-class WorkSampleSet:
-    """Work draws plus the provenance that produced them."""
-
     samples: np.ndarray
-    provenance: SampleProvenance
+    protocol: FrequencyProtocol
+    spec: EnsembleSpec
+    with_control: bool
 
     def __post_init__(self):
-        if not isinstance(self.provenance, SampleProvenance):
-            raise TypeError(f"provenance must be a SampleProvenance, got {self.provenance!r}")
+        for name, kind in (("protocol", FrequencyProtocol), ("spec", EnsembleSpec),
+                           ("with_control", bool)):
+            value = getattr(self, name)
+            if not isinstance(value, kind):
+                raise TypeError(f"{name} must be of type {kind.__name__}, got {value!r}")
         samples = np.asarray(self.samples, dtype=float)
         if samples.ndim != 1 or samples.size == 0:
             raise ValueError("samples must be a non-empty 1-d array")
@@ -118,20 +105,7 @@ def classical_work_ensembles(
     for start, block in _work_blocks(spec, protocol.omega_i, coefficients, buffers, _BLOCK):
         for w, block_w in zip(works, block):
             w[start : start + block_w.size] = block_w
-    sets = {}
-    for with_control, samples in zip(controls, works):
-        prov = SampleProvenance(
-            kind=protocol.kind,
-            omega_i=protocol.omega_i,
-            omega_f=protocol.omega_f,
-            tau=protocol.tau,
-            with_control=with_control,
-            beta=spec.beta,
-            count=spec.count,
-            seed=spec.seed,
-        )
-        sets[with_control] = WorkSampleSet(samples=samples, provenance=prov)
-    return sets
+    return {c: WorkSampleSet(w, protocol, spec, c) for c, w in zip(controls, works)}
 
 
 def _work_blocks(spec: EnsembleSpec, omega_i: float, coefficients, buffers, step: int):

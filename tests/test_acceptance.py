@@ -330,7 +330,7 @@ def test_criterion_7_property_battery():
         invariants.density_mass("adiabatic", lambda w: pdf_adiabatic(w, BETA, WI, WF), 300.0),
         invariants.density_mass("sudden", lambda w: pdf_sudden(w, BETA, WI, WF), 1500.0),
         invariants.density_mass("nonadiabatic", lambda w: pdf_nonadiabatic(w, form), 200.0),
-        invariants.atom_mass(pdf_quantum_adiabatic(BETA, WI, WF, n_max=64)),
+        invariants.atom_mass("adiabatic_atoms", pdf_quantum_adiabatic(BETA, WI, WF, n_max=64)),
     ]
     rng = np.random.default_rng(909)
     specs = []

@@ -237,6 +237,17 @@ def test_config_rejects_non_positive_numbers(experiment, section, key, value):
         validate_config(_config(experiment, **{section: {key: value}}))
 
 
+def test_config_rejects_an_odd_basis_size(tmp_path):
+    # 511 used to pass the schema and die in the Fock basis with a traceback
+    config = _config("quantum-work-atoms", numeric={"basis_size": 511})
+    with pytest.raises(ConfigError, match=re.escape(
+        "$.numeric.basis_size: 511 is not a multiple of 2"
+    )):
+        run_experiment(config, out_dir=tmp_path)
+    assert not any(tmp_path.iterdir())
+    validate_config(_config("quantum-work-atoms", numeric={"basis_size": 512.0}))
+
+
 @pytest.mark.parametrize("text", ["Infinity", "-Infinity", "NaN"])
 def test_config_rejects_non_finite_ratios(text):
     ratios = [2.0, json.loads(text)]
@@ -397,7 +408,27 @@ def test_quantum_work_atoms_experiment(tmp_path):
     checks = {c["name"]: c for c in summary["checks"]}
     assert "sta_no_negative_work" in checks
     assert "jarzynski_sta" in checks and "jarzynski_bare" in checks
+    assert checks["norm_atoms_sta"]["passed"] and checks["norm_atoms_bare"]["passed"]
     assert "hbar_convention" in summary["derived"]
+
+
+@pytest.mark.parametrize(
+    "hbar, passed, tail", [(1.0, True, "1.43e-21"), (1.0 / (2.0 * math.pi), False, "0.000481")],
+    ids=["hbar-1", "hbar-1-over-2pi"],
+)
+def test_quantum_work_atoms_checks_its_gibbs_truncation(tmp_path, hbar, passed, tail):
+    # at hbar = 1/(2 pi) the default 24 initial levels drop 4.81e-4 of the
+    # thermal weight: the mass checks name it beside the Jarzynski misses
+    summary = run_experiment(
+        _config("quantum-work-atoms", physical={"hbar": hbar}), out_dir=tmp_path
+    )
+    checks = {c["name"]: c for c in summary["checks"]}
+    assert summary["all_checks_passed"] is passed
+    for label in ("sta", "bare"):
+        check = checks[f"norm_atoms_{label}"]
+        assert check["passed"] is passed
+        assert check["detail"] == f"mass = 1.000000000000, Gibbs tail = {tail}"
+        assert checks[f"jarzynski_{label}"]["passed"] is passed
 
 
 def test_quantum_work_atoms_completes_a_doubling_ramp_at_n_max_128(tmp_path):

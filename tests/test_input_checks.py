@@ -29,10 +29,9 @@ SPEC = cd.EnsembleSpec(beta=0.2, count=4, seed=1)
 ATOMS = qd.QuantumWorkAtoms(works=np.array([0.0, 1.0]), probs=np.array([0.5, 0.5]))
 SAMPLES = ws.WorkSampleSet(
     samples=np.linspace(0.1, 2.0, 40),
-    provenance=ws.SampleProvenance(
-        kind="cosine-ramp", omega_i=10.0, omega_f=20.0, tau=0.1,
-        with_control=False, beta=0.2, count=40, seed=1,
-    ),
+    protocol=RAMP,
+    spec=cd.EnsembleSpec(beta=0.2, count=40, seed=1),
+    with_control=False,
 )
 SPEC_ARGS = {"beta_1": 1.0, "beta_2": 0.5, "omega_i": 10.0, "hbar": 1.0}
 
@@ -164,7 +163,7 @@ def test_require_int_accepts_python_and_numpy_integers():
      ("count", 2.5), ("count", True), ("count", 0), ("count", 10.0)],
 )
 def test_ensemble_spec_integer_fields(field, value):
-    # seed 1.5 drew exactly the stream of seed 1 while the provenance said 1.5
+    # seed 1.5 drew exactly the stream of seed 1 while the recorded spec said 1.5
     kwargs = {"beta": 0.2, "count": 4, "seed": 1, field: value}
     with pytest.raises(ValueError, match=rf"^{field} must be an integer"):
         cd.EnsembleSpec(**kwargs)
@@ -267,7 +266,7 @@ def test_estimator_inputs_accept_finite_values():
 
 
 def _sample_set(works):
-    return ws.WorkSampleSet(samples=np.array(works), provenance=SAMPLES.provenance)
+    return dataclasses.replace(SAMPLES, samples=np.array(works))
 
 
 def _atoms(works, probs):
@@ -328,11 +327,26 @@ def test_jarzynski_of_atoms_sums_an_overflowing_term_on_a_log_scale(works, probs
     assert ws.jarzynski(_atoms(works, probs), 1.0, 0.0).final == pytest.approx(final, rel=1e-12)
 
 
-@pytest.mark.parametrize("provenance", [None, {"seed": 1}, SAMPLES])
-def test_sample_set_provenance_must_be_a_sample_provenance(provenance):
-    # provenance=None used to construct without complaint
-    with pytest.raises(TypeError, match="^provenance must be a SampleProvenance, got "):
-        ws.WorkSampleSet(samples=np.array([1.0]), provenance=provenance)
+#: Values that are none of a sample set's origin fields.
+_NOT_AN_ORIGIN = [None, {"seed": 1}, SAMPLES]
+
+
+@pytest.mark.parametrize("protocol", _NOT_AN_ORIGIN + [SPEC])
+def test_sample_set_protocol_must_be_a_frequency_protocol(protocol):
+    with pytest.raises(TypeError, match="^protocol must be of type FrequencyProtocol, got "):
+        dataclasses.replace(SAMPLES, protocol=protocol)
+
+
+@pytest.mark.parametrize("spec", _NOT_AN_ORIGIN + [RAMP])
+def test_sample_set_spec_must_be_an_ensemble_spec(spec):
+    with pytest.raises(TypeError, match="^spec must be of type EnsembleSpec, got "):
+        dataclasses.replace(SAMPLES, spec=spec)
+
+
+@pytest.mark.parametrize("with_control", _NOT_AN_ORIGIN + [1])
+def test_sample_set_with_control_must_be_a_bool(with_control):
+    with pytest.raises(TypeError, match="^with_control must be of type bool, got "):
+        dataclasses.replace(SAMPLES, with_control=with_control)
 
 
 @pytest.mark.parametrize(

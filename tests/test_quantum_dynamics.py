@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from staosc import classical_dynamics, quantum_dynamics
 from staosc.classical_analytics import adiabaticity_parameter, moments_from_form, quadratic_form
 from staosc.errors import IntegrationError, TruncationLeakageError
-from staosc.invariants import transitionless_deviation
+from staosc.invariants import atom_mass, transitionless_deviation
 from staosc.protocols import cosine_ramp, omega_at, omega_dot_at
 from staosc.quantum_dynamics import (
     QuantumWorkAtoms,
@@ -470,6 +470,19 @@ def test_work_atoms_jarzynski_exact():
         target = math.exp(-BETA * delta_f_quantum(BETA, WI, WF))
         assert target == pytest.approx(0.4292727403497249, rel=1e-10)
         assert estimate == pytest.approx(target, abs=1e-6)
+
+
+def test_atom_mass_reports_the_renormalised_sum_and_the_gibbs_tail_apart():
+    # the atoms are renormalised over the kept levels: at beta = 0.02 they sum
+    # to 1 within 7e-16, and the 8.23e-3 the cut drops fails the check on its own
+    tm = transition_matrix(FAST, with_control=False, n_max=24, dimension=512)
+    cut = atom_mass("norm_atoms_bare", quantum_work_atoms(tm, 0.02))
+    assert cut.name == "norm_atoms_bare"
+    assert not cut.passed
+    assert cut.value == pytest.approx(8.229747049e-3, rel=1e-9)
+    assert cut.detail == "mass = 1.000000000000, Gibbs tail = 0.00823"
+    kept = atom_mass("norm_atoms_bare", quantum_work_atoms(tm, BETA))
+    assert kept.passed and kept.value <= 2.3e-16
 
 
 def test_work_atoms_bare_statistics():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import threading
@@ -21,7 +22,6 @@ from staosc.classical_analytics import (
     quadratic_form,
 )
 from staosc.classical_dynamics import (
-    GIBBS_GENERATOR,
     EnsembleSpec,
     ensemble_work,
     gibbs_action_angle,
@@ -35,7 +35,6 @@ from staosc.quantum_dynamics import quantum_work_atoms, transition_matrix
 from staosc.work_statistics import (
     BinnedDensity,
     WorkSampleSet,
-    SampleProvenance,
     _cdf_at,
     classical_work_ensemble,
     classical_work_ensembles,
@@ -68,20 +67,21 @@ def _samples(count=20_000, seed=7, with_control=False, protocol=FAST):
 # sample sets and summaries
 # ---------------------------------------------------------------------------
 
+def _hand_built(samples, seed):
+    """A sample set of ``samples`` that no draw made, on the default ramp."""
+    spec = EnsembleSpec(beta=BETA, count=len(samples), seed=seed)
+    return WorkSampleSet(samples, FAST, spec, with_control=False)
+
+
 def test_classical_work_ensemble_shapes_and_provenance():
     ws = _samples(512, seed=3)
     assert ws.samples.shape == (512,)
     assert np.all(np.isfinite(ws.samples))
-    prov = ws.provenance
-    assert prov.count == 512
-    assert prov.seed == 3
-    assert prov.beta == BETA
-    assert not prov.with_control
-    d = prov.as_dict()
-    json.dumps(d)  # serializable
-    assert d["omega_i"] == WI
-    assert d["omega_f"] == pytest.approx(WF)
-    assert d["generator"] == GIBBS_GENERATOR
+    assert ws.spec == EnsembleSpec(beta=BETA, count=512, seed=3)
+    assert ws.protocol is FAST
+    assert ws.with_control is False
+    for origin in (ws.spec, ws.protocol):
+        json.dumps(dataclasses.asdict(origin))  # serializable
 
 
 def test_classical_work_ensembles_one_draw_matches_two(monkeypatch):
@@ -100,8 +100,9 @@ def test_classical_work_ensembles_one_draw_matches_two(monkeypatch):
     for with_control, ws in both.items():
         alone = classical_work_ensemble(FAST, spec, with_control=with_control)
         assert np.array_equal(ws.samples, alone.samples)
-        assert ws.provenance == alone.provenance
-        assert ws.provenance.with_control is with_control
+        origin = (ws.protocol, ws.spec, ws.with_control)
+        assert origin == (alone.protocol, alone.spec, alone.with_control)
+        assert origin == (FAST, spec, with_control)
     assert draws == [19] * 3
     assert not np.array_equal(both[True].samples, both[False].samples)
 
@@ -150,6 +151,13 @@ _BARE_TABLE = protocol_from_table(
 )
 
 
+def test_a_table_ramp_set_redraws_bit_for_bit():
+    first = classical_work_ensemble(_BARE_TABLE, EnsembleSpec(beta=BETA, count=4096, seed=71))
+    again = classical_work_ensembles(first.protocol, first.spec, (first.with_control,))
+    assert first.protocol is _BARE_TABLE
+    assert np.array_equal(again[first.with_control].samples, first.samples)
+
+
 @pytest.mark.parametrize("count", [1, _B - 1, _B, _B + 1, 3 * _B + 7])
 @pytest.mark.parametrize(
     "protocol, controls", [(FAST, (True, False)), (_BARE_TABLE, (False,))],
@@ -188,14 +196,11 @@ def test_work_kernel_keeps_near_zero_work_to_1e_14():
 
 
 def test_work_sample_set_validation():
-    prov = SampleProvenance(
-        kind="cosine-ramp", omega_i=WI, omega_f=WF, tau=1e-4,
-        with_control=False, beta=BETA, count=2, seed=1,
-    )
-    with pytest.raises(ValueError):
-        WorkSampleSet(samples=np.array([]), provenance=prov)
-    with pytest.raises(ValueError):
-        WorkSampleSet(samples=np.array([1.0, math.nan]), provenance=prov)
+    spec = EnsembleSpec(beta=BETA, count=1, seed=1)
+    with pytest.raises(ValueError, match="^samples must be a non-empty 1-d array$"):
+        WorkSampleSet(np.array([]), FAST, spec, with_control=False)
+    with pytest.raises(ValueError, match="^work samples must be finite$"):
+        _hand_built(np.array([1.0, math.nan]), seed=1)
 
 
 def test_summary_matches_moments():
@@ -226,11 +231,7 @@ def test_summary_stderr_std_is_the_delta_method(with_control):
 def test_summary_on_synthetic_normal():
     rng = np.random.default_rng(0)
     x = rng.normal(3.0, 2.0, size=400_000)
-    prov = SampleProvenance(
-        kind="cosine-ramp", omega_i=WI, omega_f=WF, tau=1.0,
-        with_control=False, beta=BETA, count=x.size, seed=0,
-    )
-    s = summary(WorkSampleSet(samples=x, provenance=prov))
+    s = summary(_hand_built(x, seed=0))
     assert s.mean == pytest.approx(3.0, abs=0.02)
     assert s.std == pytest.approx(2.0, abs=0.02)
     # for a normal, se(sigma) = sigma / sqrt(2 n)
@@ -557,11 +558,7 @@ def test_ks_distance_on_the_sudden_law_is_exact():
     form = _work_form(BETA, WI, WF)
     z = np.random.default_rng(3).standard_normal(20_000)
     works = np.append(0.0, form.mu_plus * z * z / 2.0)  # mu_+ x^2, x ~ N(0, 1/2)
-    prov = SampleProvenance(
-        kind="cosine-ramp", omega_i=WI, omega_f=WF, tau=0.0,
-        with_control=False, beta=BETA, count=works.size, seed=3,
-    )
-    ws = WorkSampleSet(samples=works, provenance=prov)
+    ws = _hand_built(works, seed=3)
     ks = ks_distance(ws, partial(pdf_nonadiabatic, form=form))
     w = np.sort(works)
     f = special.erf(np.sqrt(w / form.mu_plus))
@@ -609,11 +606,7 @@ def test_ks_distance_respects_w_max():
 def test_ks_distance_exact_on_synthetic_exponential():
     rng = np.random.default_rng(43)
     x = rng.exponential(scale=4.0, size=50_000)
-    prov = SampleProvenance(
-        kind="cosine-ramp", omega_i=WI, omega_f=WF, tau=1.0,
-        with_control=False, beta=BETA, count=x.size, seed=43,
-    )
-    ws = WorkSampleSet(samples=x, provenance=prov)
+    ws = _hand_built(x, seed=43)
     ks_match = ks_distance(ws, lambda w: np.exp(-np.asarray(w) / 4.0) / 4.0)
     ks_off = ks_distance(ws, lambda w: np.exp(-np.asarray(w) / 2.0) / 2.0)
     assert ks_match < 0.01
