@@ -42,6 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _dop853
 from .errors import IntegrationError, require_int, require_positive
 from .protocols import TABLE, FrequencyProtocol, omega_at, omega_dot_at, total_phase
 
@@ -134,14 +135,12 @@ def _field(t, y, protocol, with_control):
 
 
 def solve_ivp(*args, **kwargs):
-    """``scipy.integrate.solve_ivp``, with scipy.integrate imported on the first call.
+    """:func:`staosc._dop853.solve_ivp`, scipy's DOP853 algorithm ported to numpy.
 
     Every DOP853 solve of this module calls this binding, which
     perfbench/layers.py replaces to count the solves of this layer.
     """
-    from scipy.integrate import solve_ivp
-
-    return solve_ivp(*args, **kwargs)
+    return _dop853.solve_ivp(*args, **kwargs)
 
 
 def _knots(protocol: FrequencyProtocol) -> list[float]:
@@ -166,8 +165,8 @@ def integrate(states, protocol: FrequencyProtocol, with_control: bool = False, t
     y = states.T.ravel()
     knots = _knots(protocol)
     for start, stop in zip(knots[:-1], knots[1:]):
-        sol = solve_ivp(_field, (start, stop), y, method="DOP853", rtol=tol,
-                        atol=atol, args=(protocol, with_control))
+        sol = solve_ivp(_field, (start, stop), y, rtol=tol, atol=atol,
+                        args=(protocol, with_control))
         if not sol.success:
             raise IntegrationError(
                 f"phase-space integration failed: {sol.message} "

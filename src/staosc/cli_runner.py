@@ -445,6 +445,13 @@ def resolve_config(config: dict) -> dict:
             k: int(v) if _KEY_TYPES[section][k].get("type") == "integer" else v
             for k, v in values.items()
         }
+    num = resolved["numeric"]
+    # a cross-key limit the schema cannot state: the Fock basis must hold 4 n_max levels
+    if "n_max" in num and num["n_max"] > num["basis_size"] // 4:
+        raise ConfigError(
+            f"invalid configuration:\n  $.numeric.n_max: {num['n_max']} exceeds "
+            f"numeric.basis_size/4 = {num['basis_size'] // 4}"
+        )
     phys = resolved["physical"]
     if "tau_omega_i" in phys:
         phys["tau"] = phys["tau_omega_i"] / phys["omega_i"]

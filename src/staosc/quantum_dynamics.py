@@ -54,6 +54,7 @@ from functools import cache
 
 import numpy as np
 
+from . import _dop853
 from .classical_analytics import adiabaticity_parameter
 from .errors import IntegrationError, TruncationLeakageError, require_int, require_positive
 from .protocols import FrequencyProtocol, omega_at, omega_dot_at
@@ -134,14 +135,12 @@ def eigenbasis(omega: float, omega_ref: float, dimension: int) -> tuple[np.ndarr
 
 
 def solve_ivp(*args, **kwargs):
-    """``scipy.integrate.solve_ivp``, with scipy.integrate imported on the first call.
+    """:func:`staosc._dop853.solve_ivp`, scipy's DOP853 algorithm ported to numpy.
 
     The Schrodinger solve of this module calls this binding, which
     perfbench/layers.py replaces to count the solves of this layer.
     """
-    from scipy.integrate import solve_ivp
-
-    return solve_ivp(*args, **kwargs)
+    return _dop853.solve_ivp(*args, **kwargs)
 
 
 def _propagate_columns(
@@ -164,7 +163,6 @@ def _propagate_columns(
         rhs,
         (0.0, protocol.tau),
         psi0.astype(complex).ravel(),
-        method="DOP853",
         rtol=tol,
         atol=tol * 1e-2,
     )

@@ -44,12 +44,13 @@ from .quantum_dynamics import QuantumWorkAtoms
 _BLOCK = 32768
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WorkSampleSet:
     """Work draws plus the ramp and the ensemble that drew them.
 
     ``classical_work_ensembles(protocol, spec, (with_control,))`` redraws
-    the samples bit for bit, for every ramp kind.
+    the samples bit for bit, for every ramp kind.  A set is one draw: ``==``
+    is identity, and samples compare by ``np.array_equal``.
     """
 
     samples: np.ndarray

@@ -264,6 +264,17 @@ def test_main_rejects_a_config_file_with_infinity(tmp_path, capsys):
     assert not (tmp_path / "summary.json").exists()
 
 
+def test_n_max_is_held_to_a_quarter_of_the_basis():
+    def numeric(n_max):
+        return _config("quantum-work-atoms", numeric={"basis_size": 64, "n_max": n_max})
+
+    with pytest.raises(ConfigError) as err:
+        resolve_config(numeric(20))
+    assert "$.numeric.n_max: 20 exceeds numeric.basis_size/4 = 16" in str(err.value)
+    assert resolve_config(numeric(16))["numeric"]["n_max"] == 16
+    assert config_hash(resolve_config(_config("quantum-work-atoms"))) == "e331e7cd34ab945a"
+
+
 def test_accepted_configs_hash_as_before():
     pinned = {
         "classical-work-dist": "855b75b9d52a4766",

@@ -2,23 +2,23 @@
 
 ``import staosc`` loads numpy only.  Each scipy submodule is imported where
 a route first needs it: ``scipy.interpolate`` by table ramps only,
-``scipy.special`` by the cosine-ramp phase of the controlled Phi,
-``scipy.integrate`` by the DOP853 references.  The default
-``engine-curves``, ``quantum-work-atoms`` and ``jarzynski-trace`` runs need
-none of them: the controlled work is a closed form and needs no phase.  Nor
-does the default ``classical-work-dist``: the work-density law takes its
-Bessel factor from numpy's ``i0`` and an asymptotic series, and the KS
-distance builds its CDF with numpy alone.  ``verify`` loads
-``scipy.integrate`` for its DOP853 references, and with it
-``scipy.special``; its normalization checks load no ``scipy.interpolate``
-either.  The import tests run in
-fresh interpreters, so that they see a clean ``sys.modules``; a
-module-level scipy import anywhere in the package fails them.
+``scipy.special`` by the cosine-ramp phase of the controlled Phi.  No
+route loads ``scipy.integrate``: the DOP853 references run
+``staosc._dop853``, scipy's algorithm ported to numpy, which loads no scipy
+module at all.  No default run needs a scipy submodule.  The default
+``engine-curves``, ``quantum-work-atoms`` and ``jarzynski-trace`` runs
+need no phase: the controlled work is a closed form.  The default
+``classical-work-dist`` takes the Bessel factor of its work-density law
+from numpy's ``i0`` and an asymptotic series, and the KS distance builds
+its CDF with numpy alone.  ``verify`` runs its DOP853 references through
+the port and its normalization checks without ``scipy.interpolate``.  The
+import tests run in fresh interpreters, so that they see a clean
+``sys.modules``; a module-level scipy import anywhere in the package fails
+them.
 
-The reference solvers call the ``solve_ivp`` of their own module, which
-imports ``scipy.integrate`` on its first call.  ``perfbench/layers.py``
-replaces that binding to count each layer's solves, so a function-local
-``from scipy.integrate import solve_ivp`` would leave those counters at 0
+The reference solvers call the ``solve_ivp`` of their own module.
+``perfbench/layers.py`` replaces that binding to count each layer's
+solves, so a solve that bypassed it would leave those counters at 0
 without any error.
 """
 
@@ -48,20 +48,30 @@ print(json.dumps([code, [m for m in {lazy!r} if m in sys.modules]]))
 """
 
 
-def _fresh_process(run: str, cwd: Path) -> tuple[int, list[str]]:
-    """Exit code of ``run`` in a fresh interpreter, and the LAZY modules it loaded."""
+def _python(code: str, cwd: Path) -> str:
+    """The last line ``code`` prints in a fresh interpreter that finds this package."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
-        [sys.executable, "-c", _PROBE.format(run=run, lazy=LAZY)],
-        capture_output=True, text=True, env=env, cwd=cwd, check=True,
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, cwd=cwd, check=True,
     )
-    code, loaded = json.loads(proc.stdout.splitlines()[-1])
+    return proc.stdout.splitlines()[-1]
+
+
+def _fresh_process(run: str, cwd: Path) -> tuple[int, list[str]]:
+    """Exit code of ``run`` in a fresh interpreter, and the LAZY modules it loaded."""
+    code, loaded = json.loads(_python(_PROBE.format(run=run, lazy=LAZY), cwd))
     return code, loaded
 
 
 def test_import_loads_no_scipy_submodule(tmp_path):
     assert _fresh_process("0", tmp_path) == (0, [])
+
+
+def test_dop853_port_loads_no_scipy_module(tmp_path):
+    probe = ("import json, sys, staosc._dop853; "
+             "print(json.dumps([m for m in sys.modules if m.split('.')[0] == 'scipy']))")
+    assert json.loads(_python(probe, tmp_path)) == []
 
 
 @pytest.mark.parametrize(
@@ -73,7 +83,7 @@ def test_import_loads_no_scipy_submodule(tmp_path):
             ("quantum-work-atoms", []),
             ("jarzynski-trace", []),
             ("classical-work-dist", []),
-            ("verify", ["scipy.special", "scipy.integrate"]),
+            ("verify", []),
         )
     ],
 )

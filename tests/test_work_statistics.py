@@ -203,6 +203,14 @@ def test_work_sample_set_validation():
         _hand_built(np.array([1.0, math.nan]), seed=1)
 
 
+def test_work_sample_sets_compare_by_identity_and_hash():
+    a, b = _samples(64, seed=3), _samples(64, seed=3)
+    assert np.array_equal(a.samples, b.samples)
+    assert (a == b) is False
+    assert (a == a) is True
+    assert len({a, b, a}) == 2
+
+
 def test_summary_matches_moments():
     ws = _samples(100_000, seed=11)
     s = summary(ws)
