@@ -18,11 +18,15 @@ Every check is one record (name, value, threshold, passed, detail), and
 the command line prints each with its margin to the threshold.
 
 One table, ``_EXPERIMENTS``, declares each experiment: its runner and the
-config keys it reads, with their defaults.  The JSON schema is built from
-it, and a key an experiment does not read is rejected.  Each run input has
-one way in: a ramp's duration is ``tau_omega_i`` (the resolved ``tau`` is
-derived from it), and the output directory is ``--out-dir`` or the
-``out_dir`` argument of :func:`run_experiment`, never a config key.
+config keys it reads, with their defaults; ``_KEY_TYPES`` gives each key's
+rule.  :func:`validate_config` walks these two tables, and a key an
+experiment does not read is rejected.  The JSON schema that ``staosc
+schema`` prints is built from the same tables, as documentation: the walk
+reports what a Draft 2020-12 validator reports against it (with a finite
+``number``), in the same words and order, without loading one.  Each run
+input has one way in: a ramp's duration is ``tau_omega_i`` (the resolved
+``tau`` is derived from it), and the output directory is ``--out-dir`` or
+the ``out_dir`` argument of :func:`run_experiment`, never a config key.
 
 Every CSV carries a header comment with the experiment seed and a hash of
 the resolved configuration, and all numbers are written with 17
@@ -35,13 +39,13 @@ import argparse
 import hashlib
 import json
 import math
+import numbers
 import sys
 from dataclasses import asdict
 from functools import partial
 from pathlib import Path
 
 import numpy as np
-from jsonschema import Draft202012Validator, validators
 
 from . import classical_analytics as ca
 from . import classical_dynamics as cd
@@ -298,6 +302,8 @@ def _run_verify(resolved: dict, out_dir: Path, meta: dict):
 # ---------------------------------------------------------------------------
 
 _POSITIVE = {"type": "number", "exclusiveMinimum": 0}
+_SEED = {"type": "integer", "minimum": 0}
+_SECTION = {"type": "object"}
 
 #: JSON type of every config key, whichever experiments read it.
 _KEY_TYPES = {
@@ -385,8 +391,8 @@ CONFIG_SCHEMA = {
     "properties": {
         "schema_version": {"const": SCHEMA_VERSION},
         "experiment": {"enum": list(EXPERIMENTS)},
-        "seed": {"type": "integer", "minimum": 0},
-        **{section: {"type": "object"} for section in _SECTIONS},
+        "seed": _SEED,
+        **{section: _SECTION for section in _SECTIONS},
     },
     "allOf": [
         {
@@ -404,12 +410,92 @@ CONFIG_SCHEMA = {
         for name, entry in _EXPERIMENTS.items()
     ],
 }
-# json.load parses NaN and Infinity, so a config "number" must also be finite.
-_TYPES = Draft202012Validator.TYPE_CHECKER
-_FINITE = _TYPES.redefine(
-    "number", lambda _, v: _TYPES.is_type(v, "number") and -math.inf < v < math.inf
-)
-_VALIDATOR = validators.extend(Draft202012Validator, type_checker=_FINITE)(CONFIG_SCHEMA)
+
+
+def _is_number(value) -> bool:
+    # json.load parses NaN and Infinity, so a config "number" must also be finite
+    return (not isinstance(value, bool) and isinstance(value, numbers.Number)
+            and -math.inf < value < math.inf)
+
+
+#: Draft 2020-12's JSON types of json.load's Python values (bool is no number).
+_IS_TYPE = {
+    "number": _is_number,
+    "integer": lambda v: not isinstance(v, bool) and (
+        isinstance(v, int) or isinstance(v, float) and v.is_integer()
+    ),
+    "array": lambda v: isinstance(v, list),
+    "object": lambda v: isinstance(v, dict),
+}
+
+#: Every keyword a rule may use: its check, returning the Draft 2020-12 message
+#: when ``value`` fails it and a false value otherwise.  A bound applies only to the
+#: JSON type it constrains.  "items" descends into each element (_rule_errors).
+_KEYWORDS = {
+    "type": lambda v, t: not _IS_TYPE[t](v) and f"{v!r} is not of type {t!r}",
+    "minimum": lambda v, m: (
+        _is_number(v) and v < m and f"{v!r} is less than the minimum of {m!r}"
+    ),
+    "exclusiveMinimum": lambda v, m: (
+        _is_number(v) and v <= m and f"{v!r} is less than or equal to the minimum of {m!r}"
+    ),
+    "multipleOf": lambda v, d: _is_number(v) and v % d and f"{v!r} is not a multiple of {d}",
+    "minItems": lambda v, n: isinstance(v, list) and len(v) < n and (
+        f"{v!r} should be non-empty" if n == 1 else f"{v!r} is too short"
+    ),
+    "items": None,
+}
+
+
+def _rule_errors(value, rule: dict, path: str):
+    """(json_path, message) of each keyword of ``rule`` that ``value`` fails, in rule order."""
+    for keyword, bound in rule.items():
+        if keyword == "items":
+            if isinstance(value, list):
+                for index, item in enumerate(value):
+                    yield from _rule_errors(item, bound, f"{path}[{index}]")
+        elif message := _KEYWORDS[keyword](value, bound):
+            yield path, message
+
+
+def _extra_keys(values: dict, known, path: str) -> list:
+    extras = sorted((key for key in values if key not in known), key=str)
+    if not extras:
+        return []
+    listed = ", ".join(map(repr, extras))
+    verb = "was" if len(extras) == 1 else "were"
+    return [(path, f"Additional properties are not allowed ({listed} {verb} unexpected)")]
+
+
+def _config_errors(config) -> list:
+    """Every (json_path, message) that CONFIG_SCHEMA rejects in ``config``, sorted by path."""
+    if not isinstance(config, dict):
+        return [("$", f"{config!r} is not of type 'object'")]
+    errors = [("$", f"{key!r} is a required property")
+              for key in CONFIG_SCHEMA["required"] if key not in config]
+    errors += _extra_keys(config, CONFIG_SCHEMA["properties"], "$")
+    version = config.get("schema_version", SCHEMA_VERSION)  # a missing one is reported above
+    if isinstance(version, bool) or version != SCHEMA_VERSION:
+        errors.append(("$.schema_version", f"{SCHEMA_VERSION!r} was expected"))
+    experiment = config.get("experiment")
+    entry = _EXPERIMENTS.get(experiment) if isinstance(experiment, str) else None
+    if "experiment" in config and entry is None:
+        errors.append(("$.experiment", f"{experiment!r} is not one of {list(EXPERIMENTS)!r}"))
+    if "seed" in config:
+        errors += _rule_errors(config["seed"], _SEED, "$.seed")
+    for section in _SECTIONS:
+        if section not in config:
+            continue
+        values, path = config[section], f"$.{section}"
+        errors += _rule_errors(values, _SECTION, path)
+        if entry is None or not isinstance(values, dict):
+            continue  # only a known experiment's object sections hold keys to check
+        errors += _extra_keys(values, entry[section], path)
+        for key in entry[section]:
+            if key in values:
+                errors += _rule_errors(values[key], _KEY_TYPES[section][key], f"{path}.{key}")
+    # stable: errors at one path keep the order in which their keywords were checked
+    return sorted(errors, key=lambda error: error[0])
 
 
 class ConfigError(ValueError):
@@ -421,9 +507,9 @@ def config_schema() -> dict:
 
 
 def validate_config(config: dict) -> None:
-    errors = sorted(_VALIDATOR.iter_errors(config), key=lambda e: e.json_path)
+    errors = _config_errors(config)
     if errors:
-        lines = [f"{e.json_path}: {e.message}" for e in errors]
+        lines = [f"{path}: {message}" for path, message in errors]
         raise ConfigError("invalid configuration:\n  " + "\n  ".join(lines))
 
 

@@ -320,6 +320,7 @@ def test_readme_minimal_config_validates_against_printed_schema(capsys):
     assert main(["schema"]) == 0
     schema = json.loads(capsys.readouterr().out)
     Draft202012Validator(schema).validate(json.loads(block))
+    validate_config(json.loads(block))
 
 
 # ---------------------------------------------------------------------------

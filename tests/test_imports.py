@@ -1,6 +1,10 @@
 """What a fresh process imports, and which binding each reference solve calls.
 
-``import staosc`` loads numpy only.  Each scipy submodule is imported where
+``import staosc`` loads numpy only, and ``staosc.cli_runner`` adds no
+third-party module: it checks configs by walking its experiment table, so
+no run loads ``jsonschema`` or its dependencies (``referencing``, ``rpds``,
+``attrs``); ``jsonschema`` is a test dependency, the oracle of
+``tests/test_config_validation.py``.  Each scipy submodule is imported where
 a route first needs it: ``scipy.interpolate`` by table ramps only,
 ``scipy.special`` by the cosine-ramp phase of the controlled Phi.  No
 route loads ``scipy.integrate``: the DOP853 references run
@@ -13,8 +17,8 @@ from numpy's ``i0`` and an asymptotic series, and the KS distance builds
 its CDF with numpy alone.  ``verify`` runs its DOP853 references through
 the port and its normalization checks without ``scipy.interpolate``.  The
 import tests run in fresh interpreters, so that they see a clean
-``sys.modules``; a module-level scipy import anywhere in the package fails
-them.
+``sys.modules``; a module-level scipy or ``jsonschema`` import anywhere in
+the package fails them.
 
 The reference solvers call the ``solve_ivp`` of their own module.
 ``perfbench/layers.py`` replaces that binding to count each layer's
@@ -39,12 +43,16 @@ from staosc.quantum_dynamics import fock_transition_matrix
 
 SRC = Path(staosc.__file__).resolve().parents[1]
 LAZY = ("scipy.special", "scipy.interpolate", "scipy.integrate")
+#: The schema library and the packages it pulls in, which no run loads.
+SCHEMA_LIBRARY = ("jsonschema", "referencing", "rpds", "attrs")
 
 _PROBE = """
 import json, sys
 import staosc, staosc.cli_runner
 code = {run}
-print(json.dumps([code, [m for m in {lazy!r} if m in sys.modules]]))
+top = {{m.split('.')[0] for m in sys.modules}}
+print(json.dumps([code, [m for m in {lazy!r} if m in sys.modules],
+                  [m for m in {schema!r} if m in top]]))
 """
 
 
@@ -58,14 +66,19 @@ def _python(code: str, cwd: Path) -> str:
     return proc.stdout.splitlines()[-1]
 
 
-def _fresh_process(run: str, cwd: Path) -> tuple[int, list[str]]:
-    """Exit code of ``run`` in a fresh interpreter, and the LAZY modules it loaded."""
-    code, loaded = json.loads(_python(_PROBE.format(run=run, lazy=LAZY), cwd))
-    return code, loaded
+def _fresh_process(run: str, cwd: Path) -> tuple[int, list[str], list[str]]:
+    """Exit code of ``run`` in a fresh interpreter, and the LAZY and SCHEMA_LIBRARY
+    modules it loaded."""
+    probe = _PROBE.format(run=run, lazy=LAZY, schema=SCHEMA_LIBRARY)
+    return tuple(json.loads(_python(probe, cwd)))
 
 
 def test_import_loads_no_scipy_submodule(tmp_path):
-    assert _fresh_process("0", tmp_path) == (0, [])
+    assert _fresh_process("0", tmp_path)[:2] == (0, [])
+
+
+def test_import_loads_no_schema_library(tmp_path):
+    assert _fresh_process("0", tmp_path) == (0, [], [])
 
 
 def test_dop853_port_loads_no_scipy_module(tmp_path):
@@ -91,10 +104,11 @@ def test_default_run_loads_no_scipy_submodule(tmp_path, experiment, expected):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"schema_version": 1, "experiment": experiment, "seed": 7}))
     run = f"staosc.cli_runner.main(['run', {str(config)!r}, '--out-dir', 'out'])"
-    code, loaded = _fresh_process(run, tmp_path)
+    code, loaded, schema = _fresh_process(run, tmp_path)
     assert code == 0
     assert (tmp_path / "out" / "summary.json").is_file()
     assert loaded == expected
+    assert schema == []  # validating the config loads no schema library either
 
 
 def _count_solves(monkeypatch, module) -> list:
